@@ -14,6 +14,7 @@ from .measures import (
     CorrelationRecord,
     alpha_discord,
     beta_discord,
+    discord_batch,
     discord_numeric,
     eof_from_concurrence,
     two_param_q,
@@ -300,7 +301,7 @@ def sample_random(n, seed, cfg=DEFAULT_OPT):
     if n < 1:
         raise ValueError("n must be >= 1")
     seeds = _derived_seeds(seed, n)
-    records = [discord_numeric(random_state(s), cfg) for s in seeds]
+    records = discord_batch([random_state(s) for s in seeds], cfg)
     return SampleBatch(
         records=records,
         seeds=seeds,
@@ -328,12 +329,12 @@ def sample_near_boundary(kind, n, epsilon, seed, cfg=DEFAULT_OPT):
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     seeds = _derived_seeds(seed, n)
-    records, families = [], []
-    for s in seeds:
-        fam = _draw_family(kind, rng)
-        rho = (1 - epsilon) * make_family(fam) + epsilon * random_state(s)
-        records.append(discord_numeric(validate_state(rho), cfg))
-        families.append(fam)
+    families = [_draw_family(kind, rng) for _ in range(n)]
+    rhos = [
+        validate_state((1 - epsilon) * make_family(fam) + epsilon * random_state(s))
+        for fam, s in zip(families, seeds)
+    ]
+    records = discord_batch(rhos, cfg)
     return SampleBatch(
         records=records,
         seeds=seeds,

@@ -3,15 +3,27 @@ optimized discord, classical correlation, Wootters concurrence, entanglement
 of formation, and closed-form family results.
 
 Measurements are two-element projective sets on subsystem B, parametrized by
-(theta, phi) with |psi> = cos(theta)|0> + e^{i phi} sin(theta)|1>.
+(theta, phi) with |psi> = cos(theta)|0> + e^{i phi} sin(theta)|1>, that is,
+by the Bloch vector n = (sin 2theta cos phi, sin 2theta sin phi, cos 2theta).
+
+The discord engine (classical_correlation_batch) writes each state in Fano
+form, rho = (I + r.sigma x I + I x s.sigma + sum_ij T_ij sigma_i x sigma_j)/4.
+Measuring B along n gives p+- = (1 +- s.n)/2 and conditional Bloch vectors
+a+- = (r +- T n)/(2 p+-), so S(A|Pi) = sum p+- h((1 + |a+-|)/2) in closed
+form (Luo, PRA 77, 042303 (2008)). The engine scans S(A|Pi) over the
+distinct directions of an angle grid, refines the best grid points of every
+state with a finite-difference Newton iteration on the sphere, and goes
+through a batch in chunks of bounded size, with elementwise arithmetic only,
+so a state's result does not depend on its batch. classical_correlation and
+discord_numeric are batches of one; apply_measurement and
+conditional_information are the reference the engine is tested against.
 """
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .states import (
     Family,
@@ -34,12 +46,19 @@ class UnsupportedFamily(StateError):
 
 
 class OptimizerDidNotConverge(RuntimeError):
-    pass
+    """No refinement start of some state converged within the iteration
+    budget; `states` holds the indices of those states in their batch."""
+
+    def __init__(self, message, states=()):
+        super().__init__(message)
+        self.states = list(states)
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for the discord angle search (coarse grid + simplex refine)."""
+    """Settings for the discord angle search: the theta x phi grid size,
+    the value tolerance and per-start iteration budget of the refinement, and
+    the number of best grid points refined per state."""
 
     grid_theta: int = 60
     grid_phi: int = 120
@@ -118,72 +137,6 @@ def conditional_information(rho, theta, phi):
     return s_a - acc
 
 
-def _xlog2(x):
-    out = np.zeros_like(x)
-    mask = x > 1e-18
-    out[mask] = x[mask] * np.log2(x[mask])
-    return out
-
-
-def _cond_info_batch(rho4, s_a, thetas, phis):
-    """Vectorized conditional information over arrays of angles.
-
-    Uses the rank-2 structure of the post-measurement states: each outcome k
-    is (conditional A state) x (projector), so p_k S(rho_k) reduces to the
-    entropy of a 2x2 block M_k = <psi_k| rho |psi_k>_B.
-    """
-    ct, st = np.cos(thetas), np.sin(thetas)
-    ph = np.exp(1j * phis)
-    acc = np.zeros(len(thetas))
-    for v in (
-        np.stack([ct + 0j, ph * st], axis=1),
-        np.stack([-st + 0j, ph * ct], axis=1),
-    ):
-        m = np.einsum("nb,abcd,nd->nac", v.conj(), rho4, v, optimize=True)
-        p = np.real(m[:, 0, 0] + m[:, 1, 1])
-        det = np.real(m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0])
-        disc = np.sqrt(np.maximum(p * p - 4 * det, 0.0))
-        hi = np.maximum((p + disc) / 2, 0.0)
-        lo = np.maximum((p - disc) / 2, 0.0)
-        # p_k S(rho_k) = -hi log2 hi - lo log2 lo + p log2 p
-        acc += -_xlog2(hi) - _xlog2(lo) + _xlog2(p)
-    return s_a - acc
-
-
-def _make_point_objective(rho, s_a):
-    """Scalar-math conditional information, built once per state.
-
-    Same reduction as _cond_info_batch but in plain Python complex
-    arithmetic; the simplex refinement calls this thousands of times.
-    """
-    r = [[complex(rho[i, j]) for j in range(4)] for i in range(4)]
-
-    def xl2(x):
-        return x * math.log2(x) if x > 1e-18 else 0.0
-
-    def f(theta, phi):
-        ct, st = math.cos(theta), math.sin(theta)
-        e = complex(math.cos(phi), math.sin(phi))
-        acc = 0.0
-        for v0, v1 in ((ct, e * st), (-st, e * ct)):
-            w00 = (v0.conjugate() * v0).real if isinstance(v0, complex) else v0 * v0
-            w01 = (v0.conjugate() if isinstance(v0, complex) else v0) * v1
-            w11 = (v1.conjugate() * v1).real
-            w10 = w01.conjugate()
-            m00 = (w00 * r[0][0] + w01 * r[0][1] + w10 * r[1][0] + w11 * r[1][1]).real
-            m11 = (w00 * r[2][2] + w01 * r[2][3] + w10 * r[3][2] + w11 * r[3][3]).real
-            m01 = w00 * r[0][2] + w01 * r[0][3] + w10 * r[1][2] + w11 * r[1][3]
-            p = m00 + m11
-            det = m00 * m11 - (m01 * m01.conjugate()).real
-            disc = math.sqrt(max(p * p - 4 * det, 0.0))
-            hi = max((p + disc) / 2, 0.0)
-            lo = max((p - disc) / 2, 0.0)
-            acc += -xl2(hi) - xl2(lo) + xl2(p)
-        return s_a - acc
-
-    return f
-
-
 def canonical_angles(theta, phi):
     """Reduce (theta, phi) to theta in [0, pi/2], phi in [0, 2 pi).
 
@@ -198,58 +151,272 @@ def canonical_angles(theta, phi):
     return float(theta), float(phi % (2 * np.pi))
 
 
+# Each two-qubit Pauli product P = sigma_i x sigma_j has one nonzero entry per
+# row, so Tr(P rho) = sum_k P[k, c_k] rho[c_k, k]: four products per state.
+_PAULIS = (
+    np.eye(2),
+    np.array([[0, 1], [1, 0]]),
+    SIGMA_Y,
+    np.array([[1, 0], [0, -1]]),
+)
+_PRODUCTS = [np.kron(a, b) for a in _PAULIS for b in _PAULIS]
+_PAULI_COLS = np.array([np.argmax(np.abs(p), axis=1) for p in _PRODUCTS])
+_PAULI_VALS = np.array(
+    [p[np.arange(4), c] for p, c in zip(_PRODUCTS, _PAULI_COLS)], dtype=complex
+)
+# product index 4 i + j of sigma_i x sigma_j: r, then s, then T row by row
+_FANO_ORDER = [4, 8, 12, 1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15]
+
+
+def _fano(rhos):
+    """Halved Fano coefficients of a stack of states, shape (15, N).
+
+    rho = (I + r.sigma x I + I x s.sigma + sum_ij T_ij sigma_i x sigma_j) / 4;
+    rows 0-2 hold r/2, rows 3-5 s/2 and rows 6-14 T/2 row by row.
+    """
+    t = rhos[:, _PAULI_COLS, np.arange(4)] * _PAULI_VALS
+    tr = (t[..., 0] + t[..., 1] + t[..., 2] + t[..., 3]).real
+    return np.ascontiguousarray(0.5 * tr[:, _FANO_ORDER].T)
+
+
+def _xlog2(x):
+    """x log2 x, elementwise, taken as 0 for x <= 0 (round-off can push the
+    small eigenvalue of a pure conditional state just below zero)."""
+    x = np.maximum(x, 0.0)
+    return x * np.log2(np.maximum(x, 1e-300))
+
+
+def _conditional_entropy(c, nx, ny, nz):
+    """S(A|Pi_n) = sum_k p_k S(rho_A|k) for the projective measurement of B
+    along the unit Bloch vector n, elementwise over the broadcast of the
+    halved Fano coefficients c (see _fano) against the direction arrays.
+
+    Outcome +-n occurs with p = 1/2 +- (s/2).n and leaves A in the
+    unnormalized state (p I + u.sigma)/2 with u = r/2 +- (T/2) n, whose
+    eigenvalues (p +- |u|)/2 give p S(rho_A|k) = xlog(p) - sum xlog(eig).
+    """
+    sn = c[3] * nx + c[4] * ny + c[5] * nz
+    tx = c[6] * nx + c[7] * ny + c[8] * nz
+    ty = c[9] * nx + c[10] * ny + c[11] * nz
+    tz = c[12] * nx + c[13] * ny + c[14] * nz
+    out = 0.0
+    for p, ux, uy, uz in (
+        (0.5 + sn, c[0] + tx, c[1] + ty, c[2] + tz),
+        (0.5 - sn, c[0] - tx, c[1] - ty, c[2] - tz),
+    ):
+        w = np.sqrt(ux * ux + uy * uy + uz * uz)
+        out = out + _xlog2(p) - _xlog2(0.5 * (p + w)) - _xlog2(0.5 * (p - w))
+    return out
+
+
+def _entropy_a(c):
+    """S(rho_A) from the halved Bloch vector r/2 of A."""
+    w = np.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
+    return -_xlog2(0.5 + w) - _xlog2(0.5 - w)
+
+
+@functools.lru_cache(maxsize=8)
+def _direction_grid(grid_theta, grid_phi):
+    """Bloch vectors of the distinct measurements of the angle grid.
+
+    The grid is theta = linspace(0, pi/2, grid_theta) times phi =
+    linspace(0, 2 pi, grid_phi, endpoint=False), and n = (sin 2theta cos phi,
+    sin 2theta sin phi, cos 2theta). Since n and -n define the same
+    measurement (f(theta, phi) = f(pi/2 - theta, phi + pi)), only the half
+    phi < pi is kept, and the two poles enter once. Returns the read-only
+    arrays (nx, ny, nz) and the grid spacing as an arc on the Bloch sphere.
+    """
+    pol = 2 * np.linspace(0.0, np.pi / 2, grid_theta)[1:-1]
+    azi = np.linspace(0.0, np.pi, -(-grid_phi // 2), endpoint=False)
+    pp, aa = np.meshgrid(pol, azi, indexing="ij")
+    pp = np.concatenate([[0.0], pp.ravel()])
+    aa = np.concatenate([[0.0], aa.ravel()])
+    n = (np.sin(pp) * np.cos(aa), np.sin(pp) * np.sin(aa), np.cos(pp))
+    for v in n:
+        v.setflags(write=False)
+    spacing = max(np.pi / max(grid_theta - 1, 1), 2 * np.pi / max(grid_phi, 1))
+    return n, spacing
+
+
+_CHUNK_ELEMENTS = 1 << 13  # objective values computed at once
+
+
+def _chunk_size(per_state):
+    """States per chunk when each state needs `per_state` objective values at
+    once: the grid size in the scan, restarts x stencil points in refinement."""
+    return max(1, _CHUNK_ELEMENTS // per_state)
+
+
+# refinement stencil: the 8 neighbours (x, y) of the centre in units of h
+_STENCIL_X = np.array([1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
+_STENCIL_Y = np.array([0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+_H_MIN = 1e-5  # finest stencil spacing; round-off in the Hessian grows as 1/h^2
+_H_MAX = 0.25  # coarsest spacing; a step is at most 2 h long
+
+
+def _retract(n, e1, e2, x, y):
+    """Unit vectors (n + x e1 + y e2) / |.| for tangent-plane offsets (x, y)
+    of the orthonormal frame (n, e1, e2)."""
+    inv = 1.0 / np.sqrt(1.0 + x * x + y * y)
+    return [(n[i] + x * e1[i] + y * e2[i]) * inv for i in range(3)]
+
+
+def _refine(c, pol, azi, f, h0, cfg):
+    """Minimize S(A|Pi_n) from each start, all starts at once.
+
+    Start k has halved Fano coefficients c[:, k], Bloch angles (pol[k],
+    azi[k]) and value f[k]. Every iteration evaluates the 3x3 stencil of
+    spacing h in the tangent plane at the centre (points (n + x e1 + y e2)
+    / |.|), takes finite-difference gradient and Hessian from it and tries
+    the Newton step, with each Hessian eigendirection of curvature below
+    |g|/2h capped at length 2h. The centre moves to the best of the nine
+    points. h follows the length of a winning Newton step, is kept when a
+    stencil point wins, and shrinks fourfold when no point gains more than
+    cfg.refine_tol. A start converges when its stencil values all lie
+    within cfg.refine_tol of the centre value (a flat landscape at that
+    scale), or when no point gains more than cfg.refine_tol at the finest
+    spacing _H_MIN; it is then frozen while the others iterate. After
+    cfg.max_iter iterations the rest stop unconverged.
+
+    Updates pol, azi and f in place and returns the per-start converged
+    flags. Every operation is elementwise over starts, so a start's result
+    does not depend on the others.
+    """
+    h = np.full(len(f), min(h0, _H_MAX))
+    converged = np.zeros(len(f), dtype=bool)
+    act = np.arange(len(f))
+    tol = cfg.refine_tol
+    for _ in range(cfg.max_iter):
+        if not act.size:
+            break
+        ca, sa = np.cos(pol[act]), np.sin(pol[act])
+        cb, sb = np.cos(azi[act]), np.sin(azi[act])
+        n = (sa * cb, sa * sb, ca)
+        e1 = (ca * cb, ca * sb, -sa)
+        e2 = (-sb, cb, np.zeros_like(cb))
+        ck, fk, hk = c[:, act], f[act], h[act]
+
+        vs = _retract(
+            *([v[:, None] for v in b] for b in (n, e1, e2)),
+            hk[:, None] * _STENCIL_X,
+            hk[:, None] * _STENCIL_Y,
+        )
+        fs = _conditional_entropy(ck[:, :, None], *vs)
+
+        g1 = (fs[:, 0] - fs[:, 1]) / (2 * hk)
+        g2 = (fs[:, 2] - fs[:, 3]) / (2 * hk)
+        h11 = (fs[:, 0] + fs[:, 1] - 2 * fk) / (hk * hk)
+        h22 = (fs[:, 2] + fs[:, 3] - 2 * fk) / (hk * hk)
+        h12 = (fs[:, 4] - fs[:, 5] - fs[:, 6] + fs[:, 7]) / (4 * hk * hk)
+        psi = 0.5 * np.arctan2(2 * h12, h11 - h22)
+        cp, sp = np.cos(psi), np.sin(psi)
+        mid, rad = 0.5 * (h11 + h22), np.hypot(0.5 * (h11 - h22), h12)
+        radius = 2 * hk
+        steps = []
+        for mu, g in ((mid + rad, cp * g1 + sp * g2), (mid - rad, cp * g2 - sp * g1)):
+            steps.append(-g / np.maximum(np.maximum(mu, np.abs(g) / radius), 1e-300))
+        dx = cp * steps[0] - sp * steps[1]
+        dy = sp * steps[0] + cp * steps[1]
+        vt = _retract(n, e1, e2, dx, dy)
+        ft = _conditional_entropy(ck, *vt)
+
+        cand = np.concatenate([fs, ft[:, None]], axis=1)
+        best = np.argmin(cand, axis=1)
+        rows = np.arange(len(act))
+        fb = cand[rows, best]
+        gain = fk - fb
+        moved = gain > 0
+        newton = best == 8
+        vx, vy, vz = (
+            np.concatenate([v, t[:, None]], axis=1)[rows, best] for v, t in zip(vs, vt)
+        )
+        idx = act[moved]
+        pol[idx] = np.arctan2(np.hypot(vx, vy), vz)[moved]
+        azi[idx] = np.arctan2(vy, vx)[moved]
+        f[idx] = fb[moved]
+
+        step = np.hypot(dx, dy)
+        h_new = np.where(newton, np.clip(step, _H_MIN, _H_MAX), hk)
+        h_new = np.where(gain > tol, h_new, np.maximum(np.minimum(step, hk / 4), _H_MIN))
+        h[act] = h_new
+        done = (np.max(np.abs(fs - fk[:, None]), axis=1) <= tol) | (
+            (hk <= _H_MIN) & (gain <= tol)
+        )
+        converged[act[done]] = True
+        act = act[~done]
+    return converged
+
+
+def classical_correlation_batch(rhos, cfg=DEFAULT_OPT):
+    """Classical correlation of a stack of states: the batch entry point of
+    the discord engine.
+
+    For each state, S(A|Pi_n) (see _conditional_entropy) is scanned over the
+    distinct directions of the cfg angle grid, and the cfg.restarts best
+    grid points are refined by _refine; the state's optimum is the best
+    refined start. The value is S(rho_A) - S(A|Pi_n), evaluated at the
+    returned angles. States go through in chunks of _chunk_size; all
+    arithmetic is elementwise over states, so a state's result does not
+    depend on the batch or chunk it is in, bit for bit.
+
+    Returns float arrays (values, theta_opt, phi_opt) with theta in
+    [0, pi/2] and phi in [0, 2 pi). Raises OptimizerDidNotConverge, after
+    the whole batch has run, if for some state no refinement start
+    converged within cfg.max_iter iterations.
+    """
+    rhos = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
+    n = len(rhos)
+    (gx, gy, gz), spacing = _direction_grid(cfg.grid_theta, cfg.grid_phi)
+    k = min(max(cfg.restarts, 1), len(gx))
+    c = np.empty((15, n))
+    start = np.empty((n, k), dtype=np.intp)
+    f = np.empty((n, k))
+    size = _chunk_size(len(gx))
+    for lo in range(0, n, size):
+        part = slice(lo, lo + size)
+        c[:, part] = _fano(rhos[part])
+        grid = _conditional_entropy(c[:, part, None], gx, gy, gz)
+        start[part] = np.argpartition(grid, k - 1, axis=1)[:, :k]
+        f[part] = np.take_along_axis(grid, start[part], axis=1)
+
+    start, f = start.ravel(), f.ravel()
+    owner = np.repeat(np.arange(n), k)
+    sx, sy, sz = gx[start], gy[start], gz[start]
+    pol, azi = np.arctan2(np.hypot(sx, sy), sz), np.arctan2(sy, sx)
+    converged = np.empty(n * k, dtype=bool)
+    size = _chunk_size(len(_STENCIL_X) * k) * k
+    for lo in range(0, n * k, size):
+        part = slice(lo, lo + size)
+        converged[part] = _refine(
+            c[:, owner[part]], pol[part], azi[part], f[part], spacing / 2, cfg
+        )
+
+    win = np.argmin(f.reshape(n, k), axis=1) + np.arange(n) * k
+    theta = 0.5 * pol[win]
+    phi = np.mod(azi[win], 2 * np.pi)
+    s2 = np.sin(2 * theta)
+    values = _entropy_a(c) - _conditional_entropy(
+        c, s2 * np.cos(phi), s2 * np.sin(phi), np.cos(2 * theta)
+    )
+    failed = np.flatnonzero(~converged.reshape(n, k).any(axis=1))
+    if failed.size:
+        raise OptimizerDidNotConverge(
+            f"{failed.size} state(s) with no refinement start converged "
+            f"within {cfg.max_iter} iterations",
+            failed.tolist(),
+        )
+    return values, theta, phi
+
+
 def classical_correlation(rho, cfg=DEFAULT_OPT):
     """Maximum of conditional_information over projective bases on B.
 
     Returns (value, theta_opt, phi_opt); the value is the objective evaluated
-    at the returned angles. Raises OptimizerDidNotConverge if no refinement
-    start terminates.
+    at the returned angles. A batch of one for classical_correlation_batch,
+    which documents the search and when OptimizerDidNotConverge is raised.
     """
-    rho = np.asarray(rho, dtype=complex)
-    rho4 = rho.reshape(2, 2, 2, 2)
-    s_a = von_neumann_entropy(partial_trace(rho, "A"))
-
-    th = np.linspace(0.0, np.pi / 2, cfg.grid_theta)
-    ph = np.linspace(0.0, 2 * np.pi, cfg.grid_phi, endpoint=False)
-    tt, pp = np.meshgrid(th, ph, indexing="ij")
-    tt, pp = tt.ravel(), pp.ravel()
-    vals = _cond_info_batch(rho4, s_a, tt, pp)
-
-    order = np.argsort(vals)[::-1][: max(cfg.restarts, 1)]
-
-    point = _make_point_objective(rho, s_a)
-
-    def neg(x):
-        return -point(x[0], x[1])
-
-    best_val = float(vals[order[0]])
-    best_x = (float(tt[order[0]]), float(pp[order[0]]))
-    any_success = False
-    for idx in order:
-        res = minimize(
-            neg,
-            x0=np.array([tt[idx], pp[idx]]),
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-10,
-                "fatol": cfg.refine_tol,
-                "maxiter": cfg.max_iter,
-                "maxfev": 2 * cfg.max_iter,
-            },
-        )
-        any_success = any_success or bool(res.success)
-        if -res.fun > best_val:
-            best_val = float(-res.fun)
-            best_x = (float(res.x[0]), float(res.x[1]))
-    if not any_success:
-        raise OptimizerDidNotConverge(
-            "no simplex refinement start terminated within the iteration budget"
-        )
-    theta, phi = canonical_angles(*best_x)
-    value = float(
-        _cond_info_batch(rho4, s_a, np.array([theta]), np.array([phi]))[0]
-    )
-    return value, theta, phi
+    values, thetas, phis = classical_correlation_batch([rho], cfg)
+    return float(values[0]), float(thetas[0]), float(phis[0])
 
 
 def spin_flip_spectrum(rho):
@@ -278,22 +445,38 @@ def eof(rho):
     return eof_from_concurrence(concurrence(rho))
 
 
+def discord_batch(rhos, cfg=DEFAULT_OPT):
+    """Full numerically optimized correlation records for a stack of states.
+
+    The classical correlation of every state comes from one
+    classical_correlation_batch call; the other measures are per state.
+    """
+    rhos = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
+    values, thetas, phis = classical_correlation_batch(rhos, cfg)
+    records = []
+    for rho, cc, theta, phi in zip(rhos, values, thetas, phis):
+        mi = mutual_information(rho)
+        cc = float(cc)
+        c = concurrence(rho)
+        records.append(
+            CorrelationRecord(
+                mutual_info=mi,
+                classical_corr=cc,
+                discord=float(np.clip(mi - cc, -1e-9, 2.0)),
+                concurrence=c,
+                eof=eof_from_concurrence(c),
+                linear_entropy=linear_entropy(rho),
+                theta_opt=float(theta),
+                phi_opt=float(phi),
+            )
+        )
+    return records
+
+
 def discord_numeric(rho, cfg=DEFAULT_OPT):
-    """Full numerically optimized correlation record for one state."""
-    rho = np.asarray(rho, dtype=complex)
-    mi = mutual_information(rho)
-    cc, theta, phi = classical_correlation(rho, cfg)
-    q = float(np.clip(mi - cc, -1e-9, 2.0))
-    return CorrelationRecord(
-        mutual_info=mi,
-        classical_corr=cc,
-        discord=q,
-        concurrence=concurrence(rho),
-        eof=eof(rho),
-        linear_entropy=linear_entropy(rho),
-        theta_opt=theta,
-        phi_opt=phi,
-    )
+    """Full numerically optimized correlation record for one state: a batch
+    of one for discord_batch."""
+    return discord_batch([rho], cfg)[0]
 
 
 def _plog2(x):

@@ -1,0 +1,134 @@
+"""The batched discord engine: independence of batch and chunk size, an
+independent optimizer oracle on degenerate landscapes, and the
+non-convergence contract."""
+import numpy as np
+import pytest
+from scipy.optimize import minimize
+
+from qdiscord import io, measures
+from qdiscord.bounds import sample_random
+from qdiscord.measures import (
+    OptimizerConfig,
+    OptimizerDidNotConverge,
+    classical_correlation,
+    classical_correlation_batch,
+    conditional_information,
+    discord_batch,
+    discord_numeric,
+)
+from qdiscord.states import (
+    FAMILY_KINDS,
+    Family,
+    make_family,
+    random_state,
+    validate_state,
+)
+
+EPSILON = 1e-3
+# B-side rotation taking the z axis to the x axis: the reference optimizer
+# also runs in this rotated angle chart, so no optimum sits only at a pole
+HADAMARD_B = np.kron(np.eye(2), np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+
+
+def reference_classical_correlation(rho):
+    """Multi-start Nelder-Mead on the reference conditional_information.
+
+    A 10 x 20 angle grid picks four starts per chart; the answer is the best
+    of the eight refined values. Shares no code with the batched engine.
+    """
+    best = -np.inf
+    for r in (rho, HADAMARD_B @ rho @ HADAMARD_B):
+        grid = [
+            (conditional_information(r, th, ph), th, ph)
+            for th in np.linspace(0, np.pi / 2, 10)
+            for ph in np.linspace(0, 2 * np.pi, 20, endpoint=False)
+        ]
+        grid.sort(key=lambda t: -t[0])
+        for _, th, ph in grid[:4]:
+            res = minimize(
+                lambda x: -conditional_information(r, x[0], x[1]),
+                x0=[th, ph],
+                method="Nelder-Mead",
+                options={"xatol": 1e-11, "fatol": 1e-15, "maxiter": 4000},
+            )
+            best = max(best, -res.fun)
+    return best
+
+
+def _family(kind, u, rng):
+    if kind == "werner":
+        return Family("werner", -1 / 3 + (4 / 3) * u)
+    if kind == "twoparam":
+        return Family("twoparam", u, float(rng.uniform(u - 1, 1 - u)))
+    return Family(kind, u)
+
+
+def family_mixtures(per_kind):
+    rng = np.random.default_rng(31)
+    out = []
+    for kind in FAMILY_KINDS:
+        for u in (np.arange(per_kind) + 0.5) / per_kind:
+            fam = _family(kind, float(u), rng)
+            noise = random_state(int(rng.integers(0, 2**63 - 1)))
+            rho = (1 - EPSILON) * make_family(fam) + EPSILON * noise
+            out.append((fam, validate_state(rho)))
+    return out
+
+
+class TestBatchIndependence:
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    def test_csv_bytes_do_not_depend_on_chunk_size(self, monkeypatch, chunk):
+        n, seed = 20, 5
+        reference = io.csv_text(sample_random(n, seed))
+        monkeypatch.setattr(measures, "_chunk_size", lambda _: chunk or n)
+        assert io.csv_text(sample_random(n, seed)) == reference
+
+    def test_single_state_equals_its_batch_row(self):
+        rhos = [random_state(s) for s in range(12)] + [
+            rho for _, rho in family_mixtures(1)
+        ]
+        values, thetas, phis = classical_correlation_batch(rhos)
+        records = discord_batch(rhos)
+        for i, rho in enumerate(rhos):
+            assert classical_correlation(rho) == (values[i], thetas[i], phis[i])
+            assert discord_numeric(rho) == records[i]
+
+    def test_empty_batch(self):
+        values, thetas, phis = classical_correlation_batch(np.empty((0, 4, 4)))
+        assert values.shape == thetas.shape == phis.shape == (0,)
+
+
+class TestOptimizerOracle:
+    @pytest.mark.parametrize(
+        "fam,rho", family_mixtures(3), ids=lambda v: getattr(v, "kind", "")
+    )
+    def test_family_mixture_matches_reference(self, fam, rho):
+        value, theta, phi = classical_correlation(rho)
+        ref = reference_classical_correlation(rho)
+        assert abs(value - ref) <= 1e-8, (fam, value, ref)
+        assert value == pytest.approx(
+            conditional_information(rho, theta, phi), abs=1e-12
+        )
+
+    def test_random_batch_matches_reference(self):
+        rhos = [random_state(s) for s in range(300, 310)]
+        values, _, _ = classical_correlation_batch(rhos)
+        for rho, value in zip(rhos, values):
+            assert abs(value - reference_classical_correlation(rho)) <= 1e-8
+
+
+class TestNonConvergence:
+    def test_tiny_iteration_budget_raises(self):
+        with pytest.raises(OptimizerDidNotConverge) as err:
+            classical_correlation(random_state(4), OptimizerConfig(max_iter=1))
+        assert err.value.states == [0]
+
+    def test_batch_names_the_unconverged_states(self):
+        # the maximally mixed state has a flat landscape and converges in
+        # the first iteration; the random states need several
+        rhos = [random_state(1), np.eye(4) / 4, random_state(2)]
+        with pytest.raises(OptimizerDidNotConverge) as err:
+            classical_correlation_batch(rhos, OptimizerConfig(max_iter=1))
+        assert err.value.states == [0, 2]
+        values, _, _ = classical_correlation_batch(rhos[1:2], OptimizerConfig(max_iter=1))
+        assert values[0] == pytest.approx(0.0, abs=1e-15)
