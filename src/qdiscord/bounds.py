@@ -1,5 +1,15 @@
 """Boundary curves of the discord-entanglement and discord-entropy regions,
 crossover location, and the random / near-boundary containment experiments.
+
+Every bound is a closed form evaluated elementwise: eof_to_concurrence,
+horn_upper, horn_lower and entropy_upper take a float or an array and
+return a float or an array of the same shape, and a scalar call is a batch
+of one, so an element's value does not depend on its batch, bit for bit.
+The branches are the alpha, Werner (Luo, PRA 77, 042303 (2008)), pure and
+beta family discords; the EoF axis is mapped to concurrence by a monotone
+Newton inversion of Wootters' E(C), and the S_L <= 8/9 ceiling is the
+two-parameter envelope, scanned and zoomed in memory-bounded chunks.
+verify_bounds evaluates each bound once per batch.
 """
 from __future__ import annotations
 
@@ -12,12 +22,13 @@ from scipy.optimize import bisect
 from .measures import (
     DEFAULT_OPT,
     CorrelationRecord,
+    _chunk_size,
     alpha_discord,
     beta_discord,
     discord_batch,
-    discord_numeric,
     eof_from_concurrence,
     two_param_q,
+    werner_discord,
 )
 from .states import (
     Family,
@@ -75,142 +86,213 @@ class RegionReport:
         }
 
 
+def _batch_of(x, name):
+    """x as a flat float array, checked to lie in [0, 1]."""
+    arr = np.asarray(x, dtype=float).reshape(-1)
+    bad = ~((arr >= 0) & (arr <= 1))
+    if bad.any():
+        raise ValueError(f"{name} {arr[bad][0]} outside [0, 1]")
+    return arr
+
+
+def _like(out, x):
+    """out shaped as the argument x: a float for a scalar x."""
+    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
+
+
+_NEWTON_RTOL = 1e-9  # Newton stops once its step is below this times C
+_E_MIN = 1e-300  # smaller EoF maps to C = 0, since C^2 would underflow
+
+
 def eof_to_concurrence(e):
-    """Invert E = h((1+sqrt(1-C^2))/2) by bisection (monotone in C)."""
-    if e <= 0:
-        return 0.0
-    if e >= 1:
-        return 1.0
-    return bisect(lambda c: eof_from_concurrence(c) - e, 0.0, 1.0, xtol=1e-13)
+    """Invert E(C) = h((1 + sqrt(1 - C^2))/2) elementwise by Newton's method.
+
+    Wootters' E is convex and increasing on [0, 1], and h(x) >= 4x(1-x)
+    gives E(C) >= C^2, so the start C = sqrt(e) lies right of the root and
+    the iterates fall monotonically onto it. An element stops once its
+    step is below _NEWTON_RTOL times C; the next step would be below
+    round-off. With s = sqrt(1 - C^2), p = (1 + s)/2 and q = 1 - p =
+    C^2 / (2 (1 + s)), E ln 2 = -p ln p - q ln q and
+    dE/dC ln 2 = C (ln p - ln q) / (2 s). E < _E_MIN maps to 0, E >= 1 to 1.
+    """
+    ev = np.asarray(e, dtype=float).reshape(-1)
+    c = np.sqrt(np.clip(ev, 0.0, 1.0))
+    c[ev < _E_MIN] = 0.0
+    e_ln = ev * np.log(2)
+    act = np.flatnonzero((c > 0) & (c < 1))
+    while act.size:
+        ca = c[act]
+        s = np.sqrt((1 - ca) * (1 + ca))
+        sp = 1 + s
+        p, q = 0.5 * sp, ca * ca / (2 * sp)
+        lp, lq = np.log1p(-q), np.log(q)
+        step = (p * lp + q * lq + e_ln[act]) * (2 * s) / (ca * (lq - lp))
+        c[act] = ca - step
+        act = act[step > _NEWTON_RTOL * ca]
+    return _like(c, e)
+
+
+def _alpha_q(c):
+    """Alpha-family discord at concurrence c: alpha = (1 + c)/2."""
+    return alpha_discord(0.5 * (1 + c))[0]
+
+
+def _werner_q(c):
+    """Werner discord at concurrence c: xi = (2 c + 1)/3."""
+    return werner_discord((2 * c + 1) / 3)
 
 
 @functools.lru_cache(maxsize=None)
-def _werner_discord(xi, cfg=DEFAULT_OPT):
-    return discord_numeric(make_family(Family("werner", xi)), cfg).discord
+def horn_crossovers():
+    """(E, Q) of the alpha-Werner junction and E of the Werner-pure junction.
 
-
-def _alpha_branch(e):
-    """Upper-bound branch generated by alpha states, as a function of EoF."""
-    c = eof_to_concurrence(e)
-    return alpha_discord((c + 1) / 2)[0]
-
-
-def _werner_branch(e, cfg=DEFAULT_OPT):
-    """Upper-bound branch generated by Werner states, as a function of EoF."""
-    c = eof_to_concurrence(e)
-    xi = round((2 * c + 1) / 3, 14)
-    return _werner_discord(xi, cfg)
-
-
-@functools.lru_cache(maxsize=None)
-def horn_crossovers(cfg=DEFAULT_OPT):
-    """(E, Q) of the alpha-Werner junction and E of the Werner-pure junction."""
-    e_aw = bisect(
-        lambda e: _alpha_branch(e) - _werner_branch(e, cfg), 0.4, 0.7, xtol=1e-9
+    Both are bisections in concurrence on the closed-form branches, with
+    the pure branch Q = E(C); the EoF follows from eof_from_concurrence.
+    """
+    c_aw = bisect(lambda c: _alpha_q(c) - _werner_q(c), 0.6, 0.9, xtol=1e-13)
+    c_wp = bisect(
+        lambda c: _werner_q(c) - eof_from_concurrence(c), 0.8, 0.95, xtol=1e-13
     )
-    e_wp = bisect(lambda e: _werner_branch(e, cfg) - e, 0.65, 0.9, xtol=1e-9)
-    return float(e_aw), float(_alpha_branch(e_aw)), float(e_wp)
+    return (
+        float(eof_from_concurrence(c_aw)),
+        float(_alpha_q(c_aw)),
+        float(eof_from_concurrence(c_wp)),
+    )
 
 
-@functools.lru_cache(maxsize=None)
 def _zero_eof_bound():
     """Largest family discord on the EoF = 0 axis.
 
     All alpha states with alpha <= 1/2 are separable, and their discord peaks
-    at alpha = 1/3 (the pimple state) with Q = 1/3 — above the alpha = 1/2
-    value that continues the E > 0 branch, so E = 0 needs its own bound.
+    at alpha = 1/3 (the pimple state, at the kink where zeta changes branch)
+    with Q = 1/3 — above the alpha = 1/2 value that continues the E > 0
+    branch, so E = 0 needs its own bound.
     """
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(
-        lambda a: -alpha_discord(a)[0],
-        bounds=(0.0, 0.5),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(-res.fun)
+    return alpha_discord(1 / 3)[0]
 
 
-def horn_upper(e, cfg=DEFAULT_OPT):
+def horn_upper(e):
     """Upper discord bound at a given EoF: alpha, Werner, then pure branch.
 
-    The EoF = 0 edge is bounded by the separable alpha slice (Q = 1/3 at
-    alpha = 1/3), which sits above the alpha = 1/2 endpoint of the curve.
+    Elementwise over a float or an array. The EoF = 0 edge is bounded by
+    the separable alpha slice (Q = 1/3 at alpha = 1/3), which sits above
+    the alpha = 1/2 endpoint of the curve.
     """
-    if not (0 <= e <= 1):
-        raise ValueError(f"EoF {e} outside [0, 1]")
-    if e <= 0:
-        return _zero_eof_bound()
-    e_aw, _, e_wp = horn_crossovers(cfg)
-    if e <= e_aw:
-        return _alpha_branch(e)
-    if e <= e_wp:
-        return _werner_branch(e, cfg)
-    return float(e)
+    x = _batch_of(e, "EoF")
+    e_aw, _, e_wp = horn_crossovers()
+    out = x.copy()  # pure branch, Q = E
+    zero = x <= 0
+    if zero.any():
+        out[zero] = _zero_eof_bound()
+    mid = (x > 0) & (x <= e_wp)
+    if mid.any():
+        c = eof_to_concurrence(x[mid])
+        out[mid] = np.where(x[mid] <= e_aw, _alpha_q(c), _werner_q(c))
+    return _like(out, e)
 
 
 def horn_lower(e):
-    """Lower discord bound at a given EoF, generated by the beta states."""
-    if not (0 <= e <= 1):
-        raise ValueError(f"EoF {e} outside [0, 1]")
-    c = eof_to_concurrence(e)
-    return beta_discord((1 + c) / 2)
+    """Lower discord bound at a given EoF, generated by the beta states;
+    elementwise over a float or an array."""
+    c = eof_to_concurrence(_batch_of(e, "EoF"))
+    return _like(beta_discord(0.5 * (1 + c)), e)
 
 
 def _two_param_purity(a, b):
     return a * a + ((1 - a) ** 2 + b * b) / 2
 
 
+_SCAN_POINTS = 4001  # first scan of the feasible a window
+_ZOOM_POINTS = 401  # each zoom around the best point so far
+_ZOOM_WIDTH = 1e-9  # zooming stops once the bracket is this narrow
+
+
+def _best_on_contour(target, lo, hi, num):
+    """Per row: the largest min{a, q} over num evenly spaced a in [lo, hi]
+    on the contour Tr rho^2 = target, and the first a that attains it.
+
+    The grid is np.linspace(lo, hi, num) row by row, written out because
+    np.linspace with array ends changes its arithmetic for every row once
+    one row has lo == hi. q is evaluated on the feasible points only
+    (0 <= b^2 <= (1 - a)^2, within 1e-15).
+    """
+    step = (hi - lo) / (num - 1)
+    a = np.arange(num) * step[:, None] + lo[:, None]
+    a[:, -1] = hi
+    om = 1 - a
+    b_sq = 2 * target[:, None] - 2 * a * a - om * om
+    feas = (b_sq >= -1e-15) & (b_sq <= om * om + 1e-15)
+    af = a[feas]
+    val = np.full(a.shape, -np.inf)
+    val[feas] = np.minimum(af, two_param_q(af, np.sqrt(np.clip(b_sq[feas], 0.0, None))))
+    i = np.argmax(val, axis=1)
+    rows = np.arange(len(a))
+    return val[rows, i], a[rows, i]
+
+
 def _envelope_two_param(sl):
-    """Max over the two-parameter family of min{a, q} at fixed linear entropy.
+    """Max over the two-parameter family of min{a, q} at fixed linear
+    entropy, elementwise over a float or an array.
 
     The constraint Tr rho^2 = 1 - 3 sl / 4 defines a contour b(a) >= 0 (the
-    family discord is even in b); scan the feasible a window, then zoom.
+    family discord is even in b). Each value scans the feasible a window
+    on _SCAN_POINTS points, then zooms on _ZOOM_POINTS points around the
+    best point until the bracket is narrower than _ZOOM_WIDTH, and reports
+    the best value seen. Values go through in chunks of measures._chunk_size
+    and every operation is elementwise over rows, so a value does not
+    depend on its batch.
     """
-    target = 1.0 - 0.75 * sl
+    x = np.asarray(sl, dtype=float).reshape(-1)
+    target = 1.0 - 0.75 * x
     rad = 6 * target - 2
-    if rad < -1e-12:
-        raise ValueError(f"linear entropy {sl} exceeds the family maximum 8/9")
-    rad = max(rad, 0.0)
-    a_lo = max(0.0, (1 - np.sqrt(rad)) / 3)
-    a_hi = min(1.0, (1 + np.sqrt(rad)) / 3)
-
-    def best_on(a):
-        b_sq = 2 * target - 2 * a * a - (1 - a) ** 2
-        feas = (b_sq >= -1e-15) & (b_sq <= (1 - a) ** 2 + 1e-15)
-        b = np.sqrt(np.clip(b_sq, 0.0, None))
-        q = two_param_q(a, b)
-        val = np.minimum(a, q)
-        val = np.where(feas, val, -np.inf)
-        i = int(np.argmax(val))
-        return float(val[i]), float(a[i])
-
-    best, a_best = best_on(np.linspace(a_lo, a_hi, 4001))
-    step = (a_hi - a_lo) / 4000 if a_hi > a_lo else 0.0
-    lo, hi = a_best - step, a_best + step
-    while hi - lo > 1e-9:
-        cand, a_best = best_on(
-            np.linspace(max(a_lo, lo), min(a_hi, hi), 401)
+    if np.any(rad < -1e-12):
+        raise ValueError(f"linear entropy {x.max()} exceeds the family maximum 8/9")
+    root = np.sqrt(np.maximum(rad, 0.0))
+    a_lo = np.maximum(0.0, (1 - root) / 3)
+    a_hi = np.minimum(1.0, (1 + root) / 3)
+    best, a_best = np.empty_like(x), np.empty_like(x)
+    size = _chunk_size(_SCAN_POINTS)
+    for start in range(0, len(x), size):
+        part = slice(start, start + size)
+        best[part], a_best[part] = _best_on_contour(
+            target[part], a_lo[part], a_hi[part], _SCAN_POINTS
         )
-        best = max(best, cand)
-        step = (hi - lo) / 400
-        lo, hi = a_best - step, a_best + step
-    return best
+    step = (a_hi - a_lo) / (_SCAN_POINTS - 1)
+    lo, hi = a_best - step, a_best + step
+    size = _chunk_size(_ZOOM_POINTS)
+    for start in range(0, len(x), size):
+        act = np.arange(start, min(start + size, len(x)))
+        act = act[hi[act] - lo[act] > _ZOOM_WIDTH]
+        while act.size:
+            cand, a_new = _best_on_contour(
+                target[act],
+                np.maximum(a_lo[act], lo[act]),
+                np.minimum(a_hi[act], hi[act]),
+                _ZOOM_POINTS,
+            )
+            best[act] = np.maximum(best[act], cand)
+            step = (hi[act] - lo[act]) / (_ZOOM_POINTS - 1)
+            lo[act], hi[act] = a_new - step, a_new + step
+            act = act[hi[act] - lo[act] > _ZOOM_WIDTH]
+    return _like(best, sl)
 
 
-def entropy_upper(sl, cfg=DEFAULT_OPT):
-    """Upper discord bound at a given linear entropy.
+def entropy_upper(sl):
+    """Upper discord bound at a given linear entropy, elementwise over a
+    float or an array.
 
-    Two-parameter envelope for S_L <= 8/9; the Werner curve at
+    Two-parameter envelope for S_L <= 8/9; the closed-form Werner discord at
     xi = sqrt(1 - S_L) beyond that. The 8/9 junction is not forced
     continuous; each side reports its own value.
     """
-    if not (0 <= sl <= 1):
-        raise ValueError(f"linear entropy {sl} outside [0, 1]")
-    if sl <= PIMPLE_SL:
-        return _envelope_two_param(sl)
-    xi = round(float(np.sqrt(1 - sl)), 14)
-    return _werner_discord(xi, cfg)
+    x = _batch_of(sl, "linear entropy")
+    low = x <= PIMPLE_SL
+    out = np.empty_like(x)
+    if low.any():
+        out[low] = _envelope_two_param(x[low])
+    if not low.all():
+        out[~low] = werner_discord(np.sqrt(1 - x[~low]))
+    return _like(out, sl)
 
 
 _SWEEP_RANGES = {
@@ -225,11 +307,9 @@ _SWEEP_RANGES = {
 }
 
 
-def sweep_family(kind, plane, resolution=512, cfg=DEFAULT_OPT):
-    """Trace one family's curve in the requested plane.
-
-    Analytic discord for alpha / beta / two-parameter / pure; the numeric
-    engine for Werner. Points are ordered with x increasing.
+def sweep_family(kind, plane, resolution=512):
+    """Trace one family's curve in the requested plane, with the family's
+    closed-form discord. Points are ordered with x increasing.
     """
     if resolution < 2:
         raise ParamOutOfRange("resolution must be >= 2")
@@ -250,7 +330,7 @@ def sweep_family(kind, plane, resolution=512, cfg=DEFAULT_OPT):
             q = binary_entropy(p)
             x = q
         elif kind == "werner":
-            q = _werner_discord(round(float(p), 14), cfg)
+            q = werner_discord(p)
             if plane == "eof-q":
                 x = eof_from_concurrence(max(0.0, (3 * p - 1) / 2))
             else:
@@ -343,38 +423,61 @@ def sample_near_boundary(kind, n, epsilon, seed, cfg=DEFAULT_OPT):
     )
 
 
-def verify_bounds(batch, plane, slack=DEFAULT_SLACK, cfg=DEFAULT_OPT):
+def split_at_pimple(batch):
+    """Split a batch at S_L = 8/9: (records with S_L <= 8/9, the rest).
+
+    The sl-q containment check covers the first part only; above 8/9 the
+    ceiling is the Werner curve, and that slice is informational.
+    """
+    keep = [r.linear_entropy <= PIMPLE_SL for r in batch.records]
+
+    def part(flag):
+        idx = [i for i, k in enumerate(keep) if k == flag]
+        return SampleBatch(
+            records=[batch.records[i] for i in idx],
+            seeds=[batch.seeds[i] for i in idx],
+            provenance=batch.provenance,
+            families=[batch.families[i] for i in idx] if batch.families else [],
+        )
+
+    return part(True), part(False)
+
+
+def verify_bounds(batch, plane, slack=DEFAULT_SLACK):
     """Check every record of a batch against the region bounds.
 
     eof-q: horn_lower - slack <= Q <= horn_upper + slack.
     sl-q:  Q <= entropy_upper + slack.
-    Violations are reported, never raised.
+    Each bound is evaluated once, on the x values of the whole batch.
+    Violations are reported, never raised; offenders are listed in record
+    order, an upper violation before a lower one.
     """
     if not batch.records:
         raise ValueError("batch is empty")
+    y = np.array([r.discord for r in batch.records])
+    if plane == "eof-q":
+        x = np.array([r.eof for r in batch.records])
+        up, lo = horn_upper(x), horn_lower(x)
+        checks = [("upper", y - up, up), ("lower", lo - y, lo)]
+    elif plane == "sl-q":
+        x = np.array([r.linear_entropy for r in batch.records])
+        up = entropy_upper(x)
+        checks = [("upper", y - up, up)]
+    else:
+        raise ValueError(f"unknown plane {plane!r}")
     offenders = []
     worst = 0.0
-    for seed, rec in zip(batch.seeds, batch.records):
-        checks = []
-        if plane == "eof-q":
-            up = horn_upper(rec.eof, cfg)
-            lo = horn_lower(rec.eof)
-            checks.append((rec.eof, rec.discord - up, "upper", up))
-            checks.append((rec.eof, lo - rec.discord, "lower", lo))
-        elif plane == "sl-q":
-            up = entropy_upper(rec.linear_entropy, cfg)
-            checks.append((rec.linear_entropy, rec.discord - up, "upper", up))
-        else:
-            raise ValueError(f"unknown plane {plane!r}")
-        for x, excess, branch, bound in checks:
-            if excess > slack:
-                worst = max(worst, float(excess))
+    hit = np.any([excess > slack for _, excess, _ in checks], axis=0)
+    for i in np.flatnonzero(hit):
+        for branch, excess, bound in checks:
+            if excess[i] > slack:
+                worst = max(worst, float(excess[i]))
                 offenders.append(
                     {
-                        "seed": seed,
-                        "x": float(x),
-                        "y": float(rec.discord),
-                        "bound": float(bound),
+                        "seed": batch.seeds[i],
+                        "x": float(x[i]),
+                        "y": float(y[i]),
+                        "bound": float(bound[i]),
                         "branch": branch,
                     }
                 )

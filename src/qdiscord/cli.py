@@ -11,15 +11,13 @@ import json
 import sys
 
 from . import bounds, io as qio
-from .measures import DEFAULT_OPT, OptimizerConfig, discord_numeric
+from .measures import OptimizerConfig, discord_numeric
 from .states import Family, ParamOutOfRange, StateError, make_family
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_IO = 3
-
-PIMPLE_SL = bounds.PIMPLE_SL
 
 
 class UsageError(Exception):
@@ -62,7 +60,7 @@ def build_parser():
     add_family(sp, required=True)
     sp.add_argument("--plane", choices=["eof-q", "sl-q"], default="eof-q")
     sp.add_argument("--n", type=int, default=512, help="curve resolution")
-    add_common(sp)
+    add_common(sp, optimizer=False)
 
     sp = sub.add_parser("sample", help="random density-matrix batch")
     sp.add_argument("--n", type=int, default=10000)
@@ -84,15 +82,13 @@ def build_parser():
     add_common(sp)
 
     sp = sub.add_parser("crossover", help="junctions of the horn upper bound")
-    add_common(sp)
+    add_common(sp, optimizer=False)
     return p
 
 
 def _optimizer_from(args):
     return OptimizerConfig(
-        grid_theta=getattr(args, "grid_theta", 60),
-        grid_phi=getattr(args, "grid_phi", 120),
-        restarts=getattr(args, "restarts", 3),
+        grid_theta=args.grid_theta, grid_phi=args.grid_phi, restarts=args.restarts
     )
 
 
@@ -142,9 +138,7 @@ def run_point(args):
 
 
 def run_sweep(args):
-    cfg = _optimizer_from(args)
-    fam_kind = args.family
-    curve = bounds.sweep_family(fam_kind, args.plane, args.n, cfg)
+    curve = bounds.sweep_family(args.family, args.plane, args.n)
     return qio.csv_text(curve), args.output_path
 
 
@@ -166,28 +160,16 @@ def run_verify(args):
     cfg = _optimizer_from(args)
     batch = bounds.sample_random(args.n, args.seed, cfg)
     if args.plane == "eof-q":
-        report = bounds.verify_bounds(batch, "eof-q", args.slack, cfg)
-        obj = report.to_json_obj()
+        obj = bounds.verify_bounds(batch, "eof-q", args.slack).to_json_obj()
     else:
-        keep = [r.linear_entropy <= PIMPLE_SL for r in batch.records]
-        gate = bounds.SampleBatch(
-            records=[r for r, k in zip(batch.records, keep) if k],
-            seeds=[s for s, k in zip(batch.seeds, keep) if k],
-            provenance=batch.provenance,
-        )
-        obj = bounds.verify_bounds(gate, "sl-q", args.slack, cfg).to_json_obj()
-        rest = bounds.SampleBatch(
-            records=[r for r, k in zip(batch.records, keep) if not k],
-            seeds=[s for s, k in zip(batch.seeds, keep) if not k],
-            provenance=batch.provenance,
-        )
+        gate, rest = bounds.split_at_pimple(batch)
+        obj = bounds.verify_bounds(gate, "sl-q", args.slack).to_json_obj()
         # the S_L > 8/9 slice is informational only (Werner-takeover region)
-        if rest.records:
-            obj["informational_above_8_9"] = bounds.verify_bounds(
-                rest, "sl-q", args.slack, cfg
-            ).to_json_obj()
-        else:
-            obj["informational_above_8_9"] = None
+        obj["informational_above_8_9"] = (
+            bounds.verify_bounds(rest, "sl-q", args.slack).to_json_obj()
+            if rest.records
+            else None
+        )
     obj["seed"] = args.seed
     obj["n"] = args.n
     obj["plane"] = args.plane
@@ -195,8 +177,7 @@ def run_verify(args):
 
 
 def run_crossover(args):
-    cfg = _optimizer_from(args)
-    e_aw, q_aw, e_wp = bounds.horn_crossovers(cfg)
+    e_aw, q_aw, e_wp = bounds.horn_crossovers()
     obj = {
         "alpha_werner": {"eof": e_aw, "discord": q_aw},
         "werner_pure": {"eof": e_wp, "discord": e_wp},

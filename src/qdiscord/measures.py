@@ -16,7 +16,9 @@ state with a finite-difference Newton iteration on the sphere, and goes
 through a batch in chunks of bounded size, with elementwise arithmetic only,
 so a state's result does not depend on its batch. classical_correlation and
 discord_numeric are batches of one; apply_measurement and
-conditional_information are the reference the engine is tested against.
+conditional_information are the reference the engine is tested against, and
+mutual_information, concurrence and linear_entropy the reference for the
+record measures discord_batch computes per batch.
 """
 from __future__ import annotations
 
@@ -26,11 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (
+    EIG_CLIP,
+    HERM_TOL,
     Family,
+    NotHermitian,
     ParamOutOfRange,
     StateError,
     binary_entropy,
-    linear_entropy,
     partial_trace,
     von_neumann_entropy,
 )
@@ -365,6 +369,12 @@ def classical_correlation_batch(rhos, cfg=DEFAULT_OPT):
     converged within cfg.max_iter iterations.
     """
     rhos = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
+    return _classical_correlation(rhos, cfg)[1:]
+
+
+def _classical_correlation(rhos, cfg):
+    """classical_correlation_batch for a (N, 4, 4) complex stack; also
+    returns the halved Fano coefficients (15, N) of the states, first."""
     n = len(rhos)
     (gx, gy, gz), spacing = _direction_grid(cfg.grid_theta, cfg.grid_phi)
     k = min(max(cfg.restarts, 1), len(gx))
@@ -405,7 +415,7 @@ def classical_correlation_batch(rhos, cfg=DEFAULT_OPT):
             f"within {cfg.max_iter} iterations",
             failed.tolist(),
         )
-    return values, theta, phi
+    return c, values, theta, phi
 
 
 def classical_correlation(rho, cfg=DEFAULT_OPT):
@@ -445,32 +455,67 @@ def eof(rho):
     return eof_from_concurrence(concurrence(rho))
 
 
+def _spectral_entropy(ev):
+    """-sum ev log2 ev over the eigenvalues above EIG_CLIP, as
+    von_neumann_entropy takes it, for each row of ev; the sums run in a
+    fixed order, so a row's value does not depend on the others."""
+    keep = ev > EIG_CLIP
+    terms = np.where(keep, ev * np.log2(np.where(keep, ev, 1.0)), 0.0)
+    return -sum(terms[:, k] for k in range(terms.shape[1]))
+
+
+def _record_measures(rhos, c):
+    """Mutual information, concurrence and linear entropy of a stack of
+    states with halved Fano coefficients c (see _fano), one array each.
+
+    S(rho_A), S(rho_B) and Tr rho^2 = 1/4 + sum c^2 are closed forms in c;
+    S(rho) comes from one stacked eigvalsh and the concurrence from one
+    stacked eigvals. mutual_information, concurrence and linear_entropy are
+    the per-state reference.
+    """
+    w_a = np.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
+    w_b = np.sqrt(c[3] * c[3] + c[4] * c[4] + c[5] * c[5])
+    mi = (
+        _spectral_entropy(np.stack([0.5 + w_a, 0.5 - w_a], axis=1))
+        + _spectral_entropy(np.stack([0.5 + w_b, 0.5 - w_b], axis=1))
+        - _spectral_entropy(np.linalg.eigvalsh(rhos))
+    )
+    lam = np.real(np.linalg.eigvals(rhos @ SYSY @ rhos.conj() @ SYSY))
+    s = np.sqrt(np.sort(np.maximum(lam, 0.0), axis=1))
+    conc = np.maximum(0.0, s[:, 3] - s[:, 2] - s[:, 1] - s[:, 0])
+    sl = np.clip((4.0 / 3.0) * (0.75 - sum(ck * ck for ck in c)), 0.0, 1.0)
+    return mi, conc, sl
+
+
 def discord_batch(rhos, cfg=DEFAULT_OPT):
     """Full numerically optimized correlation records for a stack of states.
 
     The classical correlation of every state comes from one
-    classical_correlation_batch call; the other measures are per state.
+    classical_correlation_batch call and the other measures from
+    _record_measures, all elementwise over states. Raises NotHermitian, as
+    the per-state measures do, if some state is not Hermitian.
     """
     rhos = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
-    values, thetas, phis = classical_correlation_batch(rhos, cfg)
-    records = []
-    for rho, cc, theta, phi in zip(rhos, values, thetas, phis):
-        mi = mutual_information(rho)
-        cc = float(cc)
-        c = concurrence(rho)
-        records.append(
-            CorrelationRecord(
-                mutual_info=mi,
-                classical_corr=cc,
-                discord=float(np.clip(mi - cc, -1e-9, 2.0)),
-                concurrence=c,
-                eof=eof_from_concurrence(c),
-                linear_entropy=linear_entropy(rho),
-                theta_opt=float(theta),
-                phi_opt=float(phi),
-            )
+    dev = np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1)), axis=(1, 2))
+    bad = np.flatnonzero(dev > HERM_TOL)
+    if bad.size:
+        d = float(dev[bad[0]])
+        raise NotHermitian(f"matrix is not Hermitian (deviation {d:.3e})", d)
+    c, values, thetas, phis = _classical_correlation(rhos, cfg)
+    mis, concs, sls = _record_measures(rhos, c)
+    return [
+        CorrelationRecord(
+            mutual_info=float(mi),
+            classical_corr=float(cc),
+            discord=float(np.clip(mi - cc, -1e-9, 2.0)),
+            concurrence=float(conc),
+            eof=eof_from_concurrence(conc),
+            linear_entropy=float(sl),
+            theta_opt=float(theta),
+            phi_opt=float(phi),
         )
-    return records
+        for mi, cc, conc, sl, theta, phi in zip(mis, values, concs, sls, thetas, phis)
+    ]
 
 
 def discord_numeric(rho, cfg=DEFAULT_OPT):
@@ -479,26 +524,50 @@ def discord_numeric(rho, cfg=DEFAULT_OPT):
     return discord_batch([rho], cfg)[0]
 
 
-def _plog2(x):
-    return x * np.log2(x) if x > 0 else 0.0
+def _float_or_array(x):
+    """A 0-d result as a Python float; arrays pass through."""
+    return x if np.ndim(x) else float(x)
 
 
 def alpha_discord(a):
-    """Closed-form discord of the alpha family."""
-    zeta = max(abs(a), abs(2 * a - 1))
+    """Closed-form discord of the alpha family and its zeta, elementwise:
+    floats for a scalar a, arrays for an array."""
+    a = np.asarray(a, dtype=float)
+    zeta = np.maximum(np.abs(a), np.abs(2 * a - 1))
     val = (
-        _plog2(1 - a)
-        + _plog2(a)
+        _xlog2(1 - a)
+        + _xlog2(a)
         + (1 + a)
-        - _plog2(1 - zeta) / 2
-        - _plog2(1 + zeta) / 2
+        - _xlog2(1 - zeta) / 2
+        - _xlog2(1 + zeta) / 2
     )
-    return float(max(val, 0.0)), float(zeta)
+    return _float_or_array(np.maximum(val, 0.0)), _float_or_array(zeta)
 
 
 def beta_discord(b):
-    """Closed-form discord of the beta family: 1 - h(beta)."""
-    return float(max(1.0 - binary_entropy(b), 0.0))
+    """Closed-form discord of the beta family, 1 - h(beta), elementwise."""
+    b = np.asarray(b, dtype=float)
+    return _float_or_array(np.maximum(1.0 + _xlog2(b) + _xlog2(1 - b), 0.0))
+
+
+def werner_discord(xi):
+    """Closed-form discord of the Werner family, elementwise.
+
+    Werner states are Bell-diagonal with c1 = c2 = c3 = -xi, so
+    Q = I - [1 - h((1 + |xi|)/2)] (Luo, PRA 77, 042303 (2008)). Both
+    marginals are maximally mixed, so I = 2 - S(rho), with the spectrum
+    (1 + 3 xi)/4 once and (1 - xi)/4 three times.
+    """
+    xi = np.asarray(xi, dtype=float)
+    x = np.abs(xi)
+    val = (
+        1.0
+        + _xlog2(0.25 * (1 + 3 * xi))
+        + 3 * _xlog2(0.25 * (1 - xi))
+        - _xlog2(0.5 * (1 + x))
+        - _xlog2(0.5 * (1 - x))
+    )
+    return _float_or_array(np.maximum(val, 0.0))
 
 
 def _two_param_q_edge(a):
@@ -525,38 +594,24 @@ def two_param_q(a, b):
     On the edge |b| = 1 - a the divergences cancel and the finite limit is
     used; at the remaining singular points (a = 1 with b = 0, |b| = 1, or a
     log argument driven to 0 by round-off) q is mapped to +inf, where
-    min{a, q} stays correct.
+    min{a, q} stays correct. For 0 <= a <= 1 a log argument is either 0 or
+    far from it, so every singular point shows as a non-finite sum.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    a, b = np.broadcast_arrays(a, b)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     s = np.sqrt(a * a + b * b)
+    om = 1 - a
+    d = om * om - b * b
     with np.errstate(divide="ignore", invalid="ignore"):
-        arg1 = (1 + b) * (1 - a - b) / ((1 - b) * (1 - a + b))
-        arg2 = 4 * a * a / ((1 - a) ** 2 - b * b)
-        arg3 = (1 + s) / (1 - s)
-        arg4 = 4 * ((1 - a) ** 2 - b * b) / ((1 - b * b) * (1 - a * a - b * b))
-        t1 = np.where(b == 0, 0.0, -(b / 2) * np.log2(arg1))
-        t2 = np.where(a == 0, 0.0, (a / 2) * np.log2(arg2))
-        t3 = -(s / 2) * np.log2(arg3)
-        t4 = 0.5 * np.log2(arg4)
+        t1 = -(b / 2) * np.log2((1 + b) * (om - b) / ((1 - b) * (om + b)))
+        t2 = np.where(a == 0, 0.0, (a / 2) * np.log2(4 * a * a / d))
+        t3 = -(s / 2) * np.log2((1 + s) / (1 - s))
+        t4 = 0.5 * np.log2(4 * d / ((1 - b * b) * (1 - a * a - b * b)))
         q = t1 + t2 + t3 + t4
-    bad = (
-        ((arg1 <= 0) & (b != 0))
-        | ((arg2 <= 0) & (a != 0))
-        | (arg3 <= 0)
-        | (arg4 <= 0)
-        | (np.abs((1 - b) * (1 - a + b)) < 1e-300)
-        | (np.abs((1 - a) ** 2 - b * b) < 1e-300)
-        | (np.abs(1 - s) < 1e-300)
-        | (np.abs((1 - b * b) * (1 - a * a - b * b)) < 1e-300)
-        | ~np.isfinite(q)
-    )
-    q = np.where(bad, np.inf, q)
-    edge = (np.abs(np.abs(b) - (1 - a)) <= 1e-12) & (a > 1e-12) & (a < 1 - 1e-12)
-    if np.any(edge):
-        q = np.where(edge, _two_param_q_edge(np.where(edge, a, 0.5)), q)
-    return q if q.shape else float(q)
+    q = np.where(np.isfinite(q), q, np.inf)
+    edge = (np.abs(np.abs(b) - om) <= 1e-12) & (a > 1e-12) & (a < 1 - 1e-12)
+    if edge.any():
+        q[edge] = _two_param_q_edge(a[edge])
+    return _float_or_array(q)
 
 
 def discord_analytic(fam):

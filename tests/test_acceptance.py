@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from qdiscord.bounds import (
-    PIMPLE_SL,
-    SampleBatch,
     horn_crossovers,
     sample_near_boundary,
     sample_random,
+    split_at_pimple,
     verify_bounds,
 )
 from qdiscord.cli import main
@@ -146,21 +145,8 @@ def test_criterion_6_horn_containment(report, random_batch, near_batches):
 
 
 def test_criterion_7_entropy_containment(report, random_batch):
-    keep = [
-        i for i, r in enumerate(random_batch.records)
-        if r.linear_entropy <= PIMPLE_SL
-    ]
-    gate = SampleBatch(
-        records=[random_batch.records[i] for i in keep],
-        seeds=[random_batch.seeds[i] for i in keep],
-        provenance=random_batch.provenance,
-    )
+    gate, rest = split_at_pimple(random_batch)
     rep = verify_bounds(gate, "sl-q", slack=1e-6)
-    rest = SampleBatch(
-        records=[r for i, r in enumerate(random_batch.records) if i not in set(keep)],
-        seeds=[s for i, s in enumerate(random_batch.seeds) if i not in set(keep)],
-        provenance=random_batch.provenance,
-    )
     info = ""
     if rest.records:
         irep = verify_bounds(rest, "sl-q", slack=1e-6)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from qdiscord.bounds import (
+    PIMPLE_SL,
     NoSignChange,
     SampleBatch,
     _envelope_two_param,
+    _zero_eof_bound,
     entropy_upper,
     eof_to_concurrence,
     find_crossover,
@@ -13,10 +15,12 @@ from qdiscord.bounds import (
     horn_upper,
     sample_near_boundary,
     sample_random,
+    split_at_pimple,
     sweep_family,
     verify_bounds,
 )
 from qdiscord.measures import (
+    alpha_discord,
     discord_analytic,
     discord_numeric,
     eof_from_concurrence,
@@ -70,6 +74,15 @@ class TestHornBounds:
             horn_upper(1.2)
         with pytest.raises(ValueError):
             horn_lower(-0.1)
+        with pytest.raises(ValueError):
+            horn_upper(np.array([0.5, np.nan]))
+
+    def test_zero_eof_bound_dominates_separable_alpha(self):
+        # the maximum sits at the kink alpha = 1/3, where zeta changes branch
+        top = _zero_eof_bound()
+        assert top == pytest.approx(1 / 3, abs=1e-15)
+        grid = np.concatenate([np.linspace(0, 0.5, 100001), [1 / 3]])
+        assert top >= np.max(alpha_discord(grid)[0])
 
 
 class TestCrossovers:
@@ -230,13 +243,41 @@ class TestVerifyBounds:
     def test_random_contained_both_planes(self):
         b = sample_random(60, 11)
         assert verify_bounds(b, "eof-q").n_violations == 0
-        keep = [i for i, r in enumerate(b.records) if r.linear_entropy <= 8 / 9]
-        sub = SampleBatch(
-            records=[b.records[i] for i in keep],
-            seeds=[b.seeds[i] for i in keep],
-            provenance=b.provenance,
-        )
-        assert verify_bounds(sub, "sl-q").n_violations == 0
+        assert verify_bounds(split_at_pimple(b)[0], "sl-q").n_violations == 0
+
+    @pytest.mark.parametrize("plane", ["eof-q", "sl-q"])
+    def test_offender_bound_is_the_scalar_bound(self, plane):
+        b = sample_random(30, 4)
+        rep = verify_bounds(b, plane, slack=-1.0)  # every check offends
+        assert rep.n_violations == len(b.records) * (2 if plane == "eof-q" else 1)
+        scalar = {
+            "upper": horn_upper if plane == "eof-q" else entropy_upper,
+            "lower": horn_lower,
+        }
+        for off in rep.offenders:
+            assert off["bound"] == scalar[off["branch"]](off["x"])
+        order = [(off["seed"], off["branch"]) for off in rep.offenders]
+        expect = [
+            (s, br) for s in b.seeds
+            for br in (("upper", "lower") if plane == "eof-q" else ("upper",))
+        ]
+        assert order == expect
+
+    def test_split_at_pimple(self):
+        # Werner members with |xi| < 1/3 lie above S_L = 8/9
+        b = sample_near_boundary("werner", 30, 1e-3, 3)
+        gate, rest = split_at_pimple(b)
+        assert all(r.linear_entropy <= PIMPLE_SL for r in gate.records)
+        assert all(r.linear_entropy > PIMPLE_SL for r in rest.records)
+        assert len(gate.records) > 0 and len(rest.records) > 0
+        rows = list(zip(b.seeds, b.records, b.families))
+        for part in (gate, rest):
+            assert part.provenance == b.provenance
+            for row in zip(part.seeds, part.records, part.families):
+                assert row in rows
+        assert len(gate.seeds) + len(rest.seeds) == len(b.seeds)
+        bare = SampleBatch(b.records, b.seeds, b.provenance)  # no families
+        assert [p.families for p in split_at_pimple(bare)] == [[], []]
 
     def test_pure_report(self):
         b = sample_random(20, 2)
@@ -266,6 +307,55 @@ def test_eof_to_concurrence_round_trip():
         assert eof_to_concurrence(eof_from_concurrence(c)) == pytest.approx(
             c, abs=1e-9
         )
+    for e in np.concatenate([np.logspace(-12, 0, 241), np.linspace(0, 1, 201)]):
+        assert abs(eof_from_concurrence(eof_to_concurrence(e)) - e) <= 1e-13
+
+
+class TestElementwiseBounds:
+    EOFS = np.concatenate(
+        [
+            [0.0, 5e-324, 1e-310, 1e-300, 1e-12, 1.0, 1 - 1e-16],
+            np.linspace(0, 1, 97),
+            np.logspace(-9, 0, 23),
+        ]
+    )
+    SLS = np.concatenate([[0.0, 1e-12, 2 / 3, PIMPLE_SL, 0.95, 1.0], np.linspace(0, 1, 41)])
+
+    @pytest.mark.parametrize(
+        "fn,xs",
+        [
+            (eof_to_concurrence, EOFS),
+            (horn_upper, EOFS),
+            (horn_lower, EOFS),
+            (entropy_upper, SLS),
+        ],
+    )
+    def test_array_equals_scalar_calls(self, fn, xs):
+        batch = fn(xs)
+        scalar = [fn(float(x)) for x in xs]
+        assert all(type(v) is float for v in scalar)
+        assert isinstance(batch, np.ndarray) and batch.shape == xs.shape
+        assert np.all(np.isfinite(batch))
+        assert np.array_equal(batch, np.array(scalar))
+        # a permuted batch gives the same values, bit for bit
+        perm = np.random.default_rng(0).permutation(len(xs))
+        assert np.array_equal(fn(xs[perm]), batch[perm])
+        grid = xs[: len(xs) // 4 * 4].reshape(4, -1)
+        assert np.array_equal(fn(grid), batch[: grid.size].reshape(grid.shape))
+
+    def test_envelope_chunks(self):
+        # more values than one scan chunk and one zoom chunk hold
+        xs = np.linspace(0, PIMPLE_SL, 45)
+        assert np.array_equal(
+            _envelope_two_param(xs), [_envelope_two_param(float(x)) for x in xs]
+        )
+
+    def test_newton_is_monotone_from_the_right(self):
+        # the start sqrt(e) is never left of the root: E(sqrt(e)) >= e
+        es = np.concatenate([np.logspace(-12, 0, 200), np.linspace(0, 1, 201)])
+        c = eof_to_concurrence(es)
+        assert np.all(c <= np.sqrt(es) + 1e-15)
+        assert all(eof_from_concurrence(np.sqrt(e)) >= e - 1e-15 for e in es)
 
 
 def test_pimple_state_measures():

@@ -185,6 +185,12 @@ class TestUsage:
         code, _, _ = run(capsys, "sweep", "--family", "beta", "--plane", "xy")
         assert code == 1
 
+    def test_bounds_commands_take_no_optimizer_flags(self, capsys):
+        # bounds are closed forms: sweep and crossover run no discord engine
+        args = ("sweep", "--family", "werner", "--n", "4", "--grid-theta", "12")
+        assert run(capsys, *args)[0] == 1
+        assert run(capsys, "crossover", "--restarts", "2")[0] == 1
+
     def test_no_partial_output_on_usage_error(self, capsys, tmp_path):
         dest = tmp_path / "never.csv"
         code, _, _ = run(

@@ -8,9 +8,11 @@ from qdiscord.measures import (
     UnsupportedFamily,
     alpha_discord,
     apply_measurement,
+    beta_discord,
     canonical_angles,
     classical_correlation,
     concurrence,
+    discord_batch,
     concurrence_analytic,
     conditional_information,
     discord_analytic,
@@ -21,8 +23,16 @@ from qdiscord.measures import (
     mutual_information,
     spin_flip_spectrum,
     two_param_q,
+    werner_discord,
 )
-from qdiscord.states import Family, make_family, random_pure_state, random_state
+from qdiscord.states import (
+    Family,
+    NotHermitian,
+    linear_entropy,
+    make_family,
+    random_pure_state,
+    random_state,
+)
 
 BELL = make_family(Family("pure", 0.5))
 MIXED = np.eye(4, dtype=complex) / 4
@@ -336,3 +346,79 @@ class TestAnalyticConcurrence:
     def test_unsupported(self):
         with pytest.raises(UnsupportedFamily):
             concurrence_analytic(Family("werner", 0.5))
+
+
+class TestWernerClosedForm:
+    XIS = np.concatenate([[-1 / 3, 0.0, 1 / 3, 1.0], np.linspace(-1 / 3, 1, 48)[1:-1]])
+
+    def test_against_numeric(self):
+        assert len(self.XIS) == 50
+        for xi in self.XIS:
+            num = discord_numeric(make_family(Family("werner", float(xi)))).discord
+            assert werner_discord(xi) == pytest.approx(num, abs=1e-9)
+
+    def test_against_bell_diagonal_oracle(self):
+        for xi in self.XIS:
+            rho = make_family(Family("werner", float(xi)))
+            assert werner_discord(xi) == pytest.approx(
+                mutual_information(rho) - bell_diagonal_cc_oracle(rho), abs=1e-12
+            )
+
+    def test_endpoints(self):
+        assert werner_discord(0.0) == 0.0
+        assert werner_discord(1.0) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "fn,xs",
+    [
+        (lambda x: alpha_discord(x)[0], np.linspace(0, 1, 101)),
+        (lambda x: alpha_discord(x)[1], np.linspace(0, 1, 101)),
+        (beta_discord, np.linspace(0, 1, 101)),
+        (werner_discord, np.linspace(-1 / 3, 1, 101)),
+    ],
+)
+def test_family_closed_forms_elementwise(fn, xs):
+    scalar = [fn(float(x)) for x in xs]
+    assert all(type(v) is float for v in scalar)
+    assert np.array_equal(fn(xs), scalar)
+
+
+def _record_test_states():
+    rng = np.random.default_rng(7)
+    out = [random_state(s) for s in range(40)]
+    for kind in ("werner", "alpha", "beta", "pure"):
+        out += [make_family(Family(kind, float(x))) for x in np.linspace(0, 1, 9)]
+    out += [make_family(Family("twoparam", a, b)) for a, b in in_range_ab_grid(7)]
+    # Schmidt weights whose entropy terms straddle the 1e-12 eigenvalue clip
+    out += [make_family(Family("pure", lam)) for lam in (1e-13, 1e-11, 1 - 1e-13)]
+    for s in range(10):  # near-pure: a pure state mixed with 1e-9 of noise
+        v = random_pure_state(s)
+        out.append((1 - 1e-9) * np.outer(v, v.conj()) + 1e-9 * random_state(100 + s))
+    for rank in (1, 2, 3):  # rank-deficient: T T^dag with T of rank < 4
+        for _ in range(5):
+            t = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+            m = t @ t.conj().T
+            out.append(m / np.trace(m).real)
+    v = np.zeros(4, dtype=complex)
+    v[1] = 1.0
+    out.append(np.outer(v, v))  # pure product state
+    return out
+
+
+def test_batched_record_measures_match_reference():
+    rhos = _record_test_states()
+    for rho, rec in zip(rhos, discord_batch(rhos)):
+        assert abs(rec.mutual_info - mutual_information(rho)) <= 1e-12
+        assert abs(rec.concurrence - concurrence(rho)) <= 1e-12
+        assert abs(rec.linear_entropy - linear_entropy(rho)) <= 1e-12
+        assert rec.eof == eof_from_concurrence(rec.concurrence)
+
+
+def test_non_hermitian_rejected():
+    rho = random_state(3)
+    rho[0, 1] += 1e-6
+    with pytest.raises(NotHermitian):
+        discord_numeric(rho)
+    with pytest.raises(NotHermitian):
+        discord_batch([random_state(1), rho])
