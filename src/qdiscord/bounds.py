@@ -1,14 +1,16 @@
 """Boundary curves of the discord-entanglement and discord-entropy regions,
 crossover location, and the random / near-boundary containment experiments.
 
-Every bound is a closed form evaluated elementwise: eof_to_concurrence,
-horn_upper, horn_lower and entropy_upper take a float or an array and
-return a float or an array of the same shape, and a scalar call is a batch
-of one, so an element's value does not depend on its batch, bit for bit.
-The branches are the alpha, Werner (Luo, PRA 77, 042303 (2008)), pure and
-beta family discords; the EoF axis is mapped to concurrence by a monotone
-Newton inversion of Wootters' E(C), and the S_L <= 8/9 ceiling is the
-two-parameter envelope, scanned and zoomed in memory-bounded chunks.
+Every bound is evaluated elementwise: eof_to_concurrence, horn_upper,
+horn_lower and entropy_upper take a float or an array and return a float
+or an array of the same shape, and a scalar call is a batch of one, so an
+element's value does not depend on its batch, bit for bit. The horn
+branches are the alpha, Werner (Luo, PRA 77, 042303 (2008)), pure and beta
+family discords in closed form; the EoF axis is mapped to concurrence by a
+monotone Newton inversion of Wootters' E(C). The S_L <= 8/9 ceiling is the
+two-parameter envelope, the largest min{a, q} on the contour
+Tr rho^2 = 1 - 3 S_L / 4: a 129-point scan plus the contour's exact edge
+points, then a zoom of every near-best basin, in memory-bounded chunks.
 verify_bounds evaluates each bound once per batch.
 """
 from __future__ import annotations
@@ -70,11 +72,17 @@ class SampleBatch:
 
 @dataclass
 class RegionReport:
-    """Outcome of a bound-containment check."""
+    """Outcome of a bound-containment check.
+
+    min_margin is the smallest bound - Q (upper) or Q - bound (lower) over
+    the checked records; it is negative when some record lies outside a
+    bound, and shows how close the nearest record comes when none does.
+    """
 
     n_checked: int
     n_violations: int
     worst_violation: float
+    min_margin: float
     offenders: list[dict]
 
     def to_json_obj(self):
@@ -82,6 +90,7 @@ class RegionReport:
             "n_checked": self.n_checked,
             "n_violations": self.n_violations,
             "worst_violation": self.worst_violation,
+            "min_margin": self.min_margin,
             "offenders": self.offenders,
         }
 
@@ -202,78 +211,116 @@ def _two_param_purity(a, b):
     return a * a + ((1 - a) ** 2 + b * b) / 2
 
 
-_SCAN_POINTS = 4001  # first scan of the feasible a window
-_ZOOM_POINTS = 401  # each zoom around the best point so far
+_SCAN_POINTS = 129  # first scan of the feasible a window, edge points aside
+_ZOOM_POINTS = 257  # each zoom of one basin
 _ZOOM_WIDTH = 1e-9  # zooming stops once the bracket is this narrow
 
 
-def _best_on_contour(target, lo, hi, num):
-    """Per row: the largest min{a, q} over num evenly spaced a in [lo, hi]
-    on the contour Tr rho^2 = target, and the first a that attains it.
+def _contour_values(c, a, edge=False):
+    """min{a, q} at the abscissae a (rows x points) on the contours
+    Tr rho^2 = 1 - 3 S_L / 4, that is b^2 = (1 - a)(1 + 3 a) - c with
+    c = 3 S_L / 2 (one per row), and -inf off the family.
 
-    The grid is np.linspace(lo, hi, num) row by row, written out because
-    np.linspace with array ends changes its arithmetic for every row once
-    one row has lo == hi. q is evaluated on the feasible points only
-    (0 <= b^2 <= (1 - a)^2, within 1e-15).
+    A point is on the family when 0 <= b^2 <= (1 - a)^2 within 1e-15; its
+    b is then clipped to [0, 1 - a], so round-off cannot step past the
+    edge. Points flagged in edge are the contour's edge points and take
+    b = 1 - a exactly: the rounding of their a alone would otherwise leave
+    b off by ~1e-16 / b, and q is steep there (1e-8 low at S_L = 1e-7).
+    q is finite everywhere, so every point is evaluated.
     """
-    step = (hi - lo) / (num - 1)
-    a = np.arange(num) * step[:, None] + lo[:, None]
-    a[:, -1] = hi
     om = 1 - a
-    b_sq = 2 * target[:, None] - 2 * a * a - om * om
-    feas = (b_sq >= -1e-15) & (b_sq <= om * om + 1e-15)
-    af = a[feas]
-    val = np.full(a.shape, -np.inf)
-    val[feas] = np.minimum(af, two_param_q(af, np.sqrt(np.clip(b_sq[feas], 0.0, None))))
-    i = np.argmax(val, axis=1)
-    rows = np.arange(len(a))
-    return val[rows, i], a[rows, i]
+    om_sq = om * om
+    b_sq = om * (1 + 3 * a) - c[:, None]
+    feas = ((b_sq >= -1e-15) & (b_sq <= om_sq + 1e-15)) | edge
+    b = np.where(edge, om, np.minimum(np.sqrt(np.maximum(b_sq, 0.0)), om))
+    return np.where(feas, np.minimum(a, two_param_q(a, b)), -np.inf)
+
+
+def _grid(lo, hi, num):
+    """np.linspace(lo, hi, num) row by row, written out because np.linspace
+    with array ends changes its arithmetic for every row once one row has
+    lo == hi."""
+    a = np.arange(num) * ((hi - lo) / (num - 1))[:, None] + lo[:, None]
+    a[:, -1] = hi
+    return a
+
+
+def _scan(c, a_lo, a_hi):
+    """First scan of each row's window: the best value and the zoom jobs.
+
+    The window is scanned on _SCAN_POINTS points, joined by the two points
+    where the contour meets the edge |b| = 1 - a, a = (1 +- sqrt(1 - c))/2
+    (repeats of a_hi when c > 1, where it does not). Each local maximum of
+    the scan whose value is within twice the spacing of the row's best
+    becomes a job (row, bracket between its neighbours). An edge point is
+    exact and is never zoomed.
+    """
+    meets = c <= 1
+    w = np.sqrt(np.maximum(1 - c, 0.0))
+    ends = np.where(meets, [(1 - w) / 2, (1 + w) / 2], a_hi).T
+    a = np.concatenate([_grid(a_lo, a_hi, _SCAN_POINTS), ends], axis=1)
+    order = np.argsort(a, axis=1, kind="stable")
+    a = np.take_along_axis(a, order, axis=1)
+    edge = (order >= _SCAN_POINTS) & meets[:, None]
+    val = _contour_values(c, a, edge)
+    best = val.max(axis=1)
+    peak = np.ones(a.shape, dtype=bool)
+    peak[:, 1:] = val[:, 1:] > val[:, :-1]
+    peak[:, :-1] &= val[:, :-1] >= val[:, 1:]
+    spacing = (a_hi - a_lo) / (_SCAN_POINTS - 1)
+    peak &= ~edge & (val >= (best - 2 * spacing)[:, None])
+    rows, i = np.nonzero(peak)
+    last = a.shape[1] - 1
+    return best, rows, a[rows, np.maximum(i - 1, 0)], a[rows, np.minimum(i + 1, last)]
 
 
 def _envelope_two_param(sl):
     """Max over the two-parameter family of min{a, q} at fixed linear
     entropy, elementwise over a float or an array.
 
-    The constraint Tr rho^2 = 1 - 3 sl / 4 defines a contour b(a) >= 0 (the
-    family discord is even in b). Each value scans the feasible a window
-    on _SCAN_POINTS points, then zooms on _ZOOM_POINTS points around the
-    best point until the bracket is narrower than _ZOOM_WIDTH, and reports
-    the best value seen. Values go through in chunks of measures._chunk_size
-    and every operation is elementwise over rows, so a value does not
-    depend on its batch.
+    The constraint Tr rho^2 = T = 1 - 3 sl / 4 defines a contour b(a) >= 0
+    (the family discord is even in b) over the window a_lo <= a <= a_hi.
+    For sl <= 2/3 the contour meets the edge |b| = 1 - a, and the maximum
+    is often there, so the edge points are scanned exactly. Each basin that
+    the first scan finds (see _scan) is zoomed on _ZOOM_POINTS points
+    around its best point until the bracket is narrower than _ZOOM_WIDTH;
+    every near-best basin is zoomed, not only the best, because two basins
+    can nearly tie (the a = q kink and the b = 0 end near sl = 0.8326).
+    Each step handles at most measures._CHUNK_ELEMENTS points at once, and
+    every operation is elementwise over rows, so a value does not depend on
+    its batch.
     """
     x = np.asarray(sl, dtype=float).reshape(-1)
-    target = 1.0 - 0.75 * x
-    rad = 6 * target - 2
+    c = 1.5 * x
+    rad = 4 - 3 * c
     if np.any(rad < -1e-12):
         raise ValueError(f"linear entropy {x.max()} exceeds the family maximum 8/9")
     root = np.sqrt(np.maximum(rad, 0.0))
     a_lo = np.maximum(0.0, (1 - root) / 3)
     a_hi = np.minimum(1.0, (1 + root) / 3)
-    best, a_best = np.empty_like(x), np.empty_like(x)
-    size = _chunk_size(_SCAN_POINTS)
+    best = np.empty_like(x)
+    jobs = []
+    size = _chunk_size(_SCAN_POINTS + 2)
     for start in range(0, len(x), size):
         part = slice(start, start + size)
-        best[part], a_best[part] = _best_on_contour(
-            target[part], a_lo[part], a_hi[part], _SCAN_POINTS
-        )
-    step = (a_hi - a_lo) / (_SCAN_POINTS - 1)
-    lo, hi = a_best - step, a_best + step
+        best[part], rows, lo, hi = _scan(c[part], a_lo[part], a_hi[part])
+        jobs.append((rows + start, lo, hi))
+    rows, lo, hi = (np.concatenate(j) for j in zip(*jobs))
     size = _chunk_size(_ZOOM_POINTS)
-    for start in range(0, len(x), size):
-        act = np.arange(start, min(start + size, len(x)))
+    act = np.flatnonzero(hi - lo > _ZOOM_WIDTH)
+    while act.size:
+        for start in range(0, act.size, size):
+            job = act[start : start + size]
+            r = rows[job]
+            a = _grid(lo[job], hi[job], _ZOOM_POINTS)
+            val = _contour_values(c[r], a)
+            k, i = np.arange(len(job)), np.argmax(val, axis=1)
+            np.maximum.at(best, r, val[k, i])
+            a_new = a[k, i]
+            step = (hi[job] - lo[job]) / (_ZOOM_POINTS - 1)
+            lo[job] = np.maximum(a_lo[r], a_new - step)
+            hi[job] = np.minimum(a_hi[r], a_new + step)
         act = act[hi[act] - lo[act] > _ZOOM_WIDTH]
-        while act.size:
-            cand, a_new = _best_on_contour(
-                target[act],
-                np.maximum(a_lo[act], lo[act]),
-                np.minimum(a_hi[act], hi[act]),
-                _ZOOM_POINTS,
-            )
-            best[act] = np.maximum(best[act], cand)
-            step = (hi[act] - lo[act]) / (_ZOOM_POINTS - 1)
-            lo[act], hi[act] = a_new - step, a_new + step
-            act = act[hi[act] - lo[act] > _ZOOM_WIDTH]
     return _like(best, sl)
 
 
@@ -379,7 +426,7 @@ def _derived_seeds(seed, n):
 def sample_random(n, seed, cfg=DEFAULT_OPT):
     """Correlation records for n seeded random density matrices."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ParamOutOfRange("n must be >= 1")
     seeds = _derived_seeds(seed, n)
     records = discord_batch([random_state(s) for s in seeds], cfg)
     return SampleBatch(
@@ -403,10 +450,10 @@ def _draw_family(kind, rng):
 
 def sample_near_boundary(kind, n, epsilon, seed, cfg=DEFAULT_OPT):
     """Family states convexly mixed with an epsilon-weighted random state."""
-    if epsilon < 0:
-        raise ParamOutOfRange("epsilon must be >= 0")
+    if not 0 <= epsilon <= 1:
+        raise ParamOutOfRange("epsilon must be in [0, 1]")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ParamOutOfRange("n must be >= 1")
     rng = np.random.default_rng(seed)
     seeds = _derived_seeds(seed, n)
     families = [_draw_family(kind, rng) for _ in range(n)]
@@ -485,5 +532,6 @@ def verify_bounds(batch, plane, slack=DEFAULT_SLACK):
         n_checked=len(batch.records),
         n_violations=len(offenders),
         worst_violation=worst,
+        min_margin=-float(max(excess.max() for _, excess, _ in checks)),
         offenders=offenders,
     )

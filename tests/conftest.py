@@ -29,3 +29,37 @@ def random_unitary(rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def two_param_q_four_term(a, b):
+    """Oracle for the q branch of the two-parameter family discord: the
+    four-logarithm form, elementwise. It cancels within ~1e-11 of the edge
+    |b| = 1 - a and is singular on it; non-finite values map to +inf, where
+    min{a, q} still reads a."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    s = np.sqrt(a * a + b * b)
+    om = 1 - a
+    d = om * om - b * b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = -(b / 2) * np.log2((1 + b) * (om - b) / ((1 - b) * (om + b)))
+        t2 = np.where(a == 0, 0.0, (a / 2) * np.log2(4 * a * a / d))
+        t3 = -(s / 2) * np.log2((1 + s) / (1 - s))
+        t4 = 0.5 * np.log2(4 * d / ((1 - b * b) * (1 - a * a - b * b)))
+        q = t1 + t2 + t3 + t4
+    return np.where(np.isfinite(q), q, np.inf)
+
+
+def two_param_q_edge_limit(a):
+    """Oracle for q on the edge |b| = 1 - a, 0 < a < 1: the closed-form limit
+    of the four-logarithm form, whose divergent parts cancel there."""
+    a = np.asarray(a, dtype=float)
+    b0 = -(1.0 - a)
+    s = np.sqrt(a * a + b0 * b0)
+    return (
+        -(b0 / 2) * np.log2((1 + b0) / (1 - b0))
+        - b0 * np.log2(1 - a - b0)
+        + (a / 2) * np.log2(4 * a * a)
+        - (s / 2) * np.log2((1 + s) / (1 - s))
+        + 1.0
+        - 0.5 * np.log2((1 - b0 * b0) * (1 - a * a - b0 * b0))
+    )

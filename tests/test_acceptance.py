@@ -134,14 +134,17 @@ def test_criterion_5_crossovers(report):
 def test_criterion_6_horn_containment(report, random_batch, near_batches):
     total_viol = 0
     worst = 0.0
+    margin = np.inf
     parts = [("random", random_batch)] + sorted(near_batches.items())
     for _, batch in parts:
         rep = verify_bounds(batch, "eof-q", slack=1e-6)
         total_viol += rep.n_violations
         worst = max(worst, rep.worst_violation)
+        margin = min(margin, rep.min_margin)
     n = sum(len(b.records) for _, b in parts)
     report(6, "horn containment", total_viol == 0,
-           f"{n} states, {total_viol} violations, worst = {worst:.2e}")
+           f"{n} states, {total_viol} violations, worst = {worst:.2e}, "
+           f"min margin = {margin:.2e}")
 
 
 def test_criterion_7_entropy_containment(report, random_batch):
@@ -154,7 +157,7 @@ def test_criterion_7_entropy_containment(report, random_batch):
                 f"{irep.n_violations} above two-param envelope")
     report(7, "entropy-plane containment", rep.n_violations == 0,
            f"{rep.n_checked} states with S_L <= 8/9, "
-           f"{rep.n_violations} violations{info}")
+           f"{rep.n_violations} violations, min margin = {rep.min_margin:.2e}{info}")
 
 
 def test_criterion_8_endpoint_sanity(report, random_batch, near_batches):

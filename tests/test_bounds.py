@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from conftest import two_param_q_edge_limit, two_param_q_four_term
 
+from qdiscord import bounds
 from qdiscord.bounds import (
     PIMPLE_SL,
     NoSignChange,
@@ -24,8 +26,78 @@ from qdiscord.measures import (
     discord_analytic,
     discord_numeric,
     eof_from_concurrence,
+    two_param_q,
+    werner_discord,
 )
-from qdiscord.states import Family, binary_entropy, linear_entropy, make_family
+from qdiscord.states import (
+    Family,
+    ParamOutOfRange,
+    binary_entropy,
+    linear_entropy,
+    make_family,
+)
+
+_REF_POINTS = 20001  # dense scan of each feasible piece of the contour
+_REF_ZOOM_POINTS = 1001
+_REF_EDGE_GAP = 1e-6  # interior points keep 1 - a - b this far from the edge
+
+
+def _reference_values(a, target):
+    """min{a, q} on the contour Tr rho^2 = target, from the four-term q, at
+    points at least _REF_EDGE_GAP inside the edge (-inf elsewhere), where
+    its cancellation costs at most ~1e-10."""
+    om = 1 - a
+    b = np.sqrt(np.clip(2 * target - 2 * a * a - om * om, 0.0, None))
+    ok = om - b >= _REF_EDGE_GAP
+    return np.where(ok, np.minimum(a, two_param_q_four_term(a, b)), -np.inf)
+
+
+def reference_envelope(sl):
+    """Independent sl-q envelope: max of min{a, q} over the contour at S_L.
+
+    For T = 1 - 3 S_L / 4 >= 1/2 the contour meets the edge |b| = 1 - a at
+    a = (1 +- sqrt(2 T - 1))/2, which splits it into two feasible pieces;
+    those points take the closed-form edge limit of q. Each piece is
+    scanned on _REF_POINTS points, and every local maximum is zoomed on
+    _REF_ZOOM_POINTS points until its bracket is below 1e-12. The edge limit
+    loses digits as a -> 1, so the reference holds to 1e-9 for S_L >= 1e-6
+    (it is 1.1e-9 off at S_L = 1e-7).
+    """
+    target = 1 - 0.75 * sl
+    root = np.sqrt(max(6 * target - 2, 0.0))
+    a_lo, a_hi = max(0.0, (1 - root) / 3), (1 + root) / 3
+    pieces, best = [(a_lo, a_hi)], -np.inf
+    if 2 * target - 1 >= 0:
+        w = np.sqrt(2 * target - 1)
+        edges = [(1 - w) / 2, (1 + w) / 2]
+        pieces = [(a_lo, edges[0]), (edges[1], a_hi)]
+        for e in edges:
+            if 0 < e < 1:
+                best = max(best, min(e, float(two_param_q_edge_limit(e))))
+            else:  # the pure corners (0, 1) and (1, 0), where q = a
+                best = max(best, e)
+    for p0, p1 in pieces:
+        a = np.linspace(p0, p1, _REF_POINTS)
+        f = _reference_values(a, target)
+        pad = np.concatenate([[-np.inf], f, [-np.inf]])
+        for i in np.flatnonzero(np.isfinite(f) & (f >= pad[:-2]) & (f >= pad[2:])):
+            lo, hi = a[max(i - 1, 0)], a[min(i + 1, len(a) - 1)]
+            best = max(best, f[i])
+            while hi - lo > 1e-12:
+                z = np.linspace(lo, hi, _REF_ZOOM_POINTS)
+                fz = _reference_values(z, target)
+                j = int(np.argmax(fz))
+                best = max(best, fz[j])
+                step = (hi - lo) / (_REF_ZOOM_POINTS - 1)
+                lo, hi = max(p0, z[j] - step), min(p1, z[j] + step)
+    return best
+
+
+# the edge point of S_L = 0.6595 and a fine grid over the near tie of the
+# a = q kink and the b = 0 end, where a single-basin scan picks the lower one
+ENVELOPE_SLS = np.concatenate(
+    [np.linspace(0, PIMPLE_SL, 201), [0.6595], np.linspace(0.832, 0.834, 401)]
+)
 
 
 class TestHornBounds:
@@ -192,6 +264,25 @@ class TestEntropyUpper:
         assert a.ravel()[i] == pytest.approx(1 / 3, abs=0.01)
         assert b.ravel()[i] == pytest.approx(0.0, abs=0.01)
 
+    def test_envelope_matches_dense_reference(self):
+        got = entropy_upper(ENVELOPE_SLS)
+        ref = np.array([reference_envelope(x) for x in ENVELOPE_SLS])
+        assert np.max(np.abs(got - ref)) <= 1e-9
+
+    def test_envelope_reaches_the_edge_points(self):
+        # for S_L <= 2/3 the contour meets the edge |b| = 1 - a at
+        # a = (1 +- sqrt(1 - 3 S_L / 2))/2; the envelope holds those points
+        # to round-off, down to S_L -> 0 where q is steepest there
+        sls = np.concatenate([np.logspace(-12, np.log10(2 / 3), 61), [2 / 3]])
+        env = entropy_upper(sls)
+        w = np.sqrt(1 - 1.5 * sls)
+        for a in ((1 - w) / 2, (1 + w) / 2):
+            assert np.all(env >= np.minimum(a, two_param_q(a, 1 - a)) - 1e-14)
+
+    def test_werner_ceiling_above_pimple(self):
+        xs = np.linspace(PIMPLE_SL, 1, 101)[1:]
+        assert np.array_equal(entropy_upper(xs), werner_discord(np.sqrt(1 - xs)))
+
     def test_envelope_beyond_pimple_raises(self):
         with pytest.raises(ValueError):
             _envelope_two_param(0.95)
@@ -231,6 +322,10 @@ class TestSampling:
             sample_random(0, 1)
         with pytest.raises(ValueError):
             sample_near_boundary("beta", 5, -0.1, 0)
+        with pytest.raises(ParamOutOfRange):
+            sample_near_boundary("beta", 5, 1.5, 0)
+        with pytest.raises(ParamOutOfRange):
+            sample_near_boundary("beta", 0, 0.1, 0)
 
 
 class TestVerifyBounds:
@@ -279,6 +374,23 @@ class TestVerifyBounds:
         bare = SampleBatch(b.records, b.seeds, b.provenance)  # no families
         assert [p.families for p in split_at_pimple(bare)] == [[], []]
 
+    @pytest.mark.parametrize("plane", ["eof-q", "sl-q"])
+    def test_min_margin(self, plane):
+        b = sample_random(30, 4)
+        if plane == "sl-q":
+            b = split_at_pimple(b)[0]
+        margins = []
+        for r in b.records:
+            if plane == "eof-q":
+                margins += [horn_upper(r.eof) - r.discord, r.discord - horn_lower(r.eof)]
+            else:
+                margins.append(entropy_upper(r.linear_entropy) - r.discord)
+        rep = verify_bounds(b, plane)
+        assert rep.min_margin == min(margins) > 0
+        assert rep.to_json_obj()["min_margin"] == rep.min_margin
+        # the margin does not depend on the slack
+        assert verify_bounds(b, plane, slack=-1.0).min_margin == rep.min_margin
+
     def test_pure_report(self):
         b = sample_random(20, 2)
         r1 = verify_bounds(b, "eof-q")
@@ -319,7 +431,9 @@ class TestElementwiseBounds:
             np.logspace(-9, 0, 23),
         ]
     )
-    SLS = np.concatenate([[0.0, 1e-12, 2 / 3, PIMPLE_SL, 0.95, 1.0], np.linspace(0, 1, 41)])
+    SLS = np.concatenate(
+        [[0.0, 1e-12, 2 / 3, PIMPLE_SL, 0.95, 1.0], np.linspace(0, 1, 41), ENVELOPE_SLS]
+    )
 
     @pytest.mark.parametrize(
         "fn,xs",
@@ -343,12 +457,15 @@ class TestElementwiseBounds:
         grid = xs[: len(xs) // 4 * 4].reshape(4, -1)
         assert np.array_equal(fn(grid), batch[: grid.size].reshape(grid.shape))
 
-    def test_envelope_chunks(self):
-        # more values than one scan chunk and one zoom chunk hold
-        xs = np.linspace(0, PIMPLE_SL, 45)
-        assert np.array_equal(
-            _envelope_two_param(xs), [_envelope_two_param(float(x)) for x in xs]
-        )
+    def test_envelope_chunks(self, monkeypatch):
+        # more values than one scan chunk and one zoom chunk hold, and more
+        # zoom jobs than values
+        xs = np.concatenate([np.linspace(0, PIMPLE_SL, 45), np.linspace(0.832, 0.834, 81)])
+        scalar = [_envelope_two_param(float(x)) for x in xs]
+        assert np.array_equal(_envelope_two_param(xs), scalar)
+        for chunk in (1, 7):
+            monkeypatch.setattr(bounds, "_chunk_size", lambda _: chunk)
+            assert np.array_equal(_envelope_two_param(xs), scalar)
 
     def test_newton_is_monotone_from_the_right(self):
         # the start sqrt(e) is never left of the root: E(sqrt(e)) >= e

@@ -164,6 +164,38 @@ class TestVerify:
         assert out1 == out2
 
 
+class TestBatchArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "--n", "0"),
+            ("near", "--family", "beta", "--n", "0"),
+            ("verify", "--n", "0"),
+            ("verify", "--plane", "sl-q", "--n", "0"),
+        ],
+    )
+    def test_n_zero_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "validation error: n must be >= 1\n"
+
+    @pytest.mark.parametrize("eps", ["1.5", "2", "-0.1"])
+    def test_epsilon_out_of_range_exit_2(self, capsys, eps):
+        code, _, err = run(
+            capsys, "near", "--family", "alpha", "--n", "2", "--epsilon", eps
+        )
+        assert code == 2
+        assert err == "validation error: epsilon must be in [0, 1]\n"
+
+    def test_epsilon_one_is_a_random_batch(self, capsys):
+        code, out, _ = run(
+            capsys, "near", "--family", "alpha", "--n", "2", "--epsilon", "1"
+        )
+        assert code == 0
+        assert len(list(csv.reader(out.splitlines()))) == 3
+
+
 class TestCrossover:
     def test_values(self, capsys):
         code, out, _ = run(capsys, "crossover")

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import bell_diagonal_cc_oracle, random_unitary
+from conftest import (
+    bell_diagonal_cc_oracle,
+    random_unitary,
+    two_param_q_edge_limit,
+    two_param_q_four_term,
+)
 from qdiscord.measures import (
     AnalyticDiscordTrace,
     OptimizerConfig,
@@ -302,6 +307,41 @@ class TestAnalyticDiscord:
             lim = two_param_q(a, 1 - a)
             near = two_param_q(a, (1 - a) - 1e-9)
             assert lim == pytest.approx(near, abs=1e-6)
+
+
+class TestCollectedQ:
+    """two_param_q against the four-term form and its edge limit."""
+
+    def test_matches_four_term_form_inside(self):
+        a, b = np.meshgrid(np.linspace(0, 1, 401), np.linspace(-1, 1, 801))
+        keep = (1 - a - b >= 1e-3) & (1 - a + b >= 1e-3)
+        a, b = a[keep], b[keep]
+        assert np.max(np.abs(two_param_q(a, b) - two_param_q_four_term(a, b))) <= 1e-11
+
+    def test_finite_on_edge_and_corners(self):
+        a = np.linspace(0, 1, 1001)
+        inner = slice(1, -1)  # the edge limit is singular at a = 0 and a = 1
+        for b in (1 - a, a - 1):
+            q = two_param_q(a, b)
+            assert np.all(np.isfinite(q))
+            assert np.max(np.abs(q[inner] - two_param_q_edge_limit(a[inner]))) <= 1e-12
+        assert two_param_q(1.0, 0.0) == 1.0
+        assert two_param_q(0.0, 1.0) == 0.0
+        assert two_param_q(0.0, -1.0) == 0.0
+
+    def test_branch_labels_kept(self):
+        # labels as given by the four-term form, its edge limit within 1e-12
+        # of the edge, and +inf at its singular points
+        pts = list(in_range_ab_grid(21))
+        pts += [(a, s * (1 - a)) for a in np.linspace(0, 1, 17) for s in (1, -1)]
+        for a, b in pts:
+            on_edge = abs(abs(b) - (1 - a)) <= 1e-12 and 1e-12 < a < 1 - 1e-12
+            q = float(two_param_q_edge_limit(a) if on_edge else two_param_q_four_term(a, b))
+            if abs(a - q) <= 1e-12:
+                expect = "a = q (pimple)"
+            else:
+                expect = "a" if a < q else "q"
+            assert discord_analytic(Family("twoparam", a, b)).branch == expect, (a, b)
 
 
 class TestAnalyticVsNumeric:
