@@ -427,6 +427,8 @@ def sample_random(n, seed, cfg=DEFAULT_OPT):
     """Correlation records for n seeded random density matrices."""
     if n < 1:
         raise ParamOutOfRange("n must be >= 1")
+    if seed < 0:
+        raise ParamOutOfRange("seed must be >= 0")
     seeds = _derived_seeds(seed, n)
     records = discord_batch([random_state(s) for s in seeds], cfg)
     return SampleBatch(
@@ -454,6 +456,8 @@ def sample_near_boundary(kind, n, epsilon, seed, cfg=DEFAULT_OPT):
         raise ParamOutOfRange("epsilon must be in [0, 1]")
     if n < 1:
         raise ParamOutOfRange("n must be >= 1")
+    if seed < 0:
+        raise ParamOutOfRange("seed must be >= 0")
     rng = np.random.default_rng(seed)
     seeds = _derived_seeds(seed, n)
     families = [_draw_family(kind, rng) for _ in range(n)]

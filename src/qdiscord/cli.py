@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import bounds, io as qio
-from .measures import OptimizerConfig, discord_numeric
+from .measures import DEFAULT_OPT, OptimizerConfig, discord_numeric
 from .states import Family, ParamOutOfRange, StateError, make_family
 
 EXIT_OK = 0
@@ -35,9 +35,9 @@ def build_parser():
 
     def add_common(sp, optimizer=True, output=True):
         if optimizer:
-            sp.add_argument("--grid-theta", type=int, default=60)
-            sp.add_argument("--grid-phi", type=int, default=120)
-            sp.add_argument("--restarts", type=int, default=3)
+            sp.add_argument("--grid-theta", type=int, default=DEFAULT_OPT.grid_theta)
+            sp.add_argument("--grid-phi", type=int, default=DEFAULT_OPT.grid_phi)
+            sp.add_argument("--restarts", type=int, default=DEFAULT_OPT.restarts)
         if output:
             sp.add_argument("--out", dest="output_path", default=None)
             sp.add_argument("--format", choices=["csv", "json"], default=None)

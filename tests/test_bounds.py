@@ -326,6 +326,10 @@ class TestSampling:
             sample_near_boundary("beta", 5, 1.5, 0)
         with pytest.raises(ParamOutOfRange):
             sample_near_boundary("beta", 0, 0.1, 0)
+        with pytest.raises(ParamOutOfRange):
+            sample_random(5, -1)
+        with pytest.raises(ParamOutOfRange):
+            sample_near_boundary("beta", 5, 0.1, -3)
 
 
 class TestVerifyBounds:

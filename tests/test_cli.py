@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from qdiscord.cli import main
+from qdiscord.cli import _optimizer_from, build_parser, main
 from qdiscord.io import CSV_HEADER, write_state_file
+from qdiscord.measures import DEFAULT_OPT
 from qdiscord.states import Family, make_family
 
 
@@ -180,6 +181,21 @@ class TestBatchArguments:
         assert out == ""
         assert err == "validation error: n must be >= 1\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "--n", "2", "--seed", "-1"),
+            ("near", "--family", "alpha", "--n", "2", "--seed", "-3"),
+            ("verify", "--n", "2", "--seed", "-1"),
+            ("verify", "--plane", "sl-q", "--n", "2", "--seed", "-1"),
+        ],
+    )
+    def test_negative_seed_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "validation error: seed must be >= 0\n"
+
     @pytest.mark.parametrize("eps", ["1.5", "2", "-0.1"])
     def test_epsilon_out_of_range_exit_2(self, capsys, eps):
         code, _, err = run(
@@ -194,6 +210,39 @@ class TestBatchArguments:
         )
         assert code == 0
         assert len(list(csv.reader(out.splitlines()))) == 3
+
+
+class TestOptimizerArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("point", "--family", "alpha", "--param", "0.5"),
+            ("sample",),
+            ("near", "--family", "beta"),
+            ("verify",),
+        ],
+    )
+    def test_defaults_are_the_library_budget(self, argv):
+        args = build_parser().parse_args(list(argv))
+        assert _optimizer_from(args) == DEFAULT_OPT
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--grid-theta", "-1", "grid_theta must be >= 2"),
+            ("--grid-theta", "1", "grid_theta must be >= 2"),
+            ("--grid-phi", "0", "grid_phi must be >= 1"),
+            ("--restarts", "0", "restarts must be >= 1"),
+            ("--restarts", "-2", "restarts must be >= 1"),
+        ],
+    )
+    def test_bad_budget_exit_2(self, capsys, flag, value, message):
+        code, out, err = run(
+            capsys, "point", "--family", "alpha", "--param", "0.5", flag, value
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"validation error: {message}\n"
 
 
 class TestCrossover:

@@ -1,8 +1,10 @@
 """The batched discord engine: independence of batch and chunk size, an
-independent optimizer oracle on degenerate landscapes, and the
+independent optimizer oracle on degenerate and near-tie landscapes, the
+default search budget against a far larger one, config validation, and the
 non-convergence contract."""
 import numpy as np
 import pytest
+from conftest import PAULI, bell_diagonal_cc_oracle, random_unitary
 from scipy.optimize import minimize
 
 from qdiscord import io, measures
@@ -19,6 +21,7 @@ from qdiscord.measures import (
 from qdiscord.states import (
     FAMILY_KINDS,
     Family,
+    ParamOutOfRange,
     make_family,
     random_state,
     validate_state,
@@ -63,15 +66,39 @@ def _family(kind, u, rng):
     return Family(kind, u)
 
 
-def family_mixtures(per_kind):
+def family_mixtures(per_kind, epsilon=EPSILON):
     rng = np.random.default_rng(31)
     out = []
     for kind in FAMILY_KINDS:
         for u in (np.arange(per_kind) + 0.5) / per_kind:
             fam = _family(kind, float(u), rng)
             noise = random_state(int(rng.integers(0, 2**63 - 1)))
-            rho = (1 - EPSILON) * make_family(fam) + EPSILON * noise
+            rho = (1 - epsilon) * make_family(fam) + epsilon * noise
             out.append((fam, validate_state(rho)))
+    return out
+
+
+def near_tie_bell_diagonal(count, rotate):
+    """Bell-diagonal states whose two largest |c_i| differ by 1e-3 relative,
+    at random axes and signs, optionally under a random local unitary.
+
+    S(A|Pi_n) depends on n only through sum c_i^2 n_i^2, so the landscape
+    has its minimum on the largest |c_i| axis and a saddle on the
+    runner-up axis, only 1e-3 relative apart. Returns (state, unrotated
+    state) pairs; the oracle reads the unrotated one.
+    """
+    rng = np.random.default_rng(77)
+    out = []
+    while len(out) < count:
+        big = rng.uniform(0.05, 0.95)
+        mags = [big, big * (1 - 1e-3), rng.uniform(0, big * (1 - 1e-3))]
+        c = rng.permutation(mags) * rng.choice([-1.0, 1.0], size=3)
+        corr = sum(ci * np.kron(p, p) for ci, p in zip(c, PAULI.values()))
+        rho = 0.25 * (np.eye(4) + corr)
+        if np.linalg.eigvalsh(rho)[0] < 0:
+            continue
+        u = np.kron(random_unitary(rng), random_unitary(rng)) if rotate else np.eye(4)
+        out.append((u @ rho @ u.conj().T, rho))
     return out
 
 
@@ -115,6 +142,59 @@ class TestOptimizerOracle:
         values, _, _ = classical_correlation_batch(rhos)
         for rho, value in zip(rhos, values):
             assert abs(value - reference_classical_correlation(rho)) <= 1e-8
+
+
+class TestDefaultBudget:
+    """The default budget (one start from a coarse grid) must find the same
+    optimum as a far larger search, on the landscapes it could get wrong."""
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
+    def test_near_tie_bell_diagonal_matches_oracle(self, rotate):
+        pairs = near_tie_bell_diagonal(60, rotate)
+        values, _, _ = classical_correlation_batch([rho for rho, _ in pairs])
+        for value, (_, diag) in zip(values, pairs):
+            assert abs(value - bell_diagonal_cc_oracle(diag)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "epsilon", [None, 1e-6, 1e-3], ids=["random", "1e-6", "1e-3"]
+    )
+    def test_matches_a_larger_search(self, epsilon):
+        if epsilon is None:
+            rhos = [random_state(s) for s in range(1000, 1200)]
+        else:
+            rhos = [rho for _, rho in family_mixtures(20, epsilon)]
+        values, _, _ = classical_correlation_batch(rhos)
+        wide, _, _ = classical_correlation_batch(
+            rhos, OptimizerConfig(grid_theta=90, grid_phi=180, restarts=8)
+        )
+        assert np.max(np.abs(values - wide)) <= 1e-11
+
+
+class TestOptimizerConfig:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("grid_theta", 1),
+            ("grid_theta", -1),
+            ("grid_phi", 0),
+            ("restarts", 0),
+            ("restarts", -2),
+            ("max_iter", 0),
+            ("refine_tol", 0.0),
+            ("refine_tol", -1e-12),
+            ("refine_tol", float("nan")),
+        ],
+    )
+    def test_out_of_range_field_raises(self, field, value):
+        with pytest.raises(ParamOutOfRange, match=field):
+            OptimizerConfig(**{field: value})
+
+    def test_smallest_budget_runs(self):
+        # one grid point, the pole: the refinement alone finds the optimum
+        rho = random_state(3)
+        cfg = OptimizerConfig(grid_theta=2, grid_phi=1)
+        value, _, _ = classical_correlation(rho, cfg)
+        assert value == pytest.approx(classical_correlation(rho)[0], abs=1e-12)
 
 
 class TestNonConvergence:
