@@ -10,11 +10,13 @@ The discord engine (classical_correlation_batch) writes each state in Fano
 form, rho = (I + r.sigma x I + I x s.sigma + sum_ij T_ij sigma_i x sigma_j)/4.
 Measuring B along n gives p+- = (1 +- s.n)/2 and conditional Bloch vectors
 a+- = (r +- T n)/(2 p+-), so S(A|Pi) = sum p+- h((1 + |a+-|)/2) in closed
-form (Luo, PRA 77, 042303 (2008)). The engine scans S(A|Pi) over the
-distinct directions of an angle grid, refines the best grid points of every
-state with a finite-difference Newton iteration on the sphere, and goes
-through a batch in chunks of bounded size, with elementwise arithmetic only,
-so a state's result does not depend on its batch. classical_correlation and
+form (Luo, PRA 77, 042303 (2008)). The engine scans S(A|Pi) over each
+state's start set: the distinct directions of a small angle grid plus four
+directions read off the state, the right singular vectors of T and s/|s|.
+It refines the best start of every state with a finite-difference Newton
+iteration on the sphere, and goes through a batch in chunks of bounded
+size, with per-state SVDs and elementwise arithmetic only, so a state's
+result does not depend on its batch. classical_correlation and
 discord_numeric are batches of one; apply_measurement and
 conditional_information are the reference the engine is tested against, and
 mutual_information, concurrence and linear_entropy the reference for the
@@ -34,7 +36,6 @@ from .states import (
     NotHermitian,
     ParamOutOfRange,
     StateError,
-    binary_entropy,
     partial_trace,
     von_neumann_entropy,
 )
@@ -62,22 +63,28 @@ class OptimizerDidNotConverge(RuntimeError):
 class OptimizerConfig:
     """Settings for the discord angle search: the theta x phi grid size,
     the value tolerance and per-start iteration budget of the refinement, and
-    the number of best grid points refined per state.
+    the number of best starts refined per state.
 
-    The default budget, a 30 x 60 grid (841 distinct measurements) and one
-    refinement start, was sized on the acceptance batches (10 000 random
-    states and 1000 1e-3 near-boundary states per family). There every
-    classical correlation agrees with a 60 x 120 grid and 3 starts within
-    5.1e-13, in a quarter of the engine time: the two extra starts never
-    found a better optimum. A 20 x 40 grid is as accurate there but slower
-    per single state, because its starts need more Newton iterations.
+    Each state's start set is the distinct directions of the grid plus four
+    read off the state: the right singular vectors of its correlation matrix
+    T, on which the optimum lies for Bell-diagonal states, and the direction
+    of B's Bloch vector s. The default budget is a 16 x 32 grid (225
+    distinct directions, so 229 starts) and one refinement start. On the
+    acceptance batches (10 000 random states and 1000 1e-3 near-boundary
+    states per family) it moves no classical correlation of the former
+    30 x 60 grid-only default by more than 5.1e-13. Against a 120 x 240
+    grid with 8 starts it agrees within 1e-12 on random, X, low-rank and
+    near-tie Bell-diagonal states. Near-pure mixtures can have several
+    shallow basins that no state direction points to; there a grid this
+    coarse rarely starts in the wrong one (2 of 15 000 such states in a
+    seeded study, off by up to 3.6e-7), and a finer grid is the remedy.
 
     Raises ParamOutOfRange unless grid_theta >= 2, grid_phi >= 1,
     restarts >= 1, max_iter >= 1 and refine_tol > 0.
     """
 
-    grid_theta: int = 30
-    grid_phi: int = 60
+    grid_theta: int = 16
+    grid_phi: int = 32
     refine_tol: float = 1e-12
     restarts: int = 1
     max_iter: int = 500
@@ -280,6 +287,11 @@ _STENCIL_X = np.array([1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
 _STENCIL_Y = np.array([0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 _H_MIN = 1e-5  # finest stencil spacing; round-off in the Hessian grows as 1/h^2
 _H_MAX = 0.25  # coarsest spacing; a step is at most 2 h long
+_H_START = 0.05  # first spacing at most; a start read off the state sits close
+# finest spacing at which a stencil within refine_tol of its centre counts as
+# a flat landscape: below it, that only bounds the gradient by refine_tol / h,
+# and shallow near-pure landscapes stopped up to 4e-12 short of their minimum
+_H_FLAT = 1e-3
 
 
 def _retract(n, e1, e2, x, y):
@@ -301,10 +313,11 @@ def _refine(c, pol, azi, f, h0, cfg):
     points. h follows the length of a winning Newton step, is kept when a
     stencil point wins, and shrinks fourfold when no point gains more than
     cfg.refine_tol. A start converges when its stencil values all lie
-    within cfg.refine_tol of the centre value (a flat landscape at that
-    scale), or when no point gains more than cfg.refine_tol at the finest
-    spacing _H_MIN; it is then frozen while the others iterate. After
-    cfg.max_iter iterations the rest stop unconverged.
+    within cfg.refine_tol of the centre value at a spacing of at least
+    _H_FLAT (a flat landscape at that scale), or when no point gains more
+    than cfg.refine_tol at the finest spacing _H_MIN; it is then frozen
+    while the others iterate. After cfg.max_iter iterations the rest stop
+    unconverged.
 
     Updates pol, azi and f in place and returns the per-start converged
     flags. Every operation is elementwise over starts, so a start's result
@@ -367,9 +380,8 @@ def _refine(c, pol, azi, f, h0, cfg):
         h_new = np.where(newton, np.clip(step, _H_MIN, _H_MAX), hk)
         h_new = np.where(gain > tol, h_new, np.maximum(np.minimum(step, hk / 4), _H_MIN))
         h[act] = h_new
-        done = (np.max(np.abs(fs - fk[:, None]), axis=1) <= tol) | (
-            (hk <= _H_MIN) & (gain <= tol)
-        )
+        flat = (hk >= _H_FLAT) & (np.max(np.abs(fs - fk[:, None]), axis=1) <= tol)
+        done = flat | ((hk <= _H_MIN) & (gain <= tol))
         converged[act[done]] = True
         act = act[~done]
     return converged
@@ -380,12 +392,14 @@ def classical_correlation_batch(rhos, cfg=DEFAULT_OPT):
     the discord engine.
 
     For each state, S(A|Pi_n) (see _conditional_entropy) is scanned over the
-    distinct directions of the cfg angle grid, and the cfg.restarts best
-    grid points are refined by _refine; the state's optimum is the best
-    refined start. The value is S(rho_A) - S(A|Pi_n), evaluated at the
-    returned angles. States go through in chunks of _chunk_size; all
-    arithmetic is elementwise over states, so a state's result does not
-    depend on the batch or chunk it is in, bit for bit.
+    distinct directions of the cfg angle grid and the four directions of
+    _state_directions, and the cfg.restarts best of them are refined by
+    _refine, with a first stencil spacing of at most _H_START; the state's
+    optimum is the best refined start. The value is S(rho_A) - S(A|Pi_n),
+    evaluated at the returned angles. States go through in chunks of
+    _chunk_size; the SVDs run per state and all other arithmetic is
+    elementwise over states, so a state's result does not depend on the
+    batch or chunk it is in, bit for bit.
 
     Returns float arrays (values, theta_opt, phi_opt) with theta in
     [0, pi/2] and phi in [0, 2 pi). Raises OptimizerDidNotConverge, after
@@ -396,33 +410,52 @@ def classical_correlation_batch(rhos, cfg=DEFAULT_OPT):
     return _classical_correlation(rhos, cfg)[1:]
 
 
+def _state_directions(c):
+    """The four measurement directions read off each state with halved Fano
+    coefficients c (see _fano): the three right singular vectors of T, from
+    one stacked SVD, and s/|s|, or the z axis where s = 0. Returns (nx, ny,
+    nz), each of shape (N, 4)."""
+    vt = np.linalg.svd(c[6:].T.reshape(-1, 3, 3))[2]
+    s = c[3:6]
+    w = np.hypot(np.hypot(s[0], s[1]), s[2])
+    s = np.where(w > 0, s / np.where(w > 0, w, 1.0), [[0.0], [0.0], [1.0]])
+    return [np.concatenate([vt[:, :, i], s[i, :, None]], axis=1) for i in range(3)]
+
+
 def _classical_correlation(rhos, cfg):
     """classical_correlation_batch for a (N, 4, 4) complex stack; also
     returns the halved Fano coefficients (15, N) of the states, first."""
     n = len(rhos)
     (gx, gy, gz), spacing = _direction_grid(cfg.grid_theta, cfg.grid_phi)
-    k = min(cfg.restarts, len(gx))
+    k = min(cfg.restarts, len(gx) + 4)
     c = np.empty((15, n))
-    start = np.empty((n, k), dtype=np.intp)
+    start = np.empty((3, n, k))
     f = np.empty((n, k))
-    size = _chunk_size(len(gx))
+    size = _chunk_size(len(gx) + 4)
     for lo in range(0, n, size):
         part = slice(lo, lo + size)
         c[:, part] = _fano(rhos[part])
-        grid = _conditional_entropy(c[:, part, None], gx, gy, gz)
-        start[part] = np.argpartition(grid, k - 1, axis=1)[:, :k]
-        f[part] = np.take_along_axis(grid, start[part], axis=1)
+        cand = [
+            np.concatenate([np.broadcast_to(g, (len(o), len(g))), o], axis=1)
+            for g, o in zip((gx, gy, gz), _state_directions(c[:, part]))
+        ]
+        scan = _conditional_entropy(c[:, part, None], *cand)
+        best = np.argpartition(scan, k - 1, axis=1)[:, :k]
+        f[part] = np.take_along_axis(scan, best, axis=1)
+        for axis, v in zip(start, cand):
+            axis[part] = np.take_along_axis(v, best, axis=1)
 
-    start, f = start.ravel(), f.ravel()
+    f = f.ravel()
     owner = np.repeat(np.arange(n), k)
-    sx, sy, sz = gx[start], gy[start], gz[start]
+    sx, sy, sz = (axis.ravel() for axis in start)
     pol, azi = np.arctan2(np.hypot(sx, sy), sz), np.arctan2(sy, sx)
     converged = np.empty(n * k, dtype=bool)
+    h0 = min(spacing / 2, _H_START)
     size = _chunk_size(len(_STENCIL_X) * k) * k
     for lo in range(0, n * k, size):
         part = slice(lo, lo + size)
         converged[part] = _refine(
-            c[:, owner[part]], pol[part], azi[part], f[part], spacing / 2, cfg
+            c[:, owner[part]], pol[part], azi[part], f[part], h0, cfg
         )
 
     win = np.argmin(f.reshape(n, k), axis=1) + np.arange(n) * k
@@ -470,9 +503,12 @@ def concurrence(rho):
 
 
 def eof_from_concurrence(c):
-    """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2) in bits."""
-    c = min(max(float(c), 0.0), 1.0)
-    return binary_entropy((1 + np.sqrt(max(0.0, 1 - c * c))) / 2)
+    """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2) in bits, with C
+    clipped to [0, 1], elementwise: a float for a scalar C, an array for an
+    array."""
+    c = np.clip(np.asarray(c, dtype=float), 0.0, 1.0)
+    x = (1 + np.sqrt(1 - c * c)) / 2
+    return _float_or_array(-_xlog2(x) - _xlog2(1 - x))
 
 
 def eof(rho):
@@ -527,18 +563,21 @@ def discord_batch(rhos, cfg=DEFAULT_OPT):
         raise NotHermitian(f"matrix is not Hermitian (deviation {d:.3e})", d)
     c, values, thetas, phis = _classical_correlation(rhos, cfg)
     mis, concs, sls = _record_measures(rhos, c)
+    eofs = eof_from_concurrence(concs)
     return [
         CorrelationRecord(
             mutual_info=float(mi),
             classical_corr=float(cc),
             discord=float(np.clip(mi - cc, -1e-9, 2.0)),
             concurrence=float(conc),
-            eof=eof_from_concurrence(conc),
+            eof=float(e),
             linear_entropy=float(sl),
             theta_opt=float(theta),
             phi_opt=float(phi),
         )
-        for mi, cc, conc, sl, theta, phi in zip(mis, values, concs, sls, thetas, phis)
+        for mi, cc, conc, e, sl, theta, phi in zip(
+            mis, values, concs, eofs, sls, thetas, phis
+        )
     ]
 
 

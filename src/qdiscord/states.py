@@ -50,12 +50,17 @@ def hermiticity_deviation(m):
 def validate_state(raw):
     """Check that `raw` is a valid two-qubit density matrix.
 
-    Returns a complex 4x4 copy, or raises NotHermitian / TraceNotOne /
-    NotPositive carrying the measured deviation.
+    Returns a complex 4x4 copy, or raises StateError for a wrong shape or a
+    NaN/Inf entry, or NotHermitian / TraceNotOne / NotPositive carrying the
+    measured deviation.
     """
     m = np.asarray(raw, dtype=complex)
     if m.shape != (4, 4):
         raise StateError(f"expected a 4x4 matrix, got shape {m.shape}")
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        i, j = bad[0]
+        raise StateError(f"entry ({i}, {j}) is not finite: {m[i, j]}")
     dev = hermiticity_deviation(m)
     if dev > HERM_TOL:
         raise NotHermitian(f"matrix is not Hermitian (deviation {dev:.3e})", dev)

@@ -54,6 +54,26 @@ class TestPoint:
         assert code == 2
         assert "trace" in err.lower()
 
+    @pytest.mark.parametrize(
+        "i,j,part,value",
+        [
+            (0, 1, 0, float("nan")),
+            (0, 0, 1, float("nan")),
+            (1, 1, 1, float("nan")),
+            (2, 3, 0, float("inf")),
+        ],
+        ids=["nan-offdiagonal", "nan-im-rho00", "nan-im-rho11", "inf-offdiagonal"],
+    )
+    def test_state_file_non_finite_exit_2(self, capsys, tmp_path, i, j, part, value):
+        rows = [[[0.25 if r == c else 0.0, 0.0] for c in range(4)] for r in range(4)]
+        rows[i][j][part] = value
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps({"rho": rows}))  # writes NaN/Infinity tokens
+        code, out, err = run(capsys, "point", "--in", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"validation error: entry ({i}, {j}) is not finite" in err
+
     def test_state_file_pimple(self, capsys, tmp_path):
         path = tmp_path / "pimple.json"
         write_state_file(make_family(Family("twoparam", 1 / 3, 0.0)), path)

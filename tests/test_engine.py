@@ -1,7 +1,7 @@
 """The batched discord engine: independence of batch and chunk size, an
 independent optimizer oracle on degenerate and near-tie landscapes, the
-default search budget against a far larger one, config validation, and the
-non-convergence contract."""
+default search budget against far larger ones, the start directions read
+off the state, config validation, and the non-convergence contract."""
 import numpy as np
 import pytest
 from conftest import PAULI, bell_diagonal_cc_oracle, random_unitary
@@ -102,6 +102,82 @@ def near_tie_bell_diagonal(count, rotate):
     return out
 
 
+def x_states(rng, count, rotate):
+    """Random X states (populations and the two coherences), optionally under
+    a random local unitary."""
+    out = []
+    for _ in range(count):
+        p = rng.dirichlet(np.ones(4))
+        rho = np.diag(p).astype(complex)
+        for (i, j), bound in (((0, 3), p[0] * p[3]), ((1, 2), p[1] * p[2])):
+            z = np.sqrt(bound) * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+            rho[i, j], rho[j, i] = z, np.conj(z)
+        if rotate:
+            u = np.kron(random_unitary(rng), random_unitary(rng))
+            rho = u @ rho @ u.conj().T
+        out.append(rho)
+    return out
+
+
+def ginibre_states(rng, count, rank):
+    """G G^dagger / Tr for a complex Gaussian 4 x rank matrix G."""
+    out = []
+    for _ in range(count):
+        g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+        rho = g @ g.conj().T
+        out.append(rho / np.trace(rho).real)
+    return out
+
+
+def near_pure_mixtures(rng, count):
+    """(1 - eps) |psi><psi| + eps sigma with eps = 10^U(-8, -0.5), psi a
+    random pure state and sigma a full-rank Ginibre state. The landscape is
+    flat at eps = 0 and shaped by sigma, so it can hold several shallow
+    basins that no direction read off the state points to."""
+    psis = ginibre_states(rng, count, 1)
+    noise = ginibre_states(rng, count, 4)
+    eps = 10 ** rng.uniform(-8, -0.5, count)
+    return [(1 - e) * p + e * n for e, p, n in zip(eps, psis, noise)]
+
+
+def near_tie_with_local_vectors(rng, count):
+    """Bell-diagonal correlations whose two largest |c_i| differ by up to
+    1e-3 relative, plus local Bloch vectors r, s of length up to 0.3, half of
+    them under a random local unitary."""
+    out = []
+    while len(out) < count:
+        big = rng.uniform(0.05, 0.95)
+        mags = [big, big * (1 - rng.uniform(0, 1e-3)), rng.uniform(0, big)]
+        c = rng.permutation(mags) * rng.choice([-1.0, 1.0], size=3)
+        r, s = (
+            v * rng.uniform(0, 0.3) / np.linalg.norm(v) for v in rng.normal(size=(2, 3))
+        )
+        rho = np.eye(4, dtype=complex)
+        for ci, ri, si, p in zip(c, r, s, PAULI.values()):
+            rho += ci * np.kron(p, p)
+            rho += ri * np.kron(p, np.eye(2)) + si * np.kron(np.eye(2), p)
+        rho /= 4
+        if np.linalg.eigvalsh(rho)[0] < 0:
+            continue
+        if rng.uniform() < 0.5:
+            u = np.kron(random_unitary(rng), random_unitary(rng))
+            rho = u @ rho @ u.conj().T
+        out.append(rho)
+    return out
+
+
+def degenerate_states(rng):
+    """I/4 (T = 0, s = 0), Werner states (T proportional to I, s = 0) and
+    random product pure states (T of rank 1)."""
+    out = [np.eye(4, dtype=complex) / 4]
+    out += [make_family(Family("werner", xi)) for xi in np.linspace(-1 / 3, 1, 9)]
+    for _ in range(20):
+        v = np.kron(*(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))))
+        v /= np.linalg.norm(v)
+        out.append(np.outer(v, v.conj()))
+    return out
+
+
 class TestBatchIndependence:
     @pytest.mark.parametrize("chunk", [1, 7, None])
     def test_csv_bytes_do_not_depend_on_chunk_size(self, monkeypatch, chunk):
@@ -168,6 +244,88 @@ class TestDefaultBudget:
             rhos, OptimizerConfig(grid_theta=90, grid_phi=180, restarts=8)
         )
         assert np.max(np.abs(values - wide)) <= 1e-11
+
+
+def bloch_rotation(u):
+    """R_ij = Tr(sigma_i u sigma_j u^dagger) / 2: the rotation of Bloch
+    vectors that the qubit unitary u makes."""
+    p = list(PAULI.values())
+    return np.array(
+        [[0.5 * np.trace(a @ u @ b @ u.conj().T).real for b in p] for a in p]
+    )
+
+
+class TestStateDirections:
+    def test_singular_vectors_of_t_and_direction_of_s(self):
+        # T = R_A diag(c) R_B^T and s = R_B s0 after the local unitary, so
+        # the right singular vectors of T are the columns of R_B
+        rng = np.random.default_rng(5)
+        c, s0 = np.array([0.5, -0.3, 0.1]), np.array([0.0, 0.1, 0.2])
+        rho = np.eye(4, dtype=complex)
+        for ci, si, p in zip(c, s0, PAULI.values()):
+            rho += ci * np.kron(p, p) + si * np.kron(np.eye(2), p)
+        ub = random_unitary(rng)
+        u = np.kron(random_unitary(rng), ub)
+        rho = u @ (rho / 4) @ u.conj().T
+        nx, ny, nz = measures._state_directions(measures._fano(rho[None]))
+        dirs = np.stack([nx[0], ny[0], nz[0]], axis=1)
+        rb = bloch_rotation(ub)
+        overlap = np.abs(dirs[:3] @ rb)
+        assert np.allclose(np.sort(overlap, axis=1)[:, -1], 1.0, atol=1e-12)
+        assert np.allclose(np.sort(overlap, axis=0)[-1], 1.0, atol=1e-12)
+        assert np.allclose(dirs[3], rb @ s0 / np.linalg.norm(s0), atol=1e-12)
+
+    def test_s_zero_falls_back_to_the_z_axis(self):
+        nx, ny, nz = measures._state_directions(measures._fano((np.eye(4) / 4)[None]))
+        assert (nx[0, 3], ny[0, 3], nz[0, 3]) == (0.0, 0.0, 1.0)
+
+
+DENSE = OptimizerConfig(grid_theta=120, grid_phi=240, restarts=8)
+STATE_SETS = {
+    "x": (41, lambda rng: x_states(rng, 100, rotate=False)),
+    "x-rotated": (42, lambda rng: x_states(rng, 100, rotate=True)),
+    "rank-1": (43, lambda rng: ginibre_states(rng, 100, 1)),
+    "rank-2": (44, lambda rng: ginibre_states(rng, 100, 2)),
+    "rank-3": (45, lambda rng: ginibre_states(rng, 100, 3)),
+    "near-pure": (46, lambda rng: near_pure_mixtures(rng, 200)),
+    "near-tie-local": (47, lambda rng: near_tie_with_local_vectors(rng, 100)),
+    "degenerate": (48, degenerate_states),
+}
+
+
+class TestDenseOracle:
+    """The default start set (a small grid plus T's singular vectors and s)
+    against a 120 x 240 grid with 8 starts."""
+
+    @pytest.mark.parametrize("name", list(STATE_SETS))
+    def test_default_matches_dense_search(self, name):
+        seed, make = STATE_SETS[name]
+        rhos = make(np.random.default_rng(seed))
+        values, _, _ = classical_correlation_batch(rhos)
+        dense, _, _ = classical_correlation_batch(rhos, DENSE)
+        assert np.max(np.abs(values - dense)) <= 1e-12
+
+    def test_shallow_near_pure_landscape(self):
+        # found by a hill climb on the deficit against DENSE: a refinement
+        # that took a flat 1.8e-5 stencil for convergence stopped 4.2e-12 short
+        upper = {
+            (0, 0): 0.09285962757091573,
+            (0, 1): -0.013830236771385226 - 0.0695390902638127j,
+            (0, 2): -0.12019913382467542 + 0.03334208918492299j,
+            (0, 3): -0.24698921430547868 + 0.051375694856430745j,
+            (1, 1): 0.05415350217728721,
+            (1, 2): -0.007060946419348555 - 0.09497915017611962j,
+            (1, 3): -0.001668529769917477 - 0.1926043073399476j,
+            (2, 2): 0.16756433334868595,
+            (2, 3): 0.33815884195104584 + 0.022184544990165728j,
+            (3, 3): 0.6854225369031112,
+        }
+        rho = np.zeros((4, 4), dtype=complex)
+        for (i, j), v in upper.items():
+            rho[i, j], rho[j, i] = v, np.conj(v)
+        value, _, _ = classical_correlation(rho)
+        dense, _, _ = classical_correlation(rho, DENSE)
+        assert abs(value - dense) <= 1e-12
 
 
 class TestOptimizerConfig:

@@ -216,6 +216,15 @@ class TestEof:
         # h((1 + sqrt(0.75))/2) to 40 digits: 0.3545789026652698842...
         assert eof_from_concurrence(0.5) == pytest.approx(0.3545789026652699, abs=1e-12)
 
+    def test_array_matches_scalar_bit_for_bit(self, rng):
+        cs = np.concatenate([[0.0, 1.0, -0.5, 1.5, 1e-300], rng.uniform(0, 1, 500)])
+        values = eof_from_concurrence(cs)
+        assert isinstance(values, np.ndarray) and values.shape == cs.shape
+        scalars = [eof_from_concurrence(float(c)) for c in cs]
+        assert all(isinstance(v, float) for v in scalars)
+        assert values.tobytes() == np.array(scalars).tobytes()
+        assert (values[0], values[1]) == (0.0, 1.0)
+
     def test_state_path_matches(self):
         rho = make_family(Family("beta", 0.9))
         assert eof(rho) == pytest.approx(

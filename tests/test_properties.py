@@ -1,0 +1,68 @@
+"""Property tests of the discord engine over generated states: local-unitary
+invariance, 0 <= Q <= I, and batch rows equal to single-state records."""
+import dataclasses
+
+import numpy as np
+from conftest import random_unitary
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qdiscord.measures import discord_batch, discord_numeric
+from qdiscord.states import FAMILY_KINDS, Family, make_family
+
+# derandomized, so tier-1 runs the same examples every time
+SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
+
+
+@st.composite
+def ginibre_states(draw):
+    """G G^dagger / Tr for a complex Gaussian 4 x rank matrix, rank 1 to 4."""
+    rank = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+@st.composite
+def family_states(draw):
+    """A family member, optionally mixed with a Ginibre state."""
+    kind = draw(st.sampled_from(FAMILY_KINDS))
+    u = draw(st.floats(0, 1))
+    if kind == "werner":
+        fam = Family("werner", -1 / 3 + (4 / 3) * u)
+    elif kind == "twoparam":
+        fam = Family("twoparam", u, draw(st.floats(0, 1)) * (2 - 2 * u) - (1 - u))
+    else:
+        fam = Family(kind, u)
+    eps = draw(st.sampled_from([0.0, 1e-6, 1e-3, 0.1]))
+    return (1 - eps) * make_family(fam) + eps * draw(ginibre_states())
+
+
+STATES = st.one_of(ginibre_states(), family_states())
+
+
+@SETTINGS
+@given(rho=STATES, seed=st.integers(0, 2**32 - 1))
+def test_local_unitary_invariance(rho, seed):
+    rng = np.random.default_rng(seed)
+    u = np.kron(random_unitary(rng), random_unitary(rng))
+    a, b = discord_batch([rho, u @ rho @ u.conj().T])
+    assert abs(a.discord - b.discord) <= 1e-10
+    assert abs(a.classical_corr - b.classical_corr) <= 1e-10
+
+
+@SETTINGS
+@given(rho=STATES)
+def test_discord_between_zero_and_mutual_information(rho):
+    rec = discord_numeric(rho)
+    assert -1e-9 <= rec.discord <= rec.mutual_info + 1e-9
+
+
+@SETTINGS
+@given(rhos=st.lists(STATES, min_size=1, max_size=5), pick=st.integers(0, 4))
+def test_batch_row_equals_single_state_record(rhos, pick):
+    i = pick % len(rhos)
+    row = dataclasses.astuple(discord_batch(rhos)[i])
+    single = dataclasses.astuple(discord_numeric(rhos[i]))
+    assert np.array(row).tobytes() == np.array(single).tobytes()

@@ -7,6 +7,7 @@ from qdiscord.states import (
     NotNormalized,
     NotPositive,
     ParamOutOfRange,
+    StateError,
     TraceNotOne,
     binary_entropy,
     linear_entropy,
@@ -52,6 +53,13 @@ class TestValidate:
         with pytest.raises(NotPositive) as exc:
             validate_state(m)
         assert exc.value.deviation == pytest.approx(0.1, abs=1e-12)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.25, np.nan)])
+    def test_non_finite_entry(self, value):
+        m = np.eye(4, dtype=complex) / 4
+        m[3, 3] = value
+        with pytest.raises(StateError, match=r"entry \(3, 3\) is not finite"):
+            validate_state(m)
 
     def test_wrong_shape(self):
         with pytest.raises(ValueError):
