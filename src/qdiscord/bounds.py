@@ -7,10 +7,12 @@ or an array of the same shape, and a scalar call is a batch of one, so an
 element's value does not depend on its batch, bit for bit. The horn
 branches are the alpha, Werner (Luo, PRA 77, 042303 (2008)), pure and beta
 family discords in closed form; the EoF axis is mapped to concurrence by a
-monotone Newton inversion of Wootters' E(C). The S_L <= 8/9 ceiling is the
+Newton inversion of Wootters' E(C). The S_L <= 8/9 ceiling is the
 two-parameter envelope, the largest min{a, q} on the contour
-Tr rho^2 = 1 - 3 S_L / 4: a 129-point scan plus the contour's exact edge
-points, then a zoom of every near-best basin, in memory-bounded chunks.
+Tr rho^2 = 1 - 3 S_L / 4, taken over its candidate points (_contour_max):
+closed forms at the window ends and the edge points, and 1-D Newton solves
+only where a sign test finds the maximum inside, at an interior peak of q
+(S_L in about (0.665, 0.709)) or at the kink a = q (about (0.833, 8/9)).
 verify_bounds evaluates each bound once per batch.
 """
 from __future__ import annotations
@@ -24,7 +26,7 @@ from scipy.optimize import bisect
 from .measures import (
     DEFAULT_OPT,
     CorrelationRecord,
-    _chunk_size,
+    _xlog2,
     alpha_discord,
     beta_discord,
     discord_batch,
@@ -35,7 +37,6 @@ from .measures import (
 from .states import (
     Family,
     ParamOutOfRange,
-    binary_entropy,
     make_family,
     random_state,
     validate_state,
@@ -110,22 +111,29 @@ def _like(out, x):
 
 
 _NEWTON_RTOL = 1e-9  # Newton stops once its step is below this times C
-_E_MIN = 1e-300  # smaller EoF maps to C = 0, since C^2 would underflow
+_E_MIN = 1e-230  # smaller EoF maps to C = 0: the start's C^2 would underflow
 
 
 def eof_to_concurrence(e):
     """Invert E(C) = h((1 + sqrt(1 - C^2))/2) elementwise by Newton's method.
 
-    Wootters' E is convex and increasing on [0, 1], and h(x) >= 4x(1-x)
-    gives E(C) >= C^2, so the start C = sqrt(e) lies right of the root and
-    the iterates fall monotonically onto it. An element stops once its
+    The start C = e^(2/3) is h^-1(y) ~ (1 - sqrt(1 - y^(4/3)))/2 mapped to
+    concurrence. It lies close to the root, but left of it for e below
+    about 0.32. Wootters' E is convex and increasing on [0, 1], and
+    h(x) >= 4x(1-x) gives E(C) >= C^2, so sqrt(e) lies right of the root. A
+    Newton step from left of the root lands right of it; it is capped at
+    sqrt(e), since from far left (small e) the flat tangent overshoots by
+    orders of magnitude. So from the first step on the iterates lie right
+    of the root and fall monotonically onto it. An element stops once its
     step is below _NEWTON_RTOL times C; the next step would be below
-    round-off. With s = sqrt(1 - C^2), p = (1 + s)/2 and q = 1 - p =
-    C^2 / (2 (1 + s)), E ln 2 = -p ln p - q ln q and
+    round-off. With s = sqrt(1 - C^2), p = (1 + s)/2 and
+    q = 1 - p = C^2 / (2 (1 + s)), E ln 2 = -p ln p - q ln q and
     dE/dC ln 2 = C (ln p - ln q) / (2 s). E < _E_MIN maps to 0, E >= 1 to 1.
     """
     ev = np.asarray(e, dtype=float).reshape(-1)
-    c = np.sqrt(np.clip(ev, 0.0, 1.0))
+    e_cl = np.clip(ev, 0.0, 1.0)
+    cap = np.sqrt(e_cl)
+    c = e_cl ** (2 / 3)
     c[ev < _E_MIN] = 0.0
     e_ln = ev * np.log(2)
     act = np.flatnonzero((c > 0) & (c < 1))
@@ -136,8 +144,8 @@ def eof_to_concurrence(e):
         p, q = 0.5 * sp, ca * ca / (2 * sp)
         lp, lq = np.log1p(-q), np.log(q)
         step = (p * lp + q * lq + e_ln[act]) * (2 * s) / (ca * (lq - lp))
-        c[act] = ca - step
-        act = act[step > _NEWTON_RTOL * ca]
+        c[act] = np.minimum(ca - step, cap[act])
+        act = act[np.abs(step) > _NEWTON_RTOL * ca]
     return _like(c, e)
 
 
@@ -211,117 +219,201 @@ def _two_param_purity(a, b):
     return a * a + ((1 - a) ** 2 + b * b) / 2
 
 
-_SCAN_POINTS = 129  # first scan of the feasible a window, edge points aside
-_ZOOM_POINTS = 257  # each zoom of one basin
-_ZOOM_WIDTH = 1e-9  # zooming stops once the bracket is this narrow
+_VALUE_TOL = 1e-12  # a contour solve stops once its value is this close
+# backward difference of the slope, for the curvature of q
+_CURVATURE_OFFSETS = np.array([[1e-7], [0.0]])
+# the peak bracket starts this fraction of the upper arc inside the edge point
+# (see _envelope_two_param)
+_PEAK_START = 1 / 16
+_TINY = 1e-300  # stands in for 0 in atanh(x) / x, whose limit there is 1
 
 
-def _contour_values(c, a, edge=False):
-    """min{a, q} at the abscissae a (rows x points) on the contours
-    Tr rho^2 = 1 - 3 S_L / 4, that is b^2 = (1 - a)(1 + 3 a) - c with
-    c = 3 S_L / 2 (one per row), and -inf off the family.
+def _contour_value(a, b):
+    """min{a, q} at the two-parameter family points (a, b)."""
+    return np.minimum(a, two_param_q(a, b))
 
-    A point is on the family when 0 <= b^2 <= (1 - a)^2 within 1e-15; its
-    b is then clipped to [0, 1 - a], so round-off cannot step past the
-    edge. Points flagged in edge are the contour's edge points and take
-    b = 1 - a exactly: the rounding of their a alone would otherwise leave
-    b off by ~1e-16 / b, and q is steep there (1e-8 low at S_L = 1e-7).
-    q is finite everywhere, so every point is evaluated.
+
+def _contour_slope(a, b, db_sq):
+    """dq/da along a contour b(a) >= 0 of the two-parameter family, in bits,
+    where db_sq = d(b^2)/da.
+
+    Differentiating two_param_q term by term, with u, v = 1 - a -+ b and
+    s = sqrt(a^2 + b^2), the +1 of each xlog derivative cancels and the b
+    terms pair into atanh ratios, which stay finite at b = 0:
+    ln 2 dq/da = ln(2a) - ln(u v)/2 + (db_sq/2) [atanh(b/(1 - a)) - atanh(b)]/b
+    - (a + db_sq/2) atanh(s)/s. It is infinite on the edge u = 0.
     """
     om = 1 - a
-    om_sq = om * om
-    b_sq = om * (1 + 3 * a) - c[:, None]
-    feas = ((b_sq >= -1e-15) & (b_sq <= om_sq + 1e-15)) | edge
-    b = np.where(edge, om, np.minimum(np.sqrt(np.maximum(b_sq, 0.0)), om))
-    return np.where(feas, np.minimum(a, two_param_q(a, b)), -np.inf)
+    bt = np.maximum(b, _TINY)
+    st = np.maximum(np.hypot(a, b), _TINY)
+    half = 0.5 * db_sq
+    ln_dq = (
+        np.log(2 * a)
+        - 0.5 * np.log((om - b) * (om + b))
+        + half * (np.arctanh(bt / om) - np.arctanh(bt)) / bt
+        - (a + half) * np.arctanh(st) / st
+    )
+    return ln_dq / np.log(2)
 
 
-def _grid(lo, hi, num):
-    """np.linspace(lo, hi, num) row by row, written out because np.linspace
-    with array ends changes its arithmetic for every row once one row has
-    lo == hi."""
-    a = np.arange(num) * ((hi - lo) / (num - 1))[:, None] + lo[:, None]
-    a[:, -1] = hi
-    return a
+def _newton_root(evaluate, rows, lo, hi, x):
+    """Roots of a function rising through 0 in the brackets [lo, hi], by a
+    safeguarded Newton iteration elementwise over contours, started at x.
 
-
-def _scan(c, a_lo, a_hi):
-    """First scan of each row's window: the best value and the zoom jobs.
-
-    The window is scanned on _SCAN_POINTS points, joined by the two points
-    where the contour meets the edge |b| = 1 - a, a = (1 +- sqrt(1 - c))/2
-    (repeats of a_hi when c > 1, where it does not). Each local maximum of
-    the scan whose value is within twice the spacing of the row's best
-    becomes a job (row, bracket between its neighbours). An edge point is
-    exact and is never zoomed.
+    evaluate(x, rows) returns (f, df, err) at one abscissa on each of the
+    contours indexed by rows: f, its derivative, and the value error of the
+    contour candidate at x. Each step narrows the bracket by the sign of f
+    and takes the Newton step, or bisects where that step leaves the
+    bracket. A contour stops at the first x with err <= _VALUE_TOL, or once
+    its bracket is down to adjacent doubles. Returns the last evaluated x
+    of every contour and f there.
     """
-    meets = c <= 1
-    w = np.sqrt(np.maximum(1 - c, 0.0))
-    ends = np.where(meets, [(1 - w) / 2, (1 + w) / 2], a_hi).T
-    a = np.concatenate([_grid(a_lo, a_hi, _SCAN_POINTS), ends], axis=1)
-    order = np.argsort(a, axis=1, kind="stable")
-    a = np.take_along_axis(a, order, axis=1)
-    edge = (order >= _SCAN_POINTS) & meets[:, None]
-    val = _contour_values(c, a, edge)
-    best = val.max(axis=1)
-    peak = np.ones(a.shape, dtype=bool)
-    peak[:, 1:] = val[:, 1:] > val[:, :-1]
-    peak[:, :-1] &= val[:, :-1] >= val[:, 1:]
-    spacing = (a_hi - a_lo) / (_SCAN_POINTS - 1)
-    peak &= ~edge & (val >= (best - 2 * spacing)[:, None])
-    rows, i = np.nonzero(peak)
-    last = a.shape[1] - 1
-    return best, rows, a[rows, np.maximum(i - 1, 0)], a[rows, np.minimum(i + 1, last)]
+    f_end = np.empty_like(x)
+    act = np.arange(len(x))
+    while act.size:
+        xa = x[act]
+        f, df, err = evaluate(xa, rows[act])
+        f_end[act] = f
+        left = f < 0
+        lo[act] = l = np.where(left, xa, lo[act])
+        hi[act] = h = np.where(left, hi[act], xa)
+        step = xa - f / df
+        step = np.where((step > l) & (step < h), step, 0.5 * (l + h))
+        go = (err > _VALUE_TOL) & (step != xa)
+        x[act] = np.where(go, step, xa)
+        act = act[go]
+    return x, f_end
+
+
+def _contour_max(contour, points, peak, kink):
+    """Largest min{a, q} on each of a batch of contours b(a) of the
+    two-parameter family, over its candidate points.
+
+    contour(a, rows) returns (b, d(b^2)/da) at abscissae a on the contours
+    indexed by rows (along the last axis of a), with 0 <= b <= 1 - a.
+    Arrays hold one entry per contour along their last axis. The
+    candidates are:
+    - points, a pair (a, b) of (k, contours) arrays: closed-form points such
+      as the window ends and the points where the contour meets the edge
+      |b| = 1 - a, with b given exactly; NaN points are skipped;
+    - the interior maximum of q in the bracket peak = (lo, hi), solved only
+      on contours where q rises along the contour at lo and falls at hi;
+    - the kink a = q in the bracket kink = (lo, hi), on which a - q rises
+      through 0. Since min{a, q} <= a, a kink beats the best other
+      candidate only at a > best, so it is solved only on contours where
+      a - q < 0 at max(best, lo) and > 0 at hi.
+    Each bracket must hold at most one such root. Each solve is a
+    _newton_root from the secant point of its bracket, with the slope of q
+    from _contour_slope and its curvature from a backward difference of
+    that slope; it stops once the value error is below _VALUE_TOL. Every
+    candidate is a point of the family, so the maximum never lies above
+    the true one. Every operation is elementwise over contours, so a value
+    does not depend on its batch. Call it under
+    np.errstate(divide="ignore", invalid="ignore"): the slope is infinite on
+    the edge, and NaN points and Newton steps off the bracket are expected.
+    """
+    best = np.fmax.reduce(_contour_value(*points))
+
+    def slope(a, rows):
+        return _contour_slope(a, *contour(a, rows))
+
+    def peak_step(x, rows):
+        s = slope(x - _CURVATURE_OFFSETS, rows)
+        curv = (s[1] - s[0]) / _CURVATURE_OFFSETS[0]
+        # q is concave at its maximum: within s^2 / (2 |curv|) of it
+        err = np.where(curv < 0, -0.5 * s[1] ** 2 / curv, np.inf)
+        return -s[1], -curv, err
+
+    def kink_step(x, rows):
+        b, db_sq = contour(x, rows)
+        d = x - two_param_q(x, b)
+        s = _contour_slope(x, b, db_sq)
+        # the kink is a Newton step |d / (1 - s)| away, and the value
+        # min{a, q} changes with slope 1 left of it and s right of it
+        return d, 1 - s, np.abs(d / (1 - s)) * np.maximum(1, np.abs(s))
+
+    def start(f, lo, hi):  # the secant point of the bracket
+        return lo - f[0] * (hi - lo) / (f[1] - f[0])
+
+    s = slope(np.array(peak), slice(None))
+    sel = (s[0] > 0) & (s[1] < 0)
+    if sel.any():
+        rows = np.flatnonzero(sel)
+        lo, hi = peak[0][rows], peak[1][rows]
+        x = _newton_root(peak_step, rows, lo, hi, start(-s[:, sel], lo, hi))[0]
+        best[rows] = np.maximum(best[rows], _contour_value(x, contour(x, rows)[0]))
+
+    lo = np.maximum(best, kink[0])
+    sel = lo < kink[1]
+    if sel.any():
+        rows = np.flatnonzero(sel)
+        ends = np.array([lo[rows], kink[1][rows]])
+        d = ends - two_param_q(ends, contour(ends, rows)[0])
+        sel = (d[0] < 0) & (d[1] > 0)
+        if sel.any():
+            rows = rows[sel]
+            lo, hi = lo[rows], kink[1][rows]
+            x, d = _newton_root(kink_step, rows, lo, hi, start(d[:, sel], lo, hi))
+            best[rows] = np.maximum(best[rows], x - np.maximum(d, 0.0))
+    return best
 
 
 def _envelope_two_param(sl):
     """Max over the two-parameter family of min{a, q} at fixed linear
     entropy, elementwise over a float or an array.
 
-    The constraint Tr rho^2 = T = 1 - 3 sl / 4 defines a contour b(a) >= 0
-    (the family discord is even in b) over the window a_lo <= a <= a_hi.
-    For sl <= 2/3 the contour meets the edge |b| = 1 - a, and the maximum
-    is often there, so the edge points are scanned exactly. Each basin that
-    the first scan finds (see _scan) is zoomed on _ZOOM_POINTS points
-    around its best point until the bracket is narrower than _ZOOM_WIDTH;
-    every near-best basin is zoomed, not only the best, because two basins
-    can nearly tie (the a = q kink and the b = 0 end near sl = 0.8326).
-    Each step handles at most measures._CHUNK_ELEMENTS points at once, and
-    every operation is elementwise over rows, so a value does not depend on
-    its batch.
+    The constraint Tr rho^2 = 1 - 3 sl / 4 is the ellipse
+    3 (a - 1/3)^2 + b^2 = 4/3 - c with c = 3 sl / 2, that is
+    b^2 = (1 - a)(1 + 3 a) - c on the window a_lo <= a <= a_hi (the family
+    discord is even in b, so b >= 0). Its top a = 1/3 splits it into an
+    upper and a lower arc. The candidates (see _contour_max) are:
+    - the window ends; the b = 0 end a_hi is the maximum for sl in about
+      (0.709, 0.833);
+    - for c <= 1, the points a = (1 +- sqrt(1 - c))/2 where the contour
+      meets the edge |b| = 1 - a; the upper one is the maximum for
+      sl <= about 0.665;
+    - the interior maximum of q on the upper arc, bracketed by a_hi and
+      the top (c > 1) or a point _PEAK_START of the upper arc inside the
+      edge point (c <= 1). It is the maximum for sl in about
+      (0.665, 0.709). Near the edge q has a u log u term (u = 1 - a - |b|),
+      so q falls steeply from the edge point into a thin layer with a
+      minimum before it can rise to that peak; the bracket starts past
+      that layer (measured, as fractions of a_hi - a_edge: the layer's
+      minimum lies within 1.8 % of the edge point and the peak 10 % or
+      more from it, wherever the peak is the largest candidate);
+    - the kink a = q on the lower arc, bracketed by a_lo and the top (or
+      the lower edge point, if lower), the maximum for sl in about
+      (0.833, 8/9).
+    Those sl ranges are measured, not used: each solve runs where a sign
+    test at its bracket ends finds a root.
     """
     x = np.asarray(sl, dtype=float).reshape(-1)
     c = 1.5 * x
     rad = 4 - 3 * c
-    if np.any(rad < -1e-12):
+    if (rad < -1e-12).any():
         raise ValueError(f"linear entropy {x.max()} exceeds the family maximum 8/9")
     root = np.sqrt(np.maximum(rad, 0.0))
     a_lo = np.maximum(0.0, (1 - root) / 3)
     a_hi = np.minimum(1.0, (1 + root) / 3)
-    best = np.empty_like(x)
-    jobs = []
-    size = _chunk_size(_SCAN_POINTS + 2)
-    for start in range(0, len(x), size):
-        part = slice(start, start + size)
-        best[part], rows, lo, hi = _scan(c[part], a_lo[part], a_hi[part])
-        jobs.append((rows + start, lo, hi))
-    rows, lo, hi = (np.concatenate(j) for j in zip(*jobs))
-    size = _chunk_size(_ZOOM_POINTS)
-    act = np.flatnonzero(hi - lo > _ZOOM_WIDTH)
-    while act.size:
-        for start in range(0, act.size, size):
-            job = act[start : start + size]
-            r = rows[job]
-            a = _grid(lo[job], hi[job], _ZOOM_POINTS)
-            val = _contour_values(c[r], a)
-            k, i = np.arange(len(job)), np.argmax(val, axis=1)
-            np.maximum.at(best, r, val[k, i])
-            a_new = a[k, i]
-            step = (hi[job] - lo[job]) / (_ZOOM_POINTS - 1)
-            lo[job] = np.maximum(a_lo[r], a_new - step)
-            hi[job] = np.minimum(a_hi[r], a_new + step)
-        act = act[hi[act] - lo[act] > _ZOOM_WIDTH]
-    return _like(best, sl)
+    top = 1 / 3
+
+    def contour(a, rows):
+        om = 1 - a
+        b = np.minimum(np.sqrt(np.maximum(om * (1 + 3 * a) - c[rows], 0.0)), om)
+        return b, 2 - 6 * a
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # w, and with it the edge points, is NaN where the contour does not
+        # meet the edge (c > 1); b(a_lo) is w for c <= 1 (a_lo = 0), else 0
+        w = np.sqrt(1 - c)
+        e_lo, e_hi = (1 - w) / 2, (1 + w) / 2
+        points = (
+            np.array([a_hi, a_lo, e_lo, e_hi]),
+            np.array([0 * x, np.fmax(w, 0.0), 1 - e_lo, 1 - e_hi]),
+        )
+        peak = (np.fmax(e_hi + _PEAK_START * (a_hi - e_hi), top), a_hi)
+        kink = (a_lo, np.fmin(e_lo, top))
+        return _like(_contour_max(contour, points, peak, kink), sl)
 
 
 def entropy_upper(sl):
@@ -356,7 +448,8 @@ _SWEEP_RANGES = {
 
 def sweep_family(kind, plane, resolution=512):
     """Trace one family's curve in the requested plane, with the family's
-    closed-form discord. Points are ordered with x increasing.
+    closed-form discord evaluated once on the whole parameter array. Points
+    are ordered with x increasing.
     """
     if resolution < 2:
         raise ParamOutOfRange("resolution must be >= 2")
@@ -364,38 +457,25 @@ def sweep_family(kind, plane, resolution=512):
     if key not in _SWEEP_RANGES:
         raise ParamOutOfRange(f"no sweep defined for family {kind!r} in {plane}")
     p0, p1 = _SWEEP_RANGES[key]
-    params = np.linspace(p0, p1, resolution)
-    xs, ys = [], []
-    for p in params:
-        if kind == "alpha":
-            q, _ = alpha_discord(p)
-            x = eof_from_concurrence(max(0.0, 2 * p - 1))
-        elif kind == "beta":
-            q = beta_discord(p)
-            x = eof_from_concurrence(abs(2 * p - 1))
-        elif kind == "pure":
-            q = binary_entropy(p)
-            x = q
-        elif kind == "werner":
-            q = werner_discord(p)
-            if plane == "eof-q":
-                x = eof_from_concurrence(max(0.0, (3 * p - 1) / 2))
-            else:
-                x = 1 - p * p
-        elif kind == "twoparam":
-            q = float(min(p, two_param_q(p, 0.0)))
-            x = (4 / 3) * (1 - _two_param_purity(p, 0.0))
+    p = np.linspace(p0, p1, resolution)
+    if kind == "alpha":
+        ys = alpha_discord(p)[0]
+        xs = eof_from_concurrence(np.maximum(0.0, 2 * p - 1))
+    elif kind == "beta":
+        ys = beta_discord(p)
+        xs = eof_from_concurrence(np.abs(2 * p - 1))
+    elif kind == "pure":
+        ys = xs = -_xlog2(p) - _xlog2(1 - p)  # h(p)
+    elif kind == "werner":
+        ys = werner_discord(p)
+        if plane == "eof-q":
+            xs = eof_from_concurrence(np.maximum(0.0, (3 * p - 1) / 2))
         else:
-            raise ParamOutOfRange(f"unknown family kind {kind!r}")
-        xs.append(float(x))
-        ys.append(float(q))
-    return BoundaryCurve(
-        plane=plane,
-        family_tag=kind,
-        params=params,
-        xs=np.asarray(xs),
-        ys=np.asarray(ys),
-    )
+            xs = 1 - p * p
+    else:  # the b = 0 slice of twoparam
+        ys = np.minimum(p, two_param_q(p, 0.0))
+        xs = (4 / 3) * (1 - _two_param_purity(p, 0.0))
+    return BoundaryCurve(plane=plane, family_tag=kind, params=p, xs=xs, ys=ys)
 
 
 def find_crossover(c1, c2, xtol=1e-6):

@@ -1,7 +1,8 @@
 """Command-line harness: single-state measures, family sweeps, random and
 near-boundary sampling, bound verification, and crossover location.
 
-Exit codes: 0 success, 1 usage error, 2 validation error, 3 I/O error.
+Exit codes: 0 success, 1 usage error, 2 validation error, 3 I/O error,
+4 optimizer not converged.
 """
 from __future__ import annotations
 
@@ -11,13 +12,19 @@ import json
 import sys
 
 from . import bounds, io as qio
-from .measures import DEFAULT_OPT, OptimizerConfig, discord_numeric
+from .measures import (
+    DEFAULT_OPT,
+    OptimizerConfig,
+    OptimizerDidNotConverge,
+    discord_numeric,
+)
 from .states import Family, ParamOutOfRange, StateError, make_family
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_IO = 3
+EXIT_NOT_CONVERGED = 4
 
 
 class UsageError(Exception):
@@ -213,6 +220,10 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OptimizerDidNotConverge as exc:
+        states = ", ".join(str(i) for i in exc.states)
+        print(f"not converged: {exc} (states {states})", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     try:
         _emit(text, path)
     except OSError as exc:

@@ -402,12 +402,23 @@ def classical_correlation_batch(rhos, cfg=DEFAULT_OPT):
     batch or chunk it is in, bit for bit.
 
     Returns float arrays (values, theta_opt, phi_opt) with theta in
-    [0, pi/2] and phi in [0, 2 pi). Raises OptimizerDidNotConverge, after
-    the whole batch has run, if for some state no refinement start
-    converged within cfg.max_iter iterations.
+    [0, pi/2] and phi in [0, 2 pi). Raises StateError if some state has a
+    NaN or Inf entry, and OptimizerDidNotConverge, after the whole batch
+    has run, if for some state no refinement start converged within
+    cfg.max_iter iterations.
     """
-    rhos = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
+    rhos = _state_stack(rhos)
     return _classical_correlation(rhos, cfg)[1:]
+
+
+def _state_stack(rhos):
+    """rhos as a (N, 4, 4) complex stack. Raises StateError if some state
+    has a NaN or Inf entry, which the SVDs and eigensolvers cannot take."""
+    rhos = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
+    if not np.isfinite(rhos).all():
+        bad = np.flatnonzero(~np.isfinite(rhos).all(axis=(1, 2)))[0]
+        raise StateError(f"state {bad} has a non-finite entry")
+    return rhos
 
 
 def _state_directions(c):
@@ -553,9 +564,10 @@ def discord_batch(rhos, cfg=DEFAULT_OPT):
     The classical correlation of every state comes from one
     classical_correlation_batch call and the other measures from
     _record_measures, all elementwise over states. Raises NotHermitian, as
-    the per-state measures do, if some state is not Hermitian.
+    the per-state measures do, if some state is not Hermitian, and
+    StateError if some state has a NaN or Inf entry.
     """
-    rhos = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
+    rhos = _state_stack(rhos)
     dev = np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1)), axis=(1, 2))
     bad = np.flatnonzero(dev > HERM_TOL)
     if bad.size:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from conftest import two_param_q_edge_limit, two_param_q_four_term
 
-from qdiscord import bounds
 from qdiscord.bounds import (
     PIMPLE_SL,
     NoSignChange,
@@ -93,10 +92,23 @@ def reference_envelope(sl):
     return best
 
 
-# the edge point of S_L = 0.6595 and a fine grid over the near tie of the
-# a = q kink and the b = 0 end, where a single-basin scan picks the lower one
+# where the largest candidate changes: edge point -> interior peak of q,
+# peak -> b = 0 end, b = 0 end -> a = q kink, and the 8/9 end of the kink
+BAND_EDGES = (0.66537288, 0.70897141, 0.83261796, PIMPLE_SL)
+# the edge point of S_L = 0.6595, a fine grid over the near tie of the
+# a = q kink and the b = 0 end, dense grids over the two bands where the
+# maximum is solved for (interior peak, kink), and points within 1e-6 of
+# each band edge
 ENVELOPE_SLS = np.concatenate(
-    [np.linspace(0, PIMPLE_SL, 201), [0.6595], np.linspace(0.832, 0.834, 401)]
+    [
+        np.linspace(0, PIMPLE_SL, 201),
+        [0.6595],
+        np.linspace(0.832, 0.834, 401),
+        np.linspace(0.665, 0.7095, 90),
+        np.linspace(0.8326, PIMPLE_SL, 60),
+        [e + d for e in BAND_EDGES for d in (-1e-6, -1e-7, 0.0, 1e-7, 1e-6)
+         if e + d <= PIMPLE_SL],
+    ]
 )
 
 
@@ -461,15 +473,11 @@ class TestElementwiseBounds:
         grid = xs[: len(xs) // 4 * 4].reshape(4, -1)
         assert np.array_equal(fn(grid), batch[: grid.size].reshape(grid.shape))
 
-    def test_envelope_chunks(self, monkeypatch):
-        # more values than one scan chunk and one zoom chunk hold, and more
-        # zoom jobs than values
+    def test_envelope_chunks(self):
+        # a batch that mixes every candidate kind gives the scalar values
         xs = np.concatenate([np.linspace(0, PIMPLE_SL, 45), np.linspace(0.832, 0.834, 81)])
         scalar = [_envelope_two_param(float(x)) for x in xs]
         assert np.array_equal(_envelope_two_param(xs), scalar)
-        for chunk in (1, 7):
-            monkeypatch.setattr(bounds, "_chunk_size", lambda _: chunk)
-            assert np.array_equal(_envelope_two_param(xs), scalar)
 
     def test_newton_is_monotone_from_the_right(self):
         # the start sqrt(e) is never left of the root: E(sqrt(e)) >= e

@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from qdiscord.cli import _optimizer_from, build_parser, main
+from qdiscord import bounds
+from qdiscord.cli import EXIT_NOT_CONVERGED, _optimizer_from, build_parser, main
 from qdiscord.io import CSV_HEADER, write_state_file
-from qdiscord.measures import DEFAULT_OPT
+from qdiscord.measures import DEFAULT_OPT, OptimizerDidNotConverge
 from qdiscord.states import Family, make_family
 
 
@@ -307,3 +308,35 @@ class TestUsage:
         )
         assert code == 3
         assert "i/o error" in err
+
+
+class TestNotConverged:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "--n", "4"),
+            ("near", "--family", "beta", "--n", "4"),
+            ("verify", "--n", "4"),
+            ("verify", "--plane", "sl-q", "--n", "4"),
+        ],
+    )
+    def test_exit_4_names_the_states(self, capsys, monkeypatch, tmp_path, argv):
+        def engine(rhos, cfg):
+            raise OptimizerDidNotConverge("2 state(s) did not converge", [1, 3])
+
+        monkeypatch.setattr(bounds, "discord_batch", engine)
+        dest = tmp_path / "never.csv"
+        code, out, err = run(capsys, *argv, "--out", str(dest))
+        assert code == EXIT_NOT_CONVERGED == 4
+        assert out == ""
+        assert err == "not converged: 2 state(s) did not converge (states 1, 3)\n"
+        assert not dest.exists()
+
+    def test_point_exit_4(self, capsys, monkeypatch):
+        def engine(rho, cfg):
+            raise OptimizerDidNotConverge("1 state(s) did not converge", [0])
+
+        monkeypatch.setattr("qdiscord.cli.discord_numeric", engine)
+        code, _, err = run(capsys, "point", "--family", "alpha", "--param", "0.5")
+        assert code == 4
+        assert "(states 0)" in err

@@ -22,6 +22,7 @@ from qdiscord.states import (
     FAMILY_KINDS,
     Family,
     ParamOutOfRange,
+    StateError,
     make_family,
     random_state,
     validate_state,
@@ -370,3 +371,13 @@ class TestNonConvergence:
         assert err.value.states == [0, 2]
         values, _, _ = classical_correlation_batch(rhos[1:2], OptimizerConfig(max_iter=1))
         assert values[0] == pytest.approx(0.0, abs=1e-15)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("engine", [classical_correlation_batch, discord_batch])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_raises_state_error(self, engine, value):
+        rho = np.eye(4) / 4
+        rho[0, 0] = value
+        with pytest.raises(StateError, match="state 1 has a non-finite entry"):
+            engine([np.eye(4) / 4, rho])

@@ -1,5 +1,6 @@
 """Property tests of the discord engine over generated states: local-unitary
-invariance, 0 <= Q <= I, and batch rows equal to single-state records."""
+invariance, 0 <= Q <= I, Q = EoF on pure states, batch rows equal to
+single-state records, and records independent of how a batch is split."""
 import dataclasses
 
 import numpy as np
@@ -39,6 +40,18 @@ def family_states(draw):
     return (1 - eps) * make_family(fam) + eps * draw(ginibre_states())
 
 
+@st.composite
+def pure_states(draw):
+    """A local-unitary rotation of cos t |00> + sin t |11>, t in [0, pi/4],
+    and the exact EoF of it: the entropy of its Schmidt weights."""
+    t = draw(st.floats(0, np.pi / 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = np.kron(random_unitary(rng), random_unitary(rng)) @ [np.cos(t), 0, 0, np.sin(t)]
+    w = np.array([np.cos(t) ** 2, np.sin(t) ** 2])
+    w = w[w > 0]
+    return np.outer(psi, psi.conj()), float(-np.sum(w * np.log2(w)))
+
+
 STATES = st.one_of(ginibre_states(), family_states())
 
 
@@ -66,3 +79,19 @@ def test_batch_row_equals_single_state_record(rhos, pick):
     row = dataclasses.astuple(discord_batch(rhos)[i])
     single = dataclasses.astuple(discord_numeric(rhos[i]))
     assert np.array(row).tobytes() == np.array(single).tobytes()
+
+
+@SETTINGS
+@given(state=pure_states())
+def test_discord_equals_eof_on_pure_states(state):
+    rho, eof = state
+    assert abs(discord_numeric(rho).discord - eof) <= 1e-9
+
+
+@SETTINGS
+@given(rhos=st.lists(STATES, min_size=2, max_size=6), cut=st.integers(1, 5))
+def test_records_do_not_depend_on_the_batch_split(rhos, cut):
+    cut = min(cut, len(rhos) - 1)
+    whole = [dataclasses.astuple(r) for r in discord_batch(rhos)]
+    parts = discord_batch(rhos[:cut]) + discord_batch(rhos[cut:])
+    assert np.array(whole).tobytes() == np.array([dataclasses.astuple(r) for r in parts]).tobytes()
