@@ -16,11 +16,14 @@ directions read off the state, the right singular vectors of T and s/|s|.
 It refines the best start of every state with a finite-difference Newton
 iteration on the sphere, and goes through a batch in chunks of bounded
 size, with per-state SVDs and elementwise arithmetic only, so a state's
-result does not depend on its batch. classical_correlation and
-discord_numeric are batches of one; apply_measurement and
-conditional_information are the reference the engine is tested against, and
-mutual_information, concurrence and linear_entropy the reference for the
-record measures discord_batch computes per batch.
+result does not depend on its batch. The outcomes, rows, frames and
+candidate points of one evaluation lie on leading axes of a few arrays, so
+numpy's per-call cost is paid per evaluation, not per component, and each
+element still goes through the per-component operations in their order.
+classical_correlation and discord_numeric are batches of one;
+apply_measurement and conditional_information are the reference the engine
+is tested against, and mutual_information, concurrence and linear_entropy
+the reference for the record measures discord_batch computes per batch.
 """
 from __future__ import annotations
 
@@ -199,19 +202,29 @@ _PAULI_COLS = np.array([np.argmax(np.abs(p), axis=1) for p in _PRODUCTS])
 _PAULI_VALS = np.array(
     [p[np.arange(4), c] for p, c in zip(_PRODUCTS, _PAULI_COLS)], dtype=complex
 )
-# product index 4 i + j of sigma_i x sigma_j: r, then s, then T row by row
-_FANO_ORDER = [4, 8, 12, 1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15]
+# product index 4 i + j of sigma_i x sigma_j, with A's index i in the order
+# x, y, z, 0 and B's index j in the order 0, x, y, z (see _fano)
+_FANO_ORDER = np.roll(np.arange(16), -4)
+# the 15 coefficients other than the constant, as flat indices into the 4 x 4
+# layout, in the order r, s, T: Tr rho^2 sums their squares in this order
+_PURITY_ORDER = [0, 4, 8, 13, 14, 15, 1, 2, 3, 5, 6, 7, 9, 10, 11]
 
 
 def _fano(rhos):
-    """Halved Fano coefficients of a stack of states, shape (15, N).
+    """Halved Fano coefficients of a stack of states, shape (4, 4, N).
 
-    rho = (I + r.sigma x I + I x s.sigma + sum_ij T_ij sigma_i x sigma_j) / 4;
-    rows 0-2 hold r/2, rows 3-5 s/2 and rows 6-14 T/2 row by row.
+    rho = (I + r.sigma x I + I x s.sigma + sum_ij T_ij sigma_i x sigma_j) / 4.
+    c[i, j] = Tr(rho sigma_i x sigma_j) / 2, with A's index i in the order
+    x, y, z, 0 and B's index j in the order 0, x, y, z: c[:3, 0] = r/2,
+    c[:3, 1:] = T/2, c[3, 1:] = s/2 and c[3, 0] = 1/2 exactly. Outcome +-n
+    of measuring B along n then has (u, p) = c[:, 0] +- c[:, 1:] n (see
+    _conditional_entropy).
     """
     t = rhos[:, _PAULI_COLS, np.arange(4)] * _PAULI_VALS
     tr = (t[..., 0] + t[..., 1] + t[..., 2] + t[..., 3]).real
-    return np.ascontiguousarray(0.5 * tr[:, _FANO_ORDER].T)
+    c = (0.5 * tr[:, _FANO_ORDER]).T.reshape(4, 4, len(rhos))
+    c[3, 0] = 0.5
+    return c
 
 
 def _xlog2(x):
@@ -221,32 +234,56 @@ def _xlog2(x):
     return x * np.log2(np.maximum(x, 1e-300))
 
 
-def _conditional_entropy(c, nx, ny, nz):
+def _conditional_entropy(c, n):
     """S(A|Pi_n) = sum_k p_k S(rho_A|k) for the projective measurement of B
-    along the unit Bloch vector n, elementwise over the broadcast of the
-    halved Fano coefficients c (see _fano) against the direction arrays.
+    along the unit Bloch vectors n = (nx, ny, nz) (leading axis), elementwise
+    over the broadcast of the halved Fano coefficients c (see _fano) against
+    n's trailing shape.
 
     Outcome +-n occurs with p = 1/2 +- (s/2).n and leaves A in the
     unnormalized state (p I + u.sigma)/2 with u = r/2 +- (T/2) n, whose
     eigenvalues (p +- |u|)/2 give p S(rho_A|k) = xlog(p) - sum xlog(eig).
+    The rows (T n, s.n) and the two outcomes lie on leading axes, so the
+    objective takes 24 array operations whatever its shape. Every element
+    goes through the operations of the per-component form in the same
+    order, so the values are the same to the bit. An outcome with p <= 0
+    contributes 0 and one with p below P_FLOOR at most p bits; the
+    reference conditional_information drops both.
     """
-    sn = c[3] * nx + c[4] * ny + c[5] * nz
-    tx = c[6] * nx + c[7] * ny + c[8] * nz
-    ty = c[9] * nx + c[10] * ny + c[11] * nz
-    tz = c[12] * nx + c[13] * ny + c[14] * nz
-    out = 0.0
-    for p, ux, uy, uz in (
-        (0.5 + sn, c[0] + tx, c[1] + ty, c[2] + tz),
-        (0.5 - sn, c[0] - tx, c[1] - ty, c[2] - tz),
-    ):
-        w = np.sqrt(ux * ux + uy * uy + uz * uz)
-        out = out + _xlog2(p) - _xlog2(0.5 * (p + w)) - _xlog2(0.5 * (p - w))
+    m = c[:, 1:]
+    rows = m[:, 0] * n[0]  # each row as ((c_x nx + c_y ny) + c_z nz)
+    rows += m[:, 1] * n[1]
+    rows += m[:, 2] * n[2]
+    # b[:, k] for outcome k: u (3 rows), p, then (p + |u|)/2 and (p - |u|)/2
+    b = np.empty((6, 2) + rows.shape[1:])
+    np.add(c[:, 0], rows, out=b[:4, 0])
+    np.subtract(c[:, 0], rows, out=b[:4, 1])
+    sq = b[:3] * b[:3]
+    w = sq[0] + sq[1]
+    w += sq[2]
+    np.sqrt(w, out=w)
+    np.add(b[3], w, out=b[4])
+    np.subtract(b[3], w, out=b[5])
+    e = b[4:]
+    e *= 0.5
+    x = np.maximum(b[3:], 0.0, out=b[3:])  # xlog2 of (p, eig+, eig-) at once
+    lg = np.maximum(x, 1e-300)
+    np.log2(lg, out=lg)
+    lg *= x
+    # the running sum 0 + xlog(p) - xlog(eig+) - xlog(eig-) over the outcomes
+    out = lg[0, 0] + 0.0
+    out -= lg[1, 0]
+    out -= lg[2, 0]
+    out += lg[0, 1]
+    out -= lg[1, 1]
+    out -= lg[2, 1]
     return out
 
 
 def _entropy_a(c):
-    """S(rho_A) from the halved Bloch vector r/2 of A."""
-    w = np.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
+    """S(rho_A) from the halved Bloch vector r/2 = c[:3, 0] of A."""
+    r = c[:3, 0]
+    w = np.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
     return -_xlog2(0.5 + w) - _xlog2(0.5 - w)
 
 
@@ -259,32 +296,44 @@ def _direction_grid(grid_theta, grid_phi):
     sin 2theta sin phi, cos 2theta). Since n and -n define the same
     measurement (f(theta, phi) = f(pi/2 - theta, phi + pi)), only the half
     phi < pi is kept, and the two poles enter once. Returns the read-only
-    arrays (nx, ny, nz) and the grid spacing as an arc on the Bloch sphere.
+    (3, G) array of the directions and the grid spacing as an arc on the
+    Bloch sphere.
     """
     pol = 2 * np.linspace(0.0, np.pi / 2, grid_theta)[1:-1]
     azi = np.linspace(0.0, np.pi, -(-grid_phi // 2), endpoint=False)
     pp, aa = np.meshgrid(pol, azi, indexing="ij")
     pp = np.concatenate([[0.0], pp.ravel()])
     aa = np.concatenate([[0.0], aa.ravel()])
-    n = (np.sin(pp) * np.cos(aa), np.sin(pp) * np.sin(aa), np.cos(pp))
-    for v in n:
-        v.setflags(write=False)
+    n = np.stack([np.sin(pp) * np.cos(aa), np.sin(pp) * np.sin(aa), np.cos(pp)])
+    n.setflags(write=False)
     spacing = max(np.pi / max(grid_theta - 1, 1), 2 * np.pi / max(grid_phi, 1))
     return n, spacing
 
 
-_CHUNK_ELEMENTS = 1 << 13  # objective values computed at once
+# objective values per plane of a chunk. The largest engine temporary, the
+# (6, 2) row stack of _conditional_entropy, then holds 12 x 3072 x 8 bytes =
+# 288 KB. Past ~450 KB, glibc malloc hands such blocks back to the OS after
+# each call and page-faults them in again on the next (raising
+# MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_ removes the step), and the
+# objective's cost per value doubles. Much smaller chunks pay the fixed cost
+# of its ~25 array operations on too few values: at 1024, sample_random(2000)
+# took 7 % longer than at 3072.
+_CHUNK_ELEMENTS = 3 << 10
 
 
 def _chunk_size(per_state):
     """States per chunk when each state needs `per_state` objective values at
-    once: the grid size in the scan, restarts x stencil points in refinement."""
+    once: the start set in the scan, restarts x stencil points in refinement."""
     return max(1, _CHUNK_ELEMENTS // per_state)
 
 
 # refinement stencil: the 8 neighbours (x, y) of the centre in units of h
-_STENCIL_X = np.array([1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
-_STENCIL_Y = np.array([0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+_STENCIL = np.array(
+    [
+        [1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0],
+        [0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0],
+    ]
+)[:, :, None]
 _H_MIN = 1e-5  # finest stencil spacing; round-off in the Hessian grows as 1/h^2
 _H_MAX = 0.25  # coarsest spacing; a step is at most 2 h long
 _H_START = 0.05  # first spacing at most; a start read off the state sits close
@@ -292,36 +341,70 @@ _H_START = 0.05  # first spacing at most; a start read off the state sits close
 # a flat landscape: below it, that only bounds the gradient by refine_tol / h,
 # and shallow near-pure landscapes stopped up to 4e-12 short of their minimum
 _H_FLAT = 1e-3
+_PM = np.array([[1.0], [-1.0]])  # signs that stack a +- pair on a leading axis
+# the frame as products tab[I] * tab[J] * S of tab = (cos pol, cos azi,
+# sin pol, sin azi, 1): n = (sin pol cos azi, sin pol sin azi, cos pol),
+# e1 = dn/dpol = (cos pol cos azi, cos pol sin azi, -sin pol) and
+# e2 = (-sin azi, cos azi, 0); a factor 1 or -1 leaves a product exact
+_FRAME_I = np.array([[2, 2, 0], [0, 0, 2], [3, 1, 4]])
+_FRAME_J = np.array([[1, 3, 4], [1, 3, 4], [4, 4, 4]])
+_FRAME_S = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, 0.0]])[:, :, None]
 
 
-def _retract(n, e1, e2, x, y):
-    """Unit vectors (n + x e1 + y e2) / |.| for tangent-plane offsets (x, y)
-    of the orthonormal frame (n, e1, e2)."""
-    inv = 1.0 / np.sqrt(1.0 + x * x + y * y)
-    return [(n[i] + x * e1[i] + y * e2[i]) * inv for i in range(3)]
+def _frame(ang):
+    """The orthonormal frame (n, e1, e2), shape (3, 3, M), at the Bloch
+    angles ang = (pol, azi) of shape (2, M); see _FRAME_I."""
+    tab = np.empty((5, ang.shape[1]))
+    np.cos(ang, out=tab[:2])
+    np.sin(ang, out=tab[2:4])
+    tab[4] = 1.0
+    return tab[_FRAME_I] * tab[_FRAME_J] * _FRAME_S
 
 
-def _refine(c, pol, azi, f, h0, cfg):
+def _angles(v):
+    """Bloch angles (pol, azi), stacked, of the vectors v = (vx, vy, vz).
+
+    Both arguments of arctan2 are fresh contiguous arrays: on a lone vector
+    numpy runs arctan2 over a negatively strided view in a scalar loop,
+    whose last bit can differ from the vector loop's."""
+    return np.arctan2(np.array([np.hypot(v[0], v[1]), v[1]]), np.array([v[2], v[0]]))
+
+
+def _retract(frame, xy):
+    """Unit vectors (n + x e1 + y e2) / |.| of the frame (n, e1, e2) (see
+    _frame) at the tangent-plane offsets xy = (x, y), stacked."""
+    sq = xy * xy
+    inv = 1.0 / np.sqrt(1.0 + sq[0] + sq[1])
+    t = xy[:, None] * frame[1:]
+    v = frame[0] + t[0]
+    v += t[1]
+    v *= inv
+    return v
+
+
+def _refine(c, ang, f, h0, cfg):
     """Minimize S(A|Pi_n) from each start, all starts at once.
 
-    Start k has halved Fano coefficients c[:, k], Bloch angles (pol[k],
-    azi[k]) and value f[k]. Every iteration evaluates the 3x3 stencil of
-    spacing h in the tangent plane at the centre (points (n + x e1 + y e2)
-    / |.|), takes finite-difference gradient and Hessian from it and tries
-    the Newton step, with each Hessian eigendirection of curvature below
-    |g|/2h capped at length 2h. The centre moves to the best of the nine
-    points. h follows the length of a winning Newton step, is kept when a
-    stencil point wins, and shrinks fourfold when no point gains more than
-    cfg.refine_tol. A start converges when its stencil values all lie
+    Start k has halved Fano coefficients c[..., k], Bloch angles ang[:, k]
+    = (pol, azi) and value f[k]. Every iteration evaluates the 3x3 stencil
+    of spacing h in the tangent plane at the centre (points (n + x e1 + y
+    e2) / |.|), takes finite-difference gradient and Hessian from it and
+    tries the Newton step, with each Hessian eigendirection of curvature
+    below |g|/2h capped at length 2h. The centre moves to the best of the
+    nine points. h follows the length of a winning Newton step, is kept
+    when a stencil point wins, and shrinks fourfold when no point gains more
+    than cfg.refine_tol. A start converges when its stencil values all lie
     within cfg.refine_tol of the centre value at a spacing of at least
     _H_FLAT (a flat landscape at that scale), or when no point gains more
     than cfg.refine_tol at the finest spacing _H_MIN; it is then frozen
     while the others iterate. After cfg.max_iter iterations the rest stop
     unconverged.
 
-    Updates pol, azi and f in place and returns the per-start converged
-    flags. Every operation is elementwise over starts, so a start's result
-    does not depend on the others.
+    The frame, the stencil points, the gradient and curvature pairs and the
+    two Hessian eigendirections each lie on a leading axis of one array.
+    Updates ang and f in place and returns the per-start converged flags.
+    Every operation is elementwise over starts, so a start's result does
+    not depend on the others.
     """
     h = np.full(len(f), min(h0, _H_MAX))
     converged = np.zeros(len(f), dtype=bool)
@@ -330,57 +413,45 @@ def _refine(c, pol, azi, f, h0, cfg):
     for _ in range(cfg.max_iter):
         if not act.size:
             break
-        ca, sa = np.cos(pol[act]), np.sin(pol[act])
-        cb, sb = np.cos(azi[act]), np.sin(azi[act])
-        n = (sa * cb, sa * sb, ca)
-        e1 = (ca * cb, ca * sb, -sa)
-        e2 = (-sb, cb, np.zeros_like(cb))
-        ck, fk, hk = c[:, act], f[act], h[act]
+        frame = _frame(ang[:, act])
+        ck, fk, hk = c[..., act], f[act], h[act]
+        vs = _retract(frame[:, :, None], hk * _STENCIL)
+        fs = _conditional_entropy(ck[..., None, :], vs)
 
-        vs = _retract(
-            *([v[:, None] for v in b] for b in (n, e1, e2)),
-            hk[:, None] * _STENCIL_X,
-            hk[:, None] * _STENCIL_Y,
-        )
-        fs = _conditional_entropy(ck[:, :, None], *vs)
-
-        g1 = (fs[:, 0] - fs[:, 1]) / (2 * hk)
-        g2 = (fs[:, 2] - fs[:, 3]) / (2 * hk)
-        h11 = (fs[:, 0] + fs[:, 1] - 2 * fk) / (hk * hk)
-        h22 = (fs[:, 2] + fs[:, 3] - 2 * fk) / (hk * hk)
-        h12 = (fs[:, 4] - fs[:, 5] - fs[:, 6] + fs[:, 7]) / (4 * hk * hk)
-        psi = 0.5 * np.arctan2(2 * h12, h11 - h22)
+        # gradient (g1, g2) and curvatures (h11, h22) from the +-x, +-y pairs
+        hk2 = 2 * hk
+        g = (fs[0:4:2] - fs[1:4:2]) / hk2
+        curv = (fs[0:4:2] + fs[1:4:2] - 2 * fk) / (hk * hk)
+        h12 = (fs[4] - fs[5] - fs[6] + fs[7]) / (4 * hk * hk)
+        diff = curv[0] - curv[1]
+        psi = 0.5 * np.arctan2(2 * h12, diff)
         cp, sp = np.cos(psi), np.sin(psi)
-        mid, rad = 0.5 * (h11 + h22), np.hypot(0.5 * (h11 - h22), h12)
-        radius = 2 * hk
-        steps = []
-        for mu, g in ((mid + rad, cp * g1 + sp * g2), (mid - rad, cp * g2 - sp * g1)):
-            steps.append(-g / np.maximum(np.maximum(mu, np.abs(g) / radius), 1e-300))
-        dx = cp * steps[0] - sp * steps[1]
-        dy = sp * steps[0] + cp * steps[1]
-        vt = _retract(n, e1, e2, dx, dy)
-        ft = _conditional_entropy(ck, *vt)
+        mid, rad = 0.5 * (curv[0] + curv[1]), np.hypot(0.5 * diff, h12)
+        # per Hessian eigendirection: curvature mid +- rad and the slope
+        mu = mid + _PM * rad
+        gr = cp * g + _PM * (sp * g[::-1])
+        steps = -gr / np.maximum(np.maximum(mu, np.abs(gr) / hk2), 1e-300)
+        d = cp * steps - _PM * (sp * steps[::-1])
+        vt = _retract(frame, d)
+        ft = _conditional_entropy(ck, vt)
 
-        cand = np.concatenate([fs, ft[:, None]], axis=1)
-        best = np.argmin(cand, axis=1)
-        rows = np.arange(len(act))
-        fb = cand[rows, best]
+        cand = np.concatenate([fs, ft[None]])
+        best = cand.argmin(axis=0)
+        cols = np.arange(len(act))
+        fb = cand[best, cols]
         gain = fk - fb
         moved = gain > 0
-        newton = best == 8
-        vx, vy, vz = (
-            np.concatenate([v, t[:, None]], axis=1)[rows, best] for v, t in zip(vs, vt)
-        )
-        idx = act[moved]
-        pol[idx] = np.arctan2(np.hypot(vx, vy), vz)[moved]
-        azi[idx] = np.arctan2(vy, vx)[moved]
-        f[idx] = fb[moved]
+        if moved.any():
+            v = np.concatenate([vs, vt[:, None]], axis=1)
+            idx = act[moved]
+            ang[:, idx] = _angles(v[:, best[moved], cols[moved]])
+            f[idx] = fb[moved]
 
-        step = np.hypot(dx, dy)
-        h_new = np.where(newton, np.clip(step, _H_MIN, _H_MAX), hk)
+        step = np.hypot(d[0], d[1])
+        h_new = np.where(best == 8, np.minimum(np.maximum(step, _H_MIN), _H_MAX), hk)
         h_new = np.where(gain > tol, h_new, np.maximum(np.minimum(step, hk / 4), _H_MIN))
         h[act] = h_new
-        flat = (hk >= _H_FLAT) & (np.max(np.abs(fs - fk[:, None]), axis=1) <= tol)
+        flat = (hk >= _H_FLAT) & (np.abs(fs - fk).max(axis=0) <= tol)
         done = flat | ((hk <= _H_MIN) & (gain <= tol))
         converged[act[done]] = True
         act = act[~done]
@@ -424,59 +495,64 @@ def _state_stack(rhos):
 def _state_directions(c):
     """The four measurement directions read off each state with halved Fano
     coefficients c (see _fano): the three right singular vectors of T, from
-    one stacked SVD, and s/|s|, or the z axis where s = 0. Returns (nx, ny,
-    nz), each of shape (N, 4)."""
-    vt = np.linalg.svd(c[6:].T.reshape(-1, 3, 3))[2]
-    s = c[3:6]
+    one stacked SVD, and s/|s|, or the z axis where s = 0. Returns the
+    components (nx, ny, nz) stacked, shape (3, N, 4)."""
+    vt = np.linalg.svd(c[:3, 1:].transpose(2, 0, 1))[2]
+    s = c[3, 1:]
     w = np.hypot(np.hypot(s[0], s[1]), s[2])
     s = np.where(w > 0, s / np.where(w > 0, w, 1.0), [[0.0], [0.0], [1.0]])
-    return [np.concatenate([vt[:, :, i], s[i, :, None]], axis=1) for i in range(3)]
+    return np.concatenate([vt.transpose(2, 0, 1), s[:, :, None]], axis=2)
 
 
 def _classical_correlation(rhos, cfg):
     """classical_correlation_batch for a (N, 4, 4) complex stack; also
-    returns the halved Fano coefficients (15, N) of the states, first."""
+    returns the halved Fano coefficients (4, 4, N) of the states, first.
+
+    States go through in blocks whose starts _refine takes at once; each
+    block's coefficients and state directions come from one _fano and one
+    _state_directions call, and its scan from objective calls of
+    _chunk_size(starts per state) states each."""
     n = len(rhos)
-    (gx, gy, gz), spacing = _direction_grid(cfg.grid_theta, cfg.grid_phi)
-    k = min(cfg.restarts, len(gx) + 4)
-    c = np.empty((15, n))
-    start = np.empty((3, n, k))
-    f = np.empty((n, k))
-    size = _chunk_size(len(gx) + 4)
-    for lo in range(0, n, size):
-        part = slice(lo, lo + size)
-        c[:, part] = _fano(rhos[part])
-        cand = [
-            np.concatenate([np.broadcast_to(g, (len(o), len(g))), o], axis=1)
-            for g, o in zip((gx, gy, gz), _state_directions(c[:, part]))
-        ]
-        scan = _conditional_entropy(c[:, part, None], *cand)
-        best = np.argpartition(scan, k - 1, axis=1)[:, :k]
-        f[part] = np.take_along_axis(scan, best, axis=1)
-        for axis, v in zip(start, cand):
-            axis[part] = np.take_along_axis(v, best, axis=1)
-
-    f = f.ravel()
-    owner = np.repeat(np.arange(n), k)
-    sx, sy, sz = (axis.ravel() for axis in start)
-    pol, azi = np.arctan2(np.hypot(sx, sy), sz), np.arctan2(sy, sx)
-    converged = np.empty(n * k, dtype=bool)
+    grid, spacing = _direction_grid(cfg.grid_theta, cfg.grid_phi)
+    g = grid.shape[1]
+    k = min(cfg.restarts, g + 4)
     h0 = min(spacing / 2, _H_START)
-    size = _chunk_size(len(_STENCIL_X) * k) * k
-    for lo in range(0, n * k, size):
-        part = slice(lo, lo + size)
-        converged[part] = _refine(
-            c[:, owner[part]], pol[part], azi[part], f[part], h0, cfg
-        )
+    c = np.empty((4, 4, n))
+    f = np.empty((n, k))
+    ang = np.empty((2, n, k))
+    converged = np.empty((n, k), dtype=bool)
+    block = _chunk_size(len(_STENCIL[0]) * k)
+    size = _chunk_size(g + 4)
+    cand = np.empty((3, min(size, n), g + 4))
+    cand[:, :, :g] = grid[:, None]
+    for lo in range(0, n, block):
+        blk = slice(lo, lo + block)
+        c[..., blk] = _fano(rhos[blk])
+        cb, fb, ab = c[..., blk], f[blk], ang[:, blk]
+        dirs = _state_directions(cb)
+        start = np.empty((3,) + fb.shape)
+        for i in range(0, len(fb), size):
+            part = slice(i, i + size)
+            here = cand[:, : len(fb[part])]
+            here[:, :, g:] = dirs[:, part]
+            scan = _conditional_entropy(cb[..., part, None], here)
+            best = scan.argpartition(k - 1, axis=1)[:, :k]
+            rows = np.arange(len(best))[:, None]
+            fb[part] = scan[rows, best]
+            start[:, part] = here[:, rows, best]
+        ab[...] = _angles(start.reshape(3, -1)).reshape(ab.shape)
+        owner = np.repeat(np.arange(len(fb)), k)
+        # the reshapes are views, so _refine's in-place updates land in ang, f
+        converged[blk] = _refine(
+            cb[..., owner], ab.reshape(2, -1), fb.reshape(-1), h0, cfg
+        ).reshape(fb.shape)
 
-    win = np.argmin(f.reshape(n, k), axis=1) + np.arange(n) * k
-    theta = 0.5 * pol[win]
-    phi = np.mod(azi[win], 2 * np.pi)
-    s2 = np.sin(2 * theta)
-    values = _entropy_a(c) - _conditional_entropy(
-        c, s2 * np.cos(phi), s2 * np.sin(phi), np.cos(2 * theta)
-    )
-    failed = np.flatnonzero(~converged.reshape(n, k).any(axis=1))
+    win = f.argmin(axis=1) + np.arange(n) * k
+    theta = 0.5 * ang.reshape(2, -1)[0, win]
+    phi = np.mod(ang.reshape(2, -1)[1, win], 2 * np.pi)
+    n_opt = _frame(np.array([2 * theta, phi]))[0]
+    values = _entropy_a(c) - _conditional_entropy(c, n_opt)
+    failed = np.flatnonzero(~converged.any(axis=1))
     if failed.size:
         raise OptimizerDidNotConverge(
             f"{failed.size} state(s) with no refinement start converged "
@@ -497,19 +573,27 @@ def classical_correlation(rho, cfg=DEFAULT_OPT):
     return float(values[0]), float(thetas[0]), float(phis[0])
 
 
+def _spin_flip_singular_values(rho):
+    """sqrt(l1) >= ... >= sqrt(l4), the square roots of the eigenvalues of
+    rho * rho_tilde, as the singular values of sqrt(rho) (sy x sy)
+    sqrt(rho)^*: the product of that matrix with its adjoint is
+    sqrt(rho) rho_tilde sqrt(rho). The singular values carry the small
+    sqrt(l) of a rank-deficient state to round-off of ~1e-16, where the
+    square roots of eigenvalues of rho * rho_tilde would carry ~1e-8."""
+    lam, v = np.linalg.eigh(np.asarray(rho, dtype=complex))
+    root = (v * np.sqrt(np.maximum(lam, 0.0))) @ v.conj().T
+    return np.linalg.svd(root @ SYSY @ root.conj(), compute_uv=False)
+
+
 def spin_flip_spectrum(rho):
-    """Eigenvalues, descending and clipped at 0, of rho * rho_tilde with
+    """Eigenvalues, descending and non-negative, of rho * rho_tilde with
     rho_tilde = (sy x sy) conj(rho) (sy x sy)."""
-    rho = np.asarray(rho, dtype=complex)
-    r = rho @ SYSY @ rho.conj() @ SYSY
-    lam = np.real(np.linalg.eigvals(r))
-    lam[lam < 0] = 0.0
-    return np.sort(lam)[::-1]
+    return _spin_flip_singular_values(rho) ** 2
 
 
 def concurrence(rho):
     """Wootters concurrence max{0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)}."""
-    s = np.sqrt(spin_flip_spectrum(rho))
+    s = _spin_flip_singular_values(rho)
     return float(max(0.0, s[0] - s[1] - s[2] - s[3]))
 
 
@@ -528,33 +612,43 @@ def eof(rho):
 
 def _spectral_entropy(ev):
     """-sum ev log2 ev over the eigenvalues above EIG_CLIP, as
-    von_neumann_entropy takes it, for each row of ev; the sums run in a
-    fixed order, so a row's value does not depend on the others."""
+    von_neumann_entropy takes it, along the last axis of ev; the sums run in
+    a fixed order, so a row's value does not depend on the others."""
     keep = ev > EIG_CLIP
     terms = np.where(keep, ev * np.log2(np.where(keep, ev, 1.0)), 0.0)
-    return -sum(terms[:, k] for k in range(terms.shape[1]))
+    return -sum(terms[..., k] for k in range(terms.shape[-1]))
 
 
 def _record_measures(rhos, c):
     """Mutual information, concurrence and linear entropy of a stack of
     states with halved Fano coefficients c (see _fano), one array each.
 
-    S(rho_A), S(rho_B) and Tr rho^2 = 1/4 + sum c^2 are closed forms in c;
-    S(rho) comes from one stacked eigvalsh and the concurrence from one
-    stacked eigvals. mutual_information, concurrence and linear_entropy are
-    the per-state reference.
+    S(rho_A), S(rho_B) and Tr rho^2 = 1/4 + sum c^2 are closed forms in c,
+    with A and B stacked and the 15 squares summed in one running order;
+    S(rho) comes from one stacked eigvalsh. The concurrence takes Wootters'
+    sqrt(l) as the singular values of tau = X^T (sy x sy) X with rho =
+    X X^dagger, X = V diag(sqrt(lam)) from one stacked eigh: accurate to
+    round-off on pure and rank-deficient states, where the square roots of
+    eigenvalues of rho rho_tilde are off by up to ~1e-8. S(rho) keeps
+    eigvalsh, whose eigenvalues differ from eigh's in the last bits.
+    mutual_information, concurrence and linear_entropy are the per-state
+    reference.
     """
-    w_a = np.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
-    w_b = np.sqrt(c[3] * c[3] + c[4] * c[4] + c[5] * c[5])
-    mi = (
-        _spectral_entropy(np.stack([0.5 + w_a, 0.5 - w_a], axis=1))
-        + _spectral_entropy(np.stack([0.5 + w_b, 0.5 - w_b], axis=1))
-        - _spectral_entropy(np.linalg.eigvalsh(rhos))
-    )
-    lam = np.real(np.linalg.eigvals(rhos @ SYSY @ rhos.conj() @ SYSY))
-    s = np.sqrt(np.sort(np.maximum(lam, 0.0), axis=1))
-    conc = np.maximum(0.0, s[:, 3] - s[:, 2] - s[:, 1] - s[:, 0])
-    sl = np.clip((4.0 / 3.0) * (0.75 - sum(ck * ck for ck in c)), 0.0, 1.0)
+    rs = np.array([c[:3, 0], c[3, 1:]])  # r/2 and s/2
+    sq = rs * rs
+    w = sq[:, 0] + sq[:, 1]
+    w += sq[:, 2]
+    np.sqrt(w, out=w)
+    s_ab = _spectral_entropy(0.5 + w[:, :, None] * _PM[:, 0])  # 1/2 +- |r|/2, |s|/2
+    mi = s_ab[0] + s_ab[1] - _spectral_entropy(np.linalg.eigvalsh(rhos))
+    lam, v = np.linalg.eigh(rhos)
+    x = v * np.sqrt(np.maximum(lam, 0.0))[:, None, :]
+    s = np.linalg.svd(np.swapaxes(x, 1, 2) @ SYSY @ x, compute_uv=False)
+    conc = np.maximum(0.0, s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3])
+    q = c.reshape(16, c.shape[-1])[_PURITY_ORDER]
+    q *= q
+    purity = np.add.accumulate(q, axis=0)[-1]  # row by row, as written out
+    sl = np.minimum(np.maximum((4.0 / 3.0) * (0.75 - purity), 0.0), 1.0)
     return mi, conc, sl
 
 
@@ -568,29 +662,24 @@ def discord_batch(rhos, cfg=DEFAULT_OPT):
     StateError if some state has a NaN or Inf entry.
     """
     rhos = _state_stack(rhos)
-    dev = np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1)), axis=(1, 2))
+    dev = np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     bad = np.flatnonzero(dev > HERM_TOL)
     if bad.size:
         d = float(dev[bad[0]])
         raise NotHermitian(f"matrix is not Hermitian (deviation {d:.3e})", d)
     c, values, thetas, phis = _classical_correlation(rhos, cfg)
     mis, concs, sls = _record_measures(rhos, c)
-    eofs = eof_from_concurrence(concs)
-    return [
-        CorrelationRecord(
-            mutual_info=float(mi),
-            classical_corr=float(cc),
-            discord=float(np.clip(mi - cc, -1e-9, 2.0)),
-            concurrence=float(conc),
-            eof=float(e),
-            linear_entropy=float(sl),
-            theta_opt=float(theta),
-            phi_opt=float(phi),
-        )
-        for mi, cc, conc, e, sl, theta, phi in zip(
-            mis, values, concs, eofs, sls, thetas, phis
-        )
+    fields = [
+        mis,
+        values,
+        np.minimum(np.maximum(mis - values, -1e-9), 2.0),
+        concs,
+        eof_from_concurrence(concs),
+        sls,
+        thetas,
+        phis,
     ]
+    return [CorrelationRecord(*row) for row in np.stack(fields, axis=1).tolist()]
 
 
 def discord_numeric(rho, cfg=DEFAULT_OPT):

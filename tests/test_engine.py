@@ -381,3 +381,122 @@ class TestNonFiniteInput:
         rho[0, 0] = value
         with pytest.raises(StateError, match="state 1 has a non-finite entry"):
             engine([np.eye(4) / 4, rho])
+
+
+def objective_cases():
+    """(state, its own axis) pairs: random states, |00>, product pure states
+    and |00> mixed with 1e-15 of I/4. Measured along +-its own axis (B's
+    Bloch vector) each of the last three has an outcome of probability 0,
+    round-off or 5e-16, all below P_FLOOR."""
+    rng = np.random.default_rng(61)
+    out = [(random_state(s), None) for s in range(700, 704)]
+    zero = np.zeros((4, 4), dtype=complex)
+    zero[0, 0] = 1.0
+    out.append((zero, np.array([0.0, 0.0, 1.0])))
+    out.append(((1 - 1e-15) * zero + 1e-15 * np.eye(4) / 4, out[-1][1]))
+    for _ in range(4):
+        a, b = random_unitary(rng)[:, 0], random_unitary(rng)[:, 0]
+        psi = np.kron(a, b)
+        coh = 2 * b[0].conj() * b[1]
+        axis = np.array([coh.real, coh.imag, abs(b[0]) ** 2 - abs(b[1]) ** 2])
+        out.append((np.outer(psi, psi.conj()), axis))
+    return out
+
+
+def objective_directions(rng, axis, count):
+    """count unit vectors: random ones, then +-axis where a state has one."""
+    n = rng.standard_normal((3, count))
+    if axis is not None:
+        n[:, -2:] = np.stack([axis, -axis], axis=1)
+    return n / np.linalg.norm(n, axis=0)
+
+
+def per_component_objective(c, n):
+    """S(A|Pi_n) written out one component and one outcome at a time. The
+    stacked _conditional_entropy runs the same operations on every element
+    in the same order, so it must equal this bit for bit."""
+    nx, ny, nz = n
+    r, t, s = c[:3, 0], c[:3, 1:], c[3, 1:]
+    xlog = measures._xlog2
+    sn = s[0] * nx + s[1] * ny + s[2] * nz
+    tx, ty, tz = (t[i, 0] * nx + t[i, 1] * ny + t[i, 2] * nz for i in range(3))
+    out = 0.0
+    for p, ux, uy, uz in (
+        (0.5 + sn, r[0] + tx, r[1] + ty, r[2] + tz),
+        (0.5 - sn, r[0] - tx, r[1] - ty, r[2] - tz),
+    ):
+        w = np.sqrt(ux * ux + uy * uy + uz * uz)
+        out = out + xlog(p) - xlog(0.5 * (p + w)) - xlog(0.5 * (p - w))
+    return out
+
+
+def direction_angles(n):
+    """(theta, phi) of the measurement along each unit vector n[:, i]."""
+    return 0.5 * np.arctan2(np.hypot(n[0], n[1]), n[2]), np.arctan2(n[1], n[0])
+
+
+def reference_objective(rho, n):
+    """conditional_information along each unit vector n[:, i]."""
+    return np.array(
+        [conditional_information(rho, t, p) for t, p in zip(*direction_angles(n))]
+    )
+
+
+class TestObjective:
+    """S(rho_A) - S(A|Pi_n) of the stacked objective against the reference
+    conditional_information, in each broadcast shape the engine uses: the
+    scan (N states x K directions), the refinement stencil (8 points x M
+    starts) and the Newton point and final value (M). Outcomes below
+    P_FLOOR, which the reference drops, contribute at most p bits. In each
+    shape the values also equal the per-component form bit for bit."""
+
+    K = 8
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = np.random.default_rng(62)
+        cases = objective_cases()
+        rhos = np.array([rho for rho, _ in cases])
+        n = np.stack(
+            [objective_directions(rng, axis, self.K) for _, axis in cases], axis=1
+        )
+        ref = np.array([reference_objective(r, n[:, i]) for i, r in enumerate(rhos)])
+        return measures._fano(rhos), n, ref, rhos
+
+    def test_cases_reach_outcomes_below_the_floor(self, cases):
+        _, n, _, rhos = cases
+        probs = [
+            p
+            for i, rho in enumerate(rhos)
+            for th, ph in zip(*direction_angles(n[:, i]))
+            for p, _ in measures.apply_measurement(rho, th, ph)
+        ]
+        assert 0.0 in probs
+        assert sum(0 < p < measures.P_FLOOR for p in probs) >= 4
+
+    def test_scan_shape(self, cases):
+        c, n, ref, _ = cases  # n: (3, N, K)
+        cond = measures._conditional_entropy(c[..., None], n)
+        assert cond.tobytes() == per_component_objective(c[..., None], n).tobytes()
+        value = measures._entropy_a(c[..., None]) - cond
+        assert value.shape == ref.shape
+        assert np.max(np.abs(value - ref)) <= 1e-12
+
+    def test_stencil_shape(self, cases):
+        c, n, ref, _ = cases  # as (3, K, M): K points per start
+        nt, ct = n.transpose(0, 2, 1), c[..., None, :]
+        cond = measures._conditional_entropy(ct, nt)
+        assert cond.tobytes() == per_component_objective(ct, nt).tobytes()
+        value = measures._entropy_a(ct) - cond
+        assert value.shape == ref.T.shape
+        assert np.max(np.abs(value - ref.T)) <= 1e-12
+
+    def test_newton_and_final_shape(self, cases):
+        c, n, ref, _ = cases  # one direction per start: M = N K
+        owner = np.repeat(np.arange(n.shape[1]), self.K)
+        flat = n.reshape(3, -1)
+        cond = measures._conditional_entropy(c[..., owner], flat)
+        assert cond.tobytes() == per_component_objective(c[..., owner], flat).tobytes()
+        value = measures._entropy_a(c[..., owner]) - cond
+        assert value.shape == (flat.shape[1],)
+        assert np.max(np.abs(value - ref.ravel())) <= 1e-12

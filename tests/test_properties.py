@@ -1,6 +1,7 @@
 """Property tests of the discord engine over generated states: local-unitary
-invariance, 0 <= Q <= I, Q = EoF on pure states, batch rows equal to
-single-state records, and records independent of how a batch is split."""
+invariance, 0 <= Q <= I, Q = EoF on pure states (and the record's EoF equal
+to the entropy of the Schmidt weights), batch rows equal to single-state
+records, and records independent of how a batch is split."""
 import dataclasses
 
 import numpy as np
@@ -85,7 +86,17 @@ def test_batch_row_equals_single_state_record(rhos, pick):
 @given(state=pure_states())
 def test_discord_equals_eof_on_pure_states(state):
     rho, eof = state
-    assert abs(discord_numeric(rho).discord - eof) <= 1e-9
+    rec = discord_numeric(rho)
+    assert abs(rec.discord - eof) <= 1e-9
+    assert abs(rec.eof - eof) <= 1e-12
+
+
+def test_product_pure_state_has_no_concurrence():
+    rng = np.random.default_rng(8)
+    psi = np.kron(random_unitary(rng)[:, 0], random_unitary(rng)[:, 0])
+    rec = discord_numeric(np.outer(psi, psi.conj()))
+    assert rec.concurrence <= 1e-15
+    assert rec.eof <= 1e-15
 
 
 @SETTINGS
