@@ -38,7 +38,7 @@ from .states import (
     Family,
     ParamOutOfRange,
     make_family,
-    random_state,
+    random_states,
     validate_state,
 )
 
@@ -510,7 +510,7 @@ def sample_random(n, seed, cfg=DEFAULT_OPT):
     if seed < 0:
         raise ParamOutOfRange("seed must be >= 0")
     seeds = _derived_seeds(seed, n)
-    records = discord_batch([random_state(s) for s in seeds], cfg)
+    records = discord_batch(random_states(seeds), cfg)
     return SampleBatch(
         records=records,
         seeds=seeds,
@@ -542,8 +542,8 @@ def sample_near_boundary(kind, n, epsilon, seed, cfg=DEFAULT_OPT):
     seeds = _derived_seeds(seed, n)
     families = [_draw_family(kind, rng) for _ in range(n)]
     rhos = [
-        validate_state((1 - epsilon) * make_family(fam) + epsilon * random_state(s))
-        for fam, s in zip(families, seeds)
+        validate_state((1 - epsilon) * make_family(fam) + epsilon * noise)
+        for fam, noise in zip(families, random_states(seeds))
     ]
     records = discord_batch(rhos, cfg)
     return SampleBatch(

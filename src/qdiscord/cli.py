@@ -18,7 +18,7 @@ from .measures import (
     OptimizerDidNotConverge,
     discord_numeric,
 )
-from .states import Family, ParamOutOfRange, StateError, make_family
+from .states import Family, StateError, make_family
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -137,7 +137,7 @@ def run_point(args):
         return _record_json(rec, fam), args.output_path
     batch = bounds.SampleBatch(
         records=[rec],
-        seeds=[getattr(args, "seed", 0) or 0],
+        seeds=[None],  # a single point has no seed: the field stays empty
         provenance="point",
         families=[fam],
     )
@@ -214,10 +214,15 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (StateError, ParamOutOfRange, json.JSONDecodeError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except (
+        StateError,
+        json.JSONDecodeError,
+        FileNotFoundError,
+        IsADirectoryError,
+        UnicodeDecodeError,
+    ) as exc:
+        # a state file that is missing, a directory or not UTF-8 text is
+        # bad input, like one that holds no valid state
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OptimizerDidNotConverge as exc:

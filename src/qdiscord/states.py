@@ -1,5 +1,8 @@
 """Two-qubit density matrices: validation, parametrized families, entropies,
-Schmidt decomposition, and seeded random-state generation.
+Schmidt decomposition, and seeded random states.
+
+Seeded random states are built as one (N, 4, 4) stack by random_states;
+random_state is a stack of one, so there is a single construction path.
 
 Basis order is fixed as |00>, |01>, |10>, |11> throughout.
 """
@@ -207,15 +210,28 @@ def make_family(fam):
     raise ParamOutOfRange(f"unknown family kind {k!r}")
 
 
-def random_state(seed):
-    """rho = T T^dag / Tr{T T^dag} with T a 4x4 standard complex Gaussian.
+def random_states(seeds):
+    """The (N, 4, 4) stack of rho = T T^dag / Tr{T T^dag}, one per seed, with
+    T a 4x4 standard complex Gaussian.
 
-    Deterministic for a fixed seed; PSD and unit trace by construction.
+    Each seed gets its own generator and one standard_normal draw of 32
+    values, the real then the imaginary parts of T, which is the stream of two
+    (4, 4) draws. The products, traces and divisions then run once on the
+    whole stack; every element keeps the per-state operation order, so a
+    state does not depend on the batch it is built in. Deterministic for
+    fixed seeds; PSD and unit trace by construction.
     """
-    rng = np.random.default_rng(seed)
-    t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = t @ t.conj().T
-    return m / np.trace(m).real
+    g = np.empty((len(seeds), 2, 4, 4))
+    for i, s in enumerate(seeds):
+        np.random.default_rng(s).standard_normal(out=g[i])
+    t = g[:, 0] + 1j * g[:, 1]
+    m = t @ t.conj().transpose(0, 2, 1)
+    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+
+
+def random_state(seed):
+    """One seeded random state: a stack of one for random_states."""
+    return random_states([seed])[0]
 
 
 def random_pure_state(seed):
@@ -280,6 +296,6 @@ def state_from_json_obj(obj):
         m = np.array(
             [[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex
         )
-    except (TypeError, IndexError, ValueError) as exc:
+    except (TypeError, LookupError, ValueError) as exc:
         raise StateError(f"malformed 'rho' entries: {exc}") from exc
     return validate_state(m)

@@ -26,6 +26,16 @@ def random_unitary(rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def written_out_random_state(seed):
+    """rho = T T^dag / Tr{T T^dag} spelled out for one seed, the reference
+    for the stacked random_states: two (4, 4) draws for the real and the
+    imaginary part of T, one matrix product and one trace."""
+    g = np.random.default_rng(seed)
+    t = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
+    m = t @ t.conj().T
+    return m / np.trace(m).real
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

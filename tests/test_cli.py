@@ -86,6 +86,20 @@ class TestPoint:
         code, _, err = run(capsys, "point", "--in", "/nonexistent/x.json")
         assert code == 2
 
+    def test_directory_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "point", "--in", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("validation error:")
+
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run(capsys, "point", "--in", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("validation error:")
+
     def test_family_and_in_conflict_exit_1(self, capsys, tmp_path):
         path = tmp_path / "mm.json"
         write_state_file(np.eye(4) / 4, path)
@@ -112,6 +126,7 @@ class TestPoint:
         row = dict(zip(CSV_HEADER, rows[1]))
         assert row["family"] == "beta"
         assert float(row["discord"]) == pytest.approx(0.278072, abs=1e-4)
+        assert row["seed"] == ""  # point takes no seed, so none is recorded
 
 
 class TestCsvContract:

@@ -6,7 +6,9 @@ from conftest import (
     random_unitary,
     two_param_q_edge_limit,
     two_param_q_four_term,
+    written_out_random_state,
 )
+from qdiscord.bounds import _derived_seeds, sample_near_boundary, sample_random
 from qdiscord.measures import (
     AnalyticDiscordTrace,
     OptimizerConfig,
@@ -37,6 +39,7 @@ from qdiscord.states import (
     make_family,
     random_pure_state,
     random_state,
+    validate_state,
 )
 
 BELL = make_family(Family("pure", 0.5))
@@ -471,3 +474,23 @@ def test_non_hermitian_rejected():
         discord_numeric(rho)
     with pytest.raises(NotHermitian):
         discord_batch([random_state(1), rho])
+
+
+def test_sample_random_records_match_written_out_states():
+    batch = sample_random(50, 3)
+    assert batch.seeds == _derived_seeds(3, 50)
+    rhos = [written_out_random_state(s) for s in batch.seeds]
+    assert batch.records == discord_batch(rhos)
+
+
+def test_sample_near_boundary_records_match_written_out_states():
+    eps = 1e-3
+    batch = sample_near_boundary("alpha", 30, eps, 5)
+    assert batch.seeds == _derived_seeds(5, 30)
+    rhos = [
+        validate_state(
+            (1 - eps) * make_family(fam) + eps * written_out_random_state(s)
+        )
+        for fam, s in zip(batch.families, batch.seeds)
+    ]
+    assert batch.records == discord_batch(rhos)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import written_out_random_state
+from qdiscord.bounds import _derived_seeds
 from qdiscord.states import (
     Family,
     NotHermitian,
@@ -16,6 +18,7 @@ from qdiscord.states import (
     purity,
     random_pure_state,
     random_state,
+    random_states,
     schmidt,
     spectrum,
     state_from_json_obj,
@@ -229,6 +232,16 @@ class TestRandomState:
             a, b = random_state(2 * s), random_state(2 * s + 1)
             assert np.max(np.abs(a - b)) > 1e-6
 
+    def test_stack_matches_written_out_form(self):
+        seeds = _derived_seeds(1, 500) + [0, 2**63 - 2]
+        ref = np.stack([written_out_random_state(s) for s in seeds])
+        assert np.array_equal(random_states(seeds), ref)
+
+    def test_single_state_is_stack_of_one(self):
+        for s in _derived_seeds(2, 50) + [0, 2**63 - 2]:
+            assert np.array_equal(random_state(s), random_states([s])[0])
+            assert np.array_equal(random_state(s), written_out_random_state(s))
+
     def test_mean_purity_anchor(self):
         # frozen regression value for seeds 0..9999 (induced-measure theory
         # for d = K = 4 gives 8/17 = 0.4706)
@@ -271,3 +284,7 @@ class TestStateJson:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             state_from_json_obj({"nope": 1})
+
+    def test_rejects_object_entry(self):
+        with pytest.raises(StateError, match="malformed"):
+            state_from_json_obj({"rho": [[{"re": 1}]]})
