@@ -4,11 +4,9 @@ regions."""
 
 from .bounds import (
     BoundaryCurve,
-    NoSignChange,
     RegionReport,
     SampleBatch,
     entropy_upper,
-    find_crossover,
     horn_crossovers,
     horn_lower,
     horn_upper,
@@ -27,34 +25,26 @@ from .measures import (
     classical_correlation,
     classical_correlation_batch,
     concurrence,
-    concurrence_analytic,
     conditional_information,
     discord_analytic,
     discord_batch,
     discord_numeric,
-    eof,
     eof_from_concurrence,
     measurement_pair,
     mutual_information,
-    spin_flip_spectrum,
 )
 from .states import (
     Family,
     NotHermitian,
-    NotNormalized,
     NotPositive,
     ParamOutOfRange,
-    SchmidtForm,
     StateError,
     TraceNotOne,
-    binary_entropy,
     linear_entropy,
     make_family,
     partial_trace,
-    random_pure_state,
     random_state,
     random_states,
-    schmidt,
     spectrum,
     validate_state,
     von_neumann_entropy,

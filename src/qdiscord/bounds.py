@@ -1,5 +1,5 @@
 """Boundary curves of the discord-entanglement and discord-entropy regions,
-crossover location, and the random / near-boundary containment experiments.
+their crossovers, and the random / near-boundary containment experiments.
 
 Every bound is evaluated elementwise: eof_to_concurrence, horn_upper,
 horn_lower and entropy_upper take a float or an array and return a float
@@ -44,10 +44,6 @@ from .states import (
 
 PIMPLE_SL = 8.0 / 9.0
 DEFAULT_SLACK = 1e-6
-
-
-class NoSignChange(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -476,26 +472,6 @@ def sweep_family(kind, plane, resolution=512):
         ys = np.minimum(p, two_param_q(p, 0.0))
         xs = (4 / 3) * (1 - _two_param_purity(p, 0.0))
     return BoundaryCurve(plane=plane, family_tag=kind, params=p, xs=xs, ys=ys)
-
-
-def find_crossover(c1, c2, xtol=1e-6):
-    """Intersection of two curves: bisection on the interpolated difference."""
-    lo = max(c1.xs.min(), c2.xs.min())
-    hi = min(c1.xs.max(), c2.xs.max())
-    if hi <= lo:
-        raise NoSignChange("curves do not overlap in x")
-
-    def diff(x):
-        return np.interp(x, c1.xs, c1.ys) - np.interp(x, c2.xs, c2.ys)
-
-    grid = np.linspace(lo, hi, 2048)
-    d = diff(grid)
-    sign_flip = np.nonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]
-    if len(sign_flip) == 0:
-        raise NoSignChange("curve difference does not change sign in the overlap")
-    i = sign_flip[0]
-    x = bisect(diff, grid[i], grid[i + 1], xtol=xtol)
-    return float(x), float(np.interp(x, c1.xs, c1.ys))
 
 
 def _derived_seeds(seed, n):

@@ -18,7 +18,7 @@ from .measures import (
     OptimizerDidNotConverge,
     discord_numeric,
 )
-from .states import Family, StateError, make_family
+from .states import FAMILY_KINDS, Family, StateError, make_family
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,21 +40,16 @@ def build_parser():
     p = _Parser(prog="qdiscord", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, optimizer=True, output=True):
+    def add_common(sp, optimizer=True):
         if optimizer:
             sp.add_argument("--grid-theta", type=int, default=DEFAULT_OPT.grid_theta)
             sp.add_argument("--grid-phi", type=int, default=DEFAULT_OPT.grid_phi)
             sp.add_argument("--restarts", type=int, default=DEFAULT_OPT.restarts)
-        if output:
-            sp.add_argument("--out", dest="output_path", default=None)
-            sp.add_argument("--format", choices=["csv", "json"], default=None)
+        sp.add_argument("--out", dest="output_path", default=None)
+        sp.add_argument("--format", choices=["csv", "json"], default=None)
 
     def add_family(sp, required=False):
-        sp.add_argument(
-            "--family",
-            choices=["werner", "alpha", "beta", "twoparam", "pure"],
-            required=required,
-        )
+        sp.add_argument("--family", choices=FAMILY_KINDS, required=required)
         sp.add_argument("--param", type=float, default=None)
         sp.add_argument("--param2", type=float, default=None)
 

@@ -1,12 +1,15 @@
-"""CSV / JSON emission for sample batches, boundary curves, and reports."""
+"""CSV / JSON emission for sample batches, boundary curves, and reports, and
+the JSON state-file format."""
 from __future__ import annotations
 
 import csv
 import io
 import json
 
-from .bounds import BoundaryCurve, RegionReport, SampleBatch
-from .states import state_from_json_obj, state_to_json_obj
+import numpy as np
+
+from .bounds import BoundaryCurve, SampleBatch
+from .states import StateError, validate_state
 
 CSV_HEADER = [
     "state_id",
@@ -88,14 +91,47 @@ def csv_text(obj):
     return buf.getvalue()
 
 
-def write_csv(obj, path):
-    text = csv_text(obj)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-
-
 def report_json_text(report):
     return json.dumps(report.to_json_obj(), indent=2) + "\n"
+
+
+def state_to_json_obj(rho):
+    """State-file form: {"rho": [[[re, im] x4] x4]}."""
+    m = np.asarray(rho, dtype=complex)
+    return {
+        "rho": [[[float(m[i, j].real), float(m[i, j].imag)] for j in range(4)]
+                for i in range(4)]
+    }
+
+
+def _entry(c):
+    """One [re, im] entry of a state file as a complex number. Raises
+    StateError unless it is a list of exactly two real numbers (int or
+    float; a bool is not a number here) that a float can hold."""
+    if (
+        isinstance(c, list)
+        and len(c) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in c)
+    ):
+        try:
+            return complex(c[0], c[1])
+        except OverflowError:  # an int too large for a float
+            pass
+    raise StateError(f"malformed 'rho' entry {c!r}: expected [re, im]")
+
+
+def state_from_json_obj(obj):
+    """Inverse of state_to_json_obj; validates the resulting matrix."""
+    if not isinstance(obj, dict) or "rho" not in obj:
+        raise StateError("state file must be a JSON object with a 'rho' key")
+    rows = obj["rho"]
+    if not (
+        isinstance(rows, list)
+        and len(rows) == 4
+        and all(isinstance(row, list) and len(row) == 4 for row in rows)
+    ):
+        raise StateError("malformed 'rho': expected 4 rows of 4 [re, im] entries")
+    return validate_state([[_entry(c) for c in row] for row in rows])
 
 
 def read_state_file(path):
@@ -106,6 +142,7 @@ def read_state_file(path):
 
 
 def write_state_file(rho, path):
+    """Write rho in the JSON state-file format that read_state_file reads."""
     with open(path, "w") as fh:
         json.dump(state_to_json_obj(rho), fh, indent=2)
         fh.write("\n")

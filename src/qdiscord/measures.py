@@ -1,6 +1,6 @@
 """Correlation measures for two-qubit states: mutual information, numerically
 optimized discord, classical correlation, Wootters concurrence, entanglement
-of formation, and closed-form family results.
+of formation from the concurrence, and closed-form family discords.
 
 Measurements are two-element projective sets on subsystem B, parametrized by
 (theta, phi) with |psi> = cos(theta)|0> + e^{i phi} sin(theta)|1>, that is,
@@ -173,20 +173,6 @@ def conditional_information(rho, theta, phi):
         if rho_k is not None:
             acc += p * von_neumann_entropy(rho_k)
     return s_a - acc
-
-
-def canonical_angles(theta, phi):
-    """Reduce (theta, phi) to theta in [0, pi/2], phi in [0, 2 pi).
-
-    The projector pair is invariant under theta -> -theta with phi -> phi+pi
-    and under theta -> pi - theta with phi -> phi + pi, so every pair has a
-    representative in this domain.
-    """
-    theta = theta % np.pi
-    if theta > np.pi / 2:
-        theta = np.pi - theta
-        phi = phi + np.pi
-    return float(theta), float(phi % (2 * np.pi))
 
 
 # Each two-qubit Pauli product P = sigma_i x sigma_j has one nonzero entry per
@@ -573,27 +559,20 @@ def classical_correlation(rho, cfg=DEFAULT_OPT):
     return float(values[0]), float(thetas[0]), float(phis[0])
 
 
-def _spin_flip_singular_values(rho):
-    """sqrt(l1) >= ... >= sqrt(l4), the square roots of the eigenvalues of
-    rho * rho_tilde, as the singular values of sqrt(rho) (sy x sy)
-    sqrt(rho)^*: the product of that matrix with its adjoint is
-    sqrt(rho) rho_tilde sqrt(rho). The singular values carry the small
-    sqrt(l) of a rank-deficient state to round-off of ~1e-16, where the
-    square roots of eigenvalues of rho * rho_tilde would carry ~1e-8."""
+def concurrence(rho):
+    """Wootters concurrence max{0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)}.
+
+    sqrt(l1) >= ... >= sqrt(l4), the square roots of the eigenvalues of
+    rho * rho_tilde with rho_tilde = (sy x sy) conj(rho) (sy x sy), are the
+    singular values of sqrt(rho) (sy x sy) sqrt(rho)^*: the product of that
+    matrix with its adjoint is sqrt(rho) rho_tilde sqrt(rho). The singular
+    values carry the small sqrt(l) of a rank-deficient state to round-off of
+    ~1e-16, where the square roots of eigenvalues of rho * rho_tilde would
+    carry ~1e-8.
+    """
     lam, v = np.linalg.eigh(np.asarray(rho, dtype=complex))
     root = (v * np.sqrt(np.maximum(lam, 0.0))) @ v.conj().T
-    return np.linalg.svd(root @ SYSY @ root.conj(), compute_uv=False)
-
-
-def spin_flip_spectrum(rho):
-    """Eigenvalues, descending and non-negative, of rho * rho_tilde with
-    rho_tilde = (sy x sy) conj(rho) (sy x sy)."""
-    return _spin_flip_singular_values(rho) ** 2
-
-
-def concurrence(rho):
-    """Wootters concurrence max{0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)}."""
-    s = _spin_flip_singular_values(rho)
+    s = np.linalg.svd(root @ SYSY @ root.conj(), compute_uv=False)
     return float(max(0.0, s[0] - s[1] - s[2] - s[3]))
 
 
@@ -604,10 +583,6 @@ def eof_from_concurrence(c):
     c = np.clip(np.asarray(c, dtype=float), 0.0, 1.0)
     x = (1 + np.sqrt(1 - c * c)) / 2
     return _float_or_array(-_xlog2(x) - _xlog2(1 - x))
-
-
-def eof(rho):
-    return eof_from_concurrence(concurrence(rho))
 
 
 def _spectral_entropy(ev):
@@ -624,15 +599,14 @@ def _record_measures(rhos, c):
     states with halved Fano coefficients c (see _fano), one array each.
 
     S(rho_A), S(rho_B) and Tr rho^2 = 1/4 + sum c^2 are closed forms in c,
-    with A and B stacked and the 15 squares summed in one running order;
-    S(rho) comes from one stacked eigvalsh. The concurrence takes Wootters'
-    sqrt(l) as the singular values of tau = X^T (sy x sy) X with rho =
-    X X^dagger, X = V diag(sqrt(lam)) from one stacked eigh: accurate to
-    round-off on pure and rank-deficient states, where the square roots of
-    eigenvalues of rho rho_tilde are off by up to ~1e-8. S(rho) keeps
-    eigvalsh, whose eigenvalues differ from eigh's in the last bits.
-    mutual_information, concurrence and linear_entropy are the per-state
-    reference.
+    with A and B stacked and the 15 squares summed in one running order.
+    One stacked eigh, rho = V diag(lam) V^dagger, serves the rest: S(rho)
+    from lam, and the concurrence, which takes Wootters' sqrt(l) as the
+    singular values of tau = X^T (sy x sy) X with rho = X X^dagger,
+    X = V diag(sqrt(lam)). That is accurate to round-off on pure and
+    rank-deficient states, where the square roots of eigenvalues of
+    rho rho_tilde are off by up to ~1e-8. mutual_information, concurrence
+    and linear_entropy are the per-state reference.
     """
     rs = np.array([c[:3, 0], c[3, 1:]])  # r/2 and s/2
     sq = rs * rs
@@ -640,8 +614,8 @@ def _record_measures(rhos, c):
     w += sq[:, 2]
     np.sqrt(w, out=w)
     s_ab = _spectral_entropy(0.5 + w[:, :, None] * _PM[:, 0])  # 1/2 +- |r|/2, |s|/2
-    mi = s_ab[0] + s_ab[1] - _spectral_entropy(np.linalg.eigvalsh(rhos))
     lam, v = np.linalg.eigh(rhos)
+    mi = s_ab[0] + s_ab[1] - _spectral_entropy(lam)
     x = v * np.sqrt(np.maximum(lam, 0.0))[:, None, :]
     s = np.linalg.svd(np.swapaxes(x, 1, 2) @ SYSY @ x, compute_uv=False)
     conc = np.maximum(0.0, s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3])
@@ -782,21 +756,4 @@ def discord_analytic(fam):
         return AnalyticDiscordTrace(value=float(min(a, q)), branch=branch, q=q)
     raise UnsupportedFamily(
         f"no closed-form discord implemented for family {fam.kind!r}"
-    )
-
-
-def concurrence_analytic(fam):
-    """Closed-form concurrence for the alpha, beta, and two-parameter families."""
-    if not isinstance(fam, Family):
-        raise UnsupportedFamily("expected a Family value")
-    if fam.kind == "alpha":
-        return float(max(0.0, 2 * fam.p1 - 1))
-    if fam.kind == "beta":
-        return float(abs(2 * fam.p1 - 1))
-    if fam.kind == "twoparam":
-        a, b = fam.p1, fam.p2
-        inner = (1 - a) ** 2 - b * b
-        return float(max(0.0, abs(a) - np.sqrt(max(inner, 0.0))))
-    raise UnsupportedFamily(
-        f"no closed-form concurrence implemented for family {fam.kind!r}"
     )

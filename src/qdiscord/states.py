@@ -1,5 +1,5 @@
-"""Two-qubit density matrices: validation, parametrized families, entropies,
-Schmidt decomposition, and seeded random states.
+"""Two-qubit density matrices: validation, parametrized families, entropies
+and seeded random states.
 
 Seeded random states are built as one (N, 4, 4) stack by random_states;
 random_state is a stack of one, so there is a single construction path.
@@ -35,10 +35,6 @@ class TraceNotOne(StateError):
 
 
 class NotPositive(StateError):
-    pass
-
-
-class NotNormalized(StateError):
     pass
 
 
@@ -112,19 +108,6 @@ def von_neumann_entropy(m):
     return float(-np.sum(ev * np.log2(ev)))
 
 
-def binary_entropy(x):
-    """h(x) = -x log2 x - (1-x) log2 (1-x)."""
-    if x < -1e-12 or x > 1 + 1e-12:
-        raise ValueError(f"binary_entropy argument {x} outside [0, 1]")
-    x = min(max(float(x), 0.0), 1.0)
-    out = 0.0
-    if x > 0.0:
-        out -= x * np.log2(x)
-    if x < 1.0:
-        out -= (1 - x) * np.log2(1 - x)
-    return float(out)
-
-
 def purity(rho):
     rho = np.asarray(rho, dtype=complex)
     return float(np.real(np.trace(rho @ rho)))
@@ -173,7 +156,6 @@ class Family:
 
 
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
 def make_family(fam):
@@ -232,70 +214,3 @@ def random_states(seeds):
 def random_state(seed):
     """One seeded random state: a stack of one for random_states."""
     return random_states([seed])[0]
-
-
-def random_pure_state(seed):
-    """Haar-like random pure two-qubit state vector (normalized Gaussian)."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return v / np.linalg.norm(v)
-
-
-@dataclass(frozen=True)
-class SchmidtForm:
-    """Schmidt data of a pure two-qubit state.
-
-    eigvalue_major/minor are the reduced-state eigenvalues (minor = 1 - major
-    by construction); basis_a / basis_b hold the Schmidt vectors as columns.
-    """
-
-    eigvalue_major: float
-    eigvalue_minor: float
-    basis_a: np.ndarray
-    basis_b: np.ndarray
-
-    def reconstruct(self):
-        amps = (np.sqrt(self.eigvalue_major), np.sqrt(self.eigvalue_minor))
-        v = np.zeros(4, dtype=complex)
-        for i, amp in enumerate(amps):
-            v += amp * np.kron(self.basis_a[:, i], self.basis_b[:, i])
-        return v
-
-
-def schmidt(vec):
-    """Schmidt decomposition of a normalized 4-component pure state."""
-    v = np.asarray(vec, dtype=complex).reshape(4)
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > 1e-10:
-        raise NotNormalized(f"state norm {nrm} differs from 1", abs(nrm - 1.0))
-    u, s, vh = np.linalg.svd(v.reshape(2, 2))
-    major = float(min(s[0] ** 2, 1.0))
-    return SchmidtForm(
-        eigvalue_major=major,
-        eigvalue_minor=1.0 - major,
-        basis_a=u,
-        basis_b=vh.T,
-    )
-
-
-def state_to_json_obj(rho):
-    """State-file form: {"rho": [[[re, im] x4] x4]}."""
-    m = np.asarray(rho, dtype=complex)
-    return {
-        "rho": [[[float(m[i, j].real), float(m[i, j].imag)] for j in range(4)]
-                for i in range(4)]
-    }
-
-
-def state_from_json_obj(obj):
-    """Inverse of state_to_json_obj; validates the resulting matrix."""
-    if not isinstance(obj, dict) or "rho" not in obj:
-        raise StateError("state file must be a JSON object with a 'rho' key")
-    rows = obj["rho"]
-    try:
-        m = np.array(
-            [[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex
-        )
-    except (TypeError, LookupError, ValueError) as exc:
-        raise StateError(f"malformed 'rho' entries: {exc}") from exc
-    return validate_state(m)

@@ -1,7 +1,22 @@
 import numpy as np
 import pytest
+from scipy.optimize import bisect
 
-from qdiscord.states import binary_entropy
+from qdiscord.measures import UnsupportedFamily
+from qdiscord.states import Family
+
+
+def binary_entropy(x):
+    """h(x) = -x log2 x - (1-x) log2 (1-x)."""
+    if x < -1e-12 or x > 1 + 1e-12:
+        raise ValueError(f"binary_entropy argument {x} outside [0, 1]")
+    x = min(max(float(x), 0.0), 1.0)
+    out = 0.0
+    if x > 0.0:
+        out -= x * np.log2(x)
+    if x < 1.0:
+        out -= (1 - x) * np.log2(1 - x)
+    return float(out)
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -24,6 +39,55 @@ def random_unitary(rng):
     z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_pure_state(seed):
+    """Haar-like random pure two-qubit state vector (normalized Gaussian)."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    return v / np.linalg.norm(v)
+
+
+def concurrence_analytic(fam):
+    """Closed-form concurrence for the alpha, beta, and two-parameter families."""
+    if not isinstance(fam, Family):
+        raise UnsupportedFamily("expected a Family value")
+    if fam.kind == "alpha":
+        return float(max(0.0, 2 * fam.p1 - 1))
+    if fam.kind == "beta":
+        return float(abs(2 * fam.p1 - 1))
+    if fam.kind == "twoparam":
+        a, b = fam.p1, fam.p2
+        inner = (1 - a) ** 2 - b * b
+        return float(max(0.0, abs(a) - np.sqrt(max(inner, 0.0))))
+    raise UnsupportedFamily(
+        f"no closed-form concurrence implemented for family {fam.kind!r}"
+    )
+
+
+class NoSignChange(ValueError):
+    pass
+
+
+def find_crossover(c1, c2, xtol=1e-6):
+    """Intersection of two BoundaryCurves: bisection on the interpolated
+    difference."""
+    lo = max(c1.xs.min(), c2.xs.min())
+    hi = min(c1.xs.max(), c2.xs.max())
+    if hi <= lo:
+        raise NoSignChange("curves do not overlap in x")
+
+    def diff(x):
+        return np.interp(x, c1.xs, c1.ys) - np.interp(x, c2.xs, c2.ys)
+
+    grid = np.linspace(lo, hi, 2048)
+    d = diff(grid)
+    sign_flip = np.nonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]
+    if len(sign_flip) == 0:
+        raise NoSignChange("curve difference does not change sign in the overlap")
+    i = sign_flip[0]
+    x = bisect(diff, grid[i], grid[i + 1], xtol=xtol)
+    return float(x), float(np.interp(x, c1.xs, c1.ys))
 
 
 def written_out_random_state(seed):

@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import concurrence_analytic, random_pure_state
 
 from qdiscord.bounds import (
     horn_crossovers,
@@ -18,10 +19,8 @@ from qdiscord.bounds import (
 from qdiscord.cli import main
 from qdiscord.measures import (
     concurrence,
-    concurrence_analytic,
     discord_analytic,
     discord_numeric,
-    eof,
     mutual_information,
 )
 from qdiscord.states import (
@@ -29,7 +28,6 @@ from qdiscord.states import (
     Family,
     linear_entropy,
     make_family,
-    random_pure_state,
     random_state,
 )
 

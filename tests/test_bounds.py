@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
-from conftest import two_param_q_edge_limit, two_param_q_four_term
+from conftest import (
+    NoSignChange,
+    binary_entropy,
+    find_crossover,
+    two_param_q_edge_limit,
+    two_param_q_four_term,
+)
 
 from qdiscord.bounds import (
     PIMPLE_SL,
-    NoSignChange,
     SampleBatch,
     _envelope_two_param,
     _zero_eof_bound,
     entropy_upper,
     eof_to_concurrence,
-    find_crossover,
     horn_crossovers,
     horn_lower,
     horn_upper,
@@ -31,7 +35,6 @@ from qdiscord.measures import (
 from qdiscord.states import (
     Family,
     ParamOutOfRange,
-    binary_entropy,
     linear_entropy,
     make_family,
 )

@@ -75,6 +75,33 @@ class TestPoint:
         assert out == ""
         assert f"validation error: entry ({i}, {j}) is not finite" in err
 
+    @pytest.mark.parametrize(
+        "entry,shape",
+        [
+            ([0.25, 0.0, 7.0], (4, 4)),
+            ([0.25], (4, 4)),
+            ([True, False], (4, 4)),
+            (["0.25", 0.0], (4, 4)),
+            (None, (4, 4)),
+            ([10**400, 0.0], (4, 4)),  # no float holds it
+            ([0.25, 0.0], (4, 3)),
+        ],
+        ids=[
+            "three-numbers", "one-number", "bools", "string", "null", "huge-int", "4x3"
+        ],
+    )
+    def test_state_file_malformed_exit_2(self, capsys, tmp_path, entry, shape):
+        # the maximally mixed state's entries, cut to `shape`, with (0, 0) replaced
+        rows = [[[0.25 if r == c else 0.0, 0.0] for c in range(shape[1])]
+                for r in range(shape[0])]
+        rows[0][0] = entry
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({"rho": rows}))
+        code, out, err = run(capsys, "point", "--in", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("validation error: malformed 'rho'")
+
     def test_state_file_pimple(self, capsys, tmp_path):
         path = tmp_path / "pimple.json"
         write_state_file(make_family(Family("twoparam", 1 / 3, 0.0)), path)

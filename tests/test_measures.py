@@ -3,6 +3,8 @@ import pytest
 
 from conftest import (
     bell_diagonal_cc_oracle,
+    concurrence_analytic,
+    random_pure_state,
     random_unitary,
     two_param_q_edge_limit,
     two_param_q_four_term,
@@ -16,19 +18,15 @@ from qdiscord.measures import (
     alpha_discord,
     apply_measurement,
     beta_discord,
-    canonical_angles,
     classical_correlation,
     concurrence,
-    discord_batch,
-    concurrence_analytic,
     conditional_information,
     discord_analytic,
+    discord_batch,
     discord_numeric,
-    eof,
     eof_from_concurrence,
     measurement_pair,
     mutual_information,
-    spin_flip_spectrum,
     two_param_q,
     werner_discord,
 )
@@ -37,7 +35,6 @@ from qdiscord.states import (
     NotHermitian,
     linear_entropy,
     make_family,
-    random_pure_state,
     random_state,
     validate_state,
 )
@@ -138,14 +135,26 @@ class TestConditionalInformation:
         assert conditional_information(MIXED, th, ph) == pytest.approx(0.0, abs=1e-12)
 
     def test_canonical_angles_preserve_objective(self, rng):
+        # the projector pair, so the objective, is invariant under
+        # theta -> -theta, phi -> phi + pi and theta -> pi - theta,
+        # phi -> phi + pi; together with the periods they reduce any pair
+        # to theta in [0, pi/2], phi in [0, 2 pi)
         rho = random_state(8)
         for _ in range(20):
             th = rng.uniform(-np.pi, 2 * np.pi)
             ph = rng.uniform(-np.pi, 4 * np.pi)
-            tc, pc = canonical_angles(th, ph)
+            ref = conditional_information(rho, th, ph)
+            for t, p in ((-th, ph + np.pi), (np.pi - th, ph + np.pi)):
+                assert conditional_information(rho, t, p) == pytest.approx(
+                    ref, abs=1e-12
+                )
+            tc, pc = th % np.pi, ph
+            if tc > np.pi / 2:
+                tc, pc = np.pi - tc, pc + np.pi
+            pc %= 2 * np.pi
             assert 0 <= tc <= np.pi / 2 and 0 <= pc < 2 * np.pi
-            assert conditional_information(rho, th, ph) == pytest.approx(
-                conditional_information(rho, tc, pc), abs=1e-12
+            assert conditional_information(rho, tc, pc) == pytest.approx(
+                ref, abs=1e-12
             )
 
 
@@ -187,9 +196,6 @@ class TestClassicalCorrelation:
 
 
 class TestSpinFlipAndConcurrence:
-    def test_bell_spectrum(self):
-        assert np.allclose(spin_flip_spectrum(BELL), [1, 0, 0, 0], atol=1e-12)
-
     def test_product_pure_concurrence_zero(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[1, 1] = 1.0
@@ -204,10 +210,6 @@ class TestSpinFlipAndConcurrence:
 
     def test_alpha_concurrence(self):
         assert concurrence(make_family(Family("alpha", 0.75))) == pytest.approx(0.5)
-
-    def test_spectrum_descending_nonnegative(self):
-        lam = spin_flip_spectrum(random_state(3))
-        assert np.all(lam >= 0) and np.all(np.diff(lam) <= 0)
 
 
 class TestEof:
@@ -227,12 +229,6 @@ class TestEof:
         assert all(isinstance(v, float) for v in scalars)
         assert values.tobytes() == np.array(scalars).tobytes()
         assert (values[0], values[1]) == (0.0, 1.0)
-
-    def test_state_path_matches(self):
-        rho = make_family(Family("beta", 0.9))
-        assert eof(rho) == pytest.approx(
-            eof_from_concurrence(concurrence(rho)), abs=1e-14
-        )
 
 
 class TestDiscordNumeric:

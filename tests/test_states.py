@@ -1,28 +1,23 @@
 import numpy as np
 import pytest
 
-from conftest import written_out_random_state
+from conftest import binary_entropy, written_out_random_state
 from qdiscord.bounds import _derived_seeds
+from qdiscord.io import state_from_json_obj, state_to_json_obj
 from qdiscord.states import (
     Family,
     NotHermitian,
-    NotNormalized,
     NotPositive,
     ParamOutOfRange,
     StateError,
     TraceNotOne,
-    binary_entropy,
     linear_entropy,
     make_family,
     partial_trace,
     purity,
-    random_pure_state,
     random_state,
     random_states,
-    schmidt,
     spectrum,
-    state_from_json_obj,
-    state_to_json_obj,
     validate_state,
     von_neumann_entropy,
 )
@@ -247,32 +242,6 @@ class TestRandomState:
         # for d = K = 4 gives 8/17 = 0.4706)
         mean = np.mean([purity(random_state(s)) for s in range(10000)])
         assert mean == pytest.approx(0.471717040652871, abs=1e-9)
-
-
-class TestSchmidt:
-    def test_bell(self):
-        sf = schmidt(np.array([1, 0, 0, 1]) / np.sqrt(2))
-        assert sf.eigvalue_major == pytest.approx(0.5)
-
-    def test_product(self):
-        sf = schmidt(np.array([0, 1, 0, 0], dtype=complex))
-        assert sf.eigvalue_major == pytest.approx(1.0)
-
-    def test_asymmetric(self):
-        sf = schmidt(np.array([0.8, 0, 0, 0.6], dtype=complex))
-        assert sf.eigvalue_major == pytest.approx(0.64)
-        assert sf.eigvalue_major + sf.eigvalue_minor == 1.0
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(NotNormalized):
-            schmidt(np.array([1, 0, 0, 1], dtype=complex))
-
-    def test_reconstruction_up_to_phase(self):
-        for s in range(50):
-            v = random_pure_state(s)
-            w = schmidt(v).reconstruct()
-            overlap = abs(np.vdot(w, v))
-            assert overlap == pytest.approx(1.0, abs=1e-10)
 
 
 class TestStateJson:
