@@ -21,7 +21,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .measures import (
     DEFAULT_OPT,
@@ -155,6 +154,36 @@ def _werner_q(c):
     return werner_discord((2 * c + 1) / 3)
 
 
+def _alpha_werner_gap(c):
+    return _alpha_q(c) - _werner_q(c)
+
+
+def _werner_pure_gap(c):
+    return _werner_q(c) - eof_from_concurrence(c)
+
+
+_BISECT_RTOL = 4 * np.finfo(float).eps
+
+
+def bisect(f, a, b, xtol):
+    """A root of f in [a, b], where f(a) and f(b) differ in sign, by plain
+    bisection: halve dm = b - a, try xm = a + dm, move a to xm while
+    f(xm) f(a) >= 0, and stop at |dm| < xtol + 4 eps |xm|. This is the
+    classic bisect loop with its default relative tolerance, and the tests
+    pin it to that reference bit for bit."""
+    fa = f(a)
+    dm = b - a
+    for _ in range(100):
+        dm *= 0.5
+        xm = a + dm
+        fm = f(xm)
+        if fm * fa >= 0:
+            a = xm
+        if fm == 0 or abs(dm) < xtol + _BISECT_RTOL * abs(xm):
+            return xm
+    raise RuntimeError("bisection did not converge in 100 steps")
+
+
 @functools.lru_cache(maxsize=None)
 def horn_crossovers():
     """(E, Q) of the alpha-Werner junction and E of the Werner-pure junction.
@@ -162,10 +191,8 @@ def horn_crossovers():
     Both are bisections in concurrence on the closed-form branches, with
     the pure branch Q = E(C); the EoF follows from eof_from_concurrence.
     """
-    c_aw = bisect(lambda c: _alpha_q(c) - _werner_q(c), 0.6, 0.9, xtol=1e-13)
-    c_wp = bisect(
-        lambda c: _werner_q(c) - eof_from_concurrence(c), 0.8, 0.95, xtol=1e-13
-    )
+    c_aw = bisect(_alpha_werner_gap, 0.6, 0.9, 1e-13)
+    c_wp = bisect(_werner_pure_gap, 0.8, 0.95, 1e-13)
     return (
         float(eof_from_concurrence(c_aw)),
         float(_alpha_q(c_aw)),

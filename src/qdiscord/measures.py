@@ -13,13 +13,15 @@ a+- = (r +- T n)/(2 p+-), so S(A|Pi) = sum p+- h((1 + |a+-|)/2) in closed
 form (Luo, PRA 77, 042303 (2008)). The engine scans S(A|Pi) over each
 state's start set: the distinct directions of a small angle grid plus four
 directions read off the state, the right singular vectors of T and s/|s|.
-It refines the best start of every state with a finite-difference Newton
-iteration on the sphere, and goes through a batch in chunks of bounded
-size, with per-state SVDs and elementwise arithmetic only, so a state's
-result does not depend on its batch. The outcomes, rows, frames and
-candidate points of one evaluation lie on leading axes of a few arrays, so
-numpy's per-call cost is paid per evaluation, not per component, and each
-element still goes through the per-component operations in their order.
+It refines the best start of every state with a trust-region Newton
+iteration in the tangent plane of the sphere, on the value, gradient and
+Hessian of that closed form, all three from one evaluation per step. It
+goes through a batch in chunks of bounded size, with per-state SVDs and
+elementwise arithmetic only, so a state's result does not depend on its
+batch. The outcomes, rows and frame vectors of one evaluation lie on
+leading axes of a few arrays, so numpy's per-call cost is paid per
+evaluation, not per component, and each element still goes through the
+per-component operations in their order.
 classical_correlation and discord_numeric are batches of one;
 apply_measurement and conditional_information are the reference the engine
 is tested against, and mutual_information, concurrence and linear_entropy
@@ -65,8 +67,14 @@ class OptimizerDidNotConverge(RuntimeError):
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Settings for the discord angle search: the theta x phi grid size,
-    the value tolerance and per-start iteration budget of the refinement, and
-    the number of best starts refined per state.
+    the tolerance and per-start iteration budget of the refinement, and the
+    number of best starts refined per state.
+
+    The refinement is a trust-region Newton iteration (see _refine). A start
+    has converged when the model decrease of its next step is at most
+    refine_tol / 1000 and its least tangent curvature is at least
+    -refine_tol, or when its trust radius has fallen below 1e-10 without a
+    gain. max_iter bounds its Newton steps, one objective evaluation each.
 
     Each state's start set is the distinct directions of the grid plus four
     read off the state: the right singular vectors of its correlation matrix
@@ -240,7 +248,19 @@ def _conditional_entropy(c, n):
     rows = m[:, 0] * n[0]  # each row as ((c_x nx + c_y ny) + c_z nz)
     rows += m[:, 1] * n[1]
     rows += m[:, 2] * n[2]
-    # b[:, k] for outcome k: u (3 rows), p, then (p + |u|)/2 and (p - |u|)/2
+    b, _ = _outcomes(c, rows)
+    x = np.maximum(b[3:], 0.0, out=b[3:])  # xlog2 of (p, eig+, eig-) at once
+    lg = np.maximum(x, 1e-300)
+    np.log2(lg, out=lg)
+    lg *= x
+    return _outcome_sum(lg)
+
+
+def _outcomes(c, rows):
+    """The two outcomes of measuring B along n, from the rows (T n, s.n)/2
+    (leading axis): b[:, k] holds outcome k's u (3 rows), p and the
+    eigenvalues (p + |u|)/2 and (p - |u|)/2, shape (6, 2, ...); also |u|,
+    shape (2, ...)."""
     b = np.empty((6, 2) + rows.shape[1:])
     np.add(c[:, 0], rows, out=b[:4, 0])
     np.subtract(c[:, 0], rows, out=b[:4, 1])
@@ -252,18 +272,109 @@ def _conditional_entropy(c, n):
     np.subtract(b[3], w, out=b[5])
     e = b[4:]
     e *= 0.5
-    x = np.maximum(b[3:], 0.0, out=b[3:])  # xlog2 of (p, eig+, eig-) at once
+    return b, w
+
+
+def _outcome_sum(xl):
+    """The running sum 0 + xlog(p) - xlog(eig+) - xlog(eig-) over the two
+    outcomes of xl = xlog2 of (p, eig+, eig-), shape (3, 2, ...)."""
+    out = xl[0, 0] + 0.0
+    out -= xl[1, 0]
+    out -= xl[2, 0]
+    out += xl[0, 1]
+    out -= xl[1, 1]
+    out -= xl[2, 1]
+    return out
+
+
+# sigma times the signs of the log2 p, log2 e+ and log2 e- terms of the gradient
+_GRAD_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0], [-1.0, 1.0]])[..., None]
+_LOG2_CLIP = np.log2(EIG_CLIP)
+# the signs of the K(p), K(e+) and K(e-) terms of the Hessian, over ln 2
+_CURV_SIGN = np.array([1.0, -1.0, -1.0])[:, None, None] / np.log(2.0)
+
+
+def _objective_derivatives(c, frame):
+    """S(A|Pi_n) with its gradient and Hessian in the tangent plane, at the
+    frames (n, e1, e2) (see _frame) of shape (3, 3, M), for the halved Fano
+    coefficients c of shape (4, 4, M).
+
+    With r' = c[:3, 0], T' = c[:3, 1:] and s' = c[3, 1:], outcome sigma = +-1
+    has p = 1/2 + sigma s'.n, u = r' + sigma T'n, w = |u| and eigenvalues
+    e+- = (p +- w)/2. The rows of T' and s' times the frame lie on one
+    leading axis: t_k = T'e_k and a_k = s'.e_k for e_k = n, e1, e2. With
+    z_k = u.t_k / w and d+-_k = (a_k +- z_k)/2, the derivative along e_k is
+    g_k = sum_sigma sigma (log2 p a_k - log2 e+ d+_k - log2 e- d-_k)
+    (Luo's closed form differentiated; the 1/ln 2 terms cancel). With
+    K(x) = 1/(x ln 2), B = log2(e+/e-)/2 and G_ij = t_i.t_j, the tangent
+    Hessian, the second derivatives along _retract, is
+    h_ij = sum_sigma [K(p) a_i a_j - K(e+) d+_i d+_j - K(e-) d-_i d-_j
+    + (B/w)(z_i z_j - G_ij)] - delta_ij g_n. A p or eigenvalue at or below
+    EIG_CLIP enters the logarithms as EIG_CLIP and adds no K term: the
+    round-off eigenvalues of pure states would otherwise put ~1e17 into the
+    Hessian and ~1e-13 of noise into the gradient. So an outcome with p at
+    or below EIG_CLIP, whose eigenvalues are no larger, adds nothing to the
+    derivatives (and at most p bits to the value).
+
+    Returns the stack (f, g1, g2, h11, h22, h12), shape (6, M). f equals
+    _conditional_entropy(c, frame[0]) bit for bit: the rows are formed in
+    its order and the value code is shared.
+    """
+    m = c[:, 1:]
+    rows = m[:, 0, None] * frame[:, 0]  # (4, 3, M): the rows times n, e1, e2
+    rows += m[:, 1, None] * frame[:, 1]
+    rows += m[:, 2, None] * frame[:, 2]
+    b, w = _outcomes(c, rows[:, 0])
+    x = np.maximum(b[3:], 0.0, out=b[3:])
     lg = np.maximum(x, 1e-300)
     np.log2(lg, out=lg)
-    lg *= x
-    # the running sum 0 + xlog(p) - xlog(eig+) - xlog(eig-) over the outcomes
-    out = lg[0, 0] + 0.0
-    out -= lg[1, 0]
-    out -= lg[2, 0]
-    out += lg[0, 1]
-    out -= lg[1, 1]
-    out -= lg[2, 1]
+    out = np.empty((6,) + w.shape[1:])
+    out[0] = _outcome_sum(lg * x)
+
+    keep = x > EIG_CLIP
+    np.maximum(lg, _LOG2_CLIP, out=lg)  # log2 of max(x, EIG_CLIP)
+    # Hessian weights of (a, d+, d-, z, t) per outcome: K(p), -K(e+-), B/w
+    # and -B/w for each of the three components of t
+    wt = np.empty((7,) + w.shape)
+    np.divide(keep * _CURV_SIGN, np.maximum(x, EIG_CLIP), out=wt[:3])
+    wi = 1.0 / np.maximum(w, 1e-300)  # u/w is 0 where u = 0
+    np.subtract(lg[1], lg[2], out=wt[3])
+    wt[3] *= 0.5 * wi
+    np.negative(wt[3], out=wt[4:])
+    # (a, d+, d-, z, t) per outcome along n, e1 and e2: shape (7, 2, 3, M)
+    dv = np.empty((7, 2) + rows.shape[1:])
+    dv[4:] = rows[:3, None]
+    zt = (b[:3] * wi)[:, :, None] * rows[:3, None]
+    z = np.add(zt[0], zt[1], out=dv[3])
+    z += zt[2]
+    dv[0] = rows[3]
+    np.add(dv[0], z, out=dv[1])
+    np.subtract(dv[0], z, out=dv[2])
+    dv[1:3] *= 0.5
+    gp = dv[:3] * (lg * _GRAD_SIGN)[:, :, None]
+    g = _sum_leading(gp.reshape((6,) + rows.shape[1:]))  # g_n, g1, g2
+    out[1:3] = g[1:]
+
+    tan = dv[:, :, 1:]
+    hp = tan[:, :, :, None] * tan[:, :, None]
+    hp *= wt[:, :, None, None]
+    h = _sum_leading(hp.reshape((14, 4) + w.shape[1:]))  # h11, h12, h21, h22
+    np.subtract(h[::3], g[0], out=out[3:5])
+    out[5] = h[1]
     return out
+
+
+def _sum_leading(x):
+    """The sum over the leading axis of x as a fixed tree of elementwise
+    adds, so every element is summed in the same order whatever the other
+    axes; a numpy reduction picks its order from the array's shape."""
+    while len(x) > 1:
+        half = len(x) // 2
+        y = x[:half] + x[half : 2 * half]
+        if len(x) % 2:
+            y[0] += x[-1]
+        x = y
+    return x[0]
 
 
 def _entropy_a(c):
@@ -309,24 +420,20 @@ _CHUNK_ELEMENTS = 3 << 10
 
 def _chunk_size(per_state):
     """States per chunk when each state needs `per_state` objective values at
-    once: the start set in the scan, restarts x stencil points in refinement."""
+    once: the start set in the scan, and in refinement the restarts times
+    _KERNEL_VALUES."""
     return max(1, _CHUNK_ELEMENTS // per_state)
 
 
-# refinement stencil: the 8 neighbours (x, y) of the centre in units of h
-_STENCIL = np.array(
-    [
-        [1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0],
-        [0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0],
-    ]
-)[:, :, None]
-_H_MIN = 1e-5  # finest stencil spacing; round-off in the Hessian grows as 1/h^2
-_H_MAX = 0.25  # coarsest spacing; a step is at most 2 h long
-_H_START = 0.05  # first spacing at most; a start read off the state sits close
-# finest spacing at which a stencil within refine_tol of its centre counts as
-# a flat landscape: below it, that only bounds the gradient by refine_tol / h,
-# and shallow near-pure landscapes stopped up to 4e-12 short of their minimum
-_H_FLAT = 1e-3
+# objective values per refinement start: the largest temporary of
+# _objective_derivatives, the pair products of (a, d+, d-, z, t), has
+# 7 rows x 2 x 2 tangent pairs x 2 outcomes = 56 planes per start, as many
+# as the (6, 2) row stacks of ceil(56 / 12) = 5 objective values
+_KERNEL_VALUES = 5
+_R_START = 0.05  # first trust radius at most; a start read off the state is close
+# a start whose trust radius falls below this without a gain has converged:
+# the landscape is flat to round-off there (pure states, I/4)
+_R_MIN = 1e-10
 _PM = np.array([[1.0], [-1.0]])  # signs that stack a +- pair on a leading axis
 # the frame as products tab[I] * tab[J] * S of tab = (cos pol, cos azi,
 # sin pol, sin azi, 1): n = (sin pol cos azi, sin pol sin azi, cos pol),
@@ -368,79 +475,72 @@ def _retract(frame, xy):
     return v
 
 
-def _refine(c, ang, f, h0, cfg):
+def _refine(c, ang, f, r0, cfg):
     """Minimize S(A|Pi_n) from each start, all starts at once.
 
-    Start k has halved Fano coefficients c[..., k], Bloch angles ang[:, k]
-    = (pol, azi) and value f[k]. Every iteration evaluates the 3x3 stencil
-    of spacing h in the tangent plane at the centre (points (n + x e1 + y
-    e2) / |.|), takes finite-difference gradient and Hessian from it and
-    tries the Newton step, with each Hessian eigendirection of curvature
-    below |g|/2h capped at length 2h. The centre moves to the best of the
-    nine points. h follows the length of a winning Newton step, is kept
-    when a stencil point wins, and shrinks fourfold when no point gains more
-    than cfg.refine_tol. A start converges when its stencil values all lie
-    within cfg.refine_tol of the centre value at a spacing of at least
-    _H_FLAT (a flat landscape at that scale), or when no point gains more
-    than cfg.refine_tol at the finest spacing _H_MIN; it is then frozen
-    while the others iterate. After cfg.max_iter iterations the rest stop
-    unconverged.
+    Start k has halved Fano coefficients c[..., k] and Bloch angles
+    ang[:, k] = (pol, azi). Each start runs a trust-region Newton iteration
+    in the tangent plane of its frame (n, e1, e2), on the value, gradient
+    and Hessian of _objective_derivatives: one evaluation per iteration,
+    at the trial point (n + x e1 + y e2) / |.|. Along each eigendirection
+    of the 2x2 Hessian the step is the Newton step where the curvature
+    exceeds |slope| / radius, and one radius downhill otherwise; on
+    negative curvature at a saddle, where the slope is 0, it still goes
+    one radius. A trial is accepted only if its value is lower; the radius
+    then grows to twice the step if that is larger, and otherwise shrinks
+    to a quarter of the step. A start has converged when the model
+    decrease of its next step is at most cfg.refine_tol / 1000 and its
+    least tangent curvature is at least -cfg.refine_tol (a second-order
+    stationary point), or when its radius has fallen below _R_MIN without
+    a gain (a landscape flat to round-off); it is then frozen while the
+    others iterate. After cfg.max_iter iterations the rest stop
+    unconverged. The first radius is r0.
 
-    The frame, the stencil points, the gradient and curvature pairs and the
-    two Hessian eigendirections each lie on a leading axis of one array.
-    Updates ang and f in place and returns the per-start converged flags.
-    Every operation is elementwise over starts, so a start's result does
-    not depend on the others.
+    The two eigendirections lie on a leading axis of one array. Writes the
+    final angles into ang and values into f, and returns the per-start
+    converged flags. Every operation is elementwise over starts, so a
+    start's result does not depend on the others.
     """
-    h = np.full(len(f), min(h0, _H_MAX))
     converged = np.zeros(len(f), dtype=bool)
     act = np.arange(len(f))
     tol = cfg.refine_tol
+    # the active starts' coefficients, angles, frames, evaluations, radii
+    ck, at, frame = c, ang, _frame(ang)
+    ev = _objective_derivatives(ck, frame)
+    rk = np.full(len(f), r0)
     for _ in range(cfg.max_iter):
-        if not act.size:
-            break
-        frame = _frame(ang[:, act])
-        ck, fk, hk = c[..., act], f[act], h[act]
-        vs = _retract(frame[:, :, None], hk * _STENCIL)
-        fs = _conditional_entropy(ck[..., None, :], vs)
-
-        # gradient (g1, g2) and curvatures (h11, h22) from the +-x, +-y pairs
-        hk2 = 2 * hk
-        g = (fs[0:4:2] - fs[1:4:2]) / hk2
-        curv = (fs[0:4:2] + fs[1:4:2] - 2 * fk) / (hk * hk)
-        h12 = (fs[4] - fs[5] - fs[6] + fs[7]) / (4 * hk * hk)
-        diff = curv[0] - curv[1]
+        g, h11, h22, h12 = ev[1:3], ev[3], ev[4], ev[5]
+        diff = h11 - h22
         psi = 0.5 * np.arctan2(2 * h12, diff)
         cp, sp = np.cos(psi), np.sin(psi)
-        mid, rad = 0.5 * (curv[0] + curv[1]), np.hypot(0.5 * diff, h12)
-        # per Hessian eigendirection: curvature mid +- rad and the slope
+        mid, rad = 0.5 * (h11 + h22), np.hypot(0.5 * diff, h12)
+        # per Hessian eigendirection: curvature mid +- rad, the slope, and in
+        # steps minus the step, Newton or one radius downhill
         mu = mid + _PM * rad
         gr = cp * g + _PM * (sp * g[::-1])
-        steps = -gr / np.maximum(np.maximum(mu, np.abs(gr) / hk2), 1e-300)
-        d = cp * steps - _PM * (sp * steps[::-1])
-        vt = _retract(frame, d)
-        ft = _conditional_entropy(ck, vt)
-
-        cand = np.concatenate([fs, ft[None]])
-        best = cand.argmin(axis=0)
-        cols = np.arange(len(act))
-        fb = cand[best, cols]
-        gain = fk - fb
-        moved = gain > 0
-        if moved.any():
-            v = np.concatenate([vs, vt[:, None]], axis=1)
-            idx = act[moved]
-            ang[:, idx] = _angles(v[:, best[moved], cols[moved]])
-            f[idx] = fb[moved]
-
+        steps = np.copysign(rk, gr)
+        np.divide(gr, mu, out=steps, where=mu * rk > np.abs(gr))
+        model = steps * (0.5 * mu * steps - gr)  # minus the model decrease
+        stationary = (model[0] + model[1] >= -1e-3 * tol) & (mu[1] >= -tol)
+        done = stationary | (rk < _R_MIN)
+        if done.any():
+            fin, go = act[done], ~done
+            converged[fin] = True
+            ang[:, fin], f[fin] = at[:, done], ev[0, done]
+            if done.all():
+                return converged
+            act, ck, at, frame = act[go], ck[..., go], at[:, go], frame[..., go]
+            ev, rk, steps, cp, sp = ev[:, go], rk[go], steps[:, go], cp[go], sp[go]
+        d = _PM * (sp * steps[::-1]) - cp * steps
+        an = _angles(_retract(frame, d))
+        fn = _frame(an)
+        en = _objective_derivatives(ck, fn)
+        better = en[0] < ev[0]
+        at, frame = np.where(better, an, at), np.where(better, fn, frame)
+        ev = np.where(better, en, ev)
         step = np.hypot(d[0], d[1])
-        h_new = np.where(best == 8, np.minimum(np.maximum(step, _H_MIN), _H_MAX), hk)
-        h_new = np.where(gain > tol, h_new, np.maximum(np.minimum(step, hk / 4), _H_MIN))
-        h[act] = h_new
-        flat = (hk >= _H_FLAT) & (np.abs(fs - fk).max(axis=0) <= tol)
-        done = flat | ((hk <= _H_MIN) & (gain <= tol))
-        converged[act[done]] = True
-        act = act[~done]
+        rk = np.where(better, np.maximum(rk, 2 * step), 0.25 * step)
+    ang[:, act], f[act] = at, ev[0]
     return converged
 
 
@@ -451,12 +551,14 @@ def classical_correlation_batch(rhos, cfg=DEFAULT_OPT):
     For each state, S(A|Pi_n) (see _conditional_entropy) is scanned over the
     distinct directions of the cfg angle grid and the four directions of
     _state_directions, and the cfg.restarts best of them are refined by
-    _refine, with a first stencil spacing of at most _H_START; the state's
-    optimum is the best refined start. The value is S(rho_A) - S(A|Pi_n),
-    evaluated at the returned angles. States go through in chunks of
-    _chunk_size; the SVDs run per state and all other arithmetic is
-    elementwise over states, so a state's result does not depend on the
-    batch or chunk it is in, bit for bit.
+    _refine, a trust-region Newton iteration on the closed-form value,
+    gradient and Hessian of _objective_derivatives, with a first trust
+    radius of at most _R_START; the state's optimum is the best refined
+    start. The value is S(rho_A) - S(A|Pi_n), evaluated at the returned
+    angles. States go through in chunks of _chunk_size; the SVDs run per
+    state and all other arithmetic is elementwise over states, so a
+    state's result does not depend on the batch or chunk it is in, bit for
+    bit.
 
     Returns float arrays (values, theta_opt, phi_opt) with theta in
     [0, pi/2] and phi in [0, 2 pi). Raises StateError if some state has a
@@ -502,12 +604,12 @@ def _classical_correlation(rhos, cfg):
     grid, spacing = _direction_grid(cfg.grid_theta, cfg.grid_phi)
     g = grid.shape[1]
     k = min(cfg.restarts, g + 4)
-    h0 = min(spacing / 2, _H_START)
+    r0 = min(spacing / 2, _R_START)
     c = np.empty((4, 4, n))
     f = np.empty((n, k))
     ang = np.empty((2, n, k))
     converged = np.empty((n, k), dtype=bool)
-    block = _chunk_size(len(_STENCIL[0]) * k)
+    block = _chunk_size(_KERNEL_VALUES * k)
     size = _chunk_size(g + 4)
     cand = np.empty((3, min(size, n), g + 4))
     cand[:, :, :g] = grid[:, None]
@@ -523,14 +625,12 @@ def _classical_correlation(rhos, cfg):
             here[:, :, g:] = dirs[:, part]
             scan = _conditional_entropy(cb[..., part, None], here)
             best = scan.argpartition(k - 1, axis=1)[:, :k]
-            rows = np.arange(len(best))[:, None]
-            fb[part] = scan[rows, best]
-            start[:, part] = here[:, rows, best]
+            start[:, part] = here[:, np.arange(len(best))[:, None], best]
         ab[...] = _angles(start.reshape(3, -1)).reshape(ab.shape)
         owner = np.repeat(np.arange(len(fb)), k)
         # the reshapes are views, so _refine's in-place updates land in ang, f
         converged[blk] = _refine(
-            cb[..., owner], ab.reshape(2, -1), fb.reshape(-1), h0, cfg
+            cb[..., owner], ab.reshape(2, -1), fb.reshape(-1), r0, cfg
         ).reshape(fb.shape)
 
     win = f.argmin(axis=1) + np.arange(n) * k

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from conftest import (
     NoSignChange,
     binary_entropy,
@@ -11,7 +12,10 @@ from conftest import (
 from qdiscord.bounds import (
     PIMPLE_SL,
     SampleBatch,
+    _alpha_werner_gap,
     _envelope_two_param,
+    _werner_pure_gap,
+    bisect,
     _zero_eof_bound,
     entropy_upper,
     eof_to_concurrence,
@@ -181,6 +185,18 @@ class TestCrossovers:
     def test_werner_pure(self):
         _, _, e_wp = horn_crossovers()
         assert e_wp == pytest.approx(0.746, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "gap,lo,hi",
+        [(_alpha_werner_gap, 0.6, 0.9), (_werner_pure_gap, 0.8, 0.95)],
+        ids=["alpha-werner", "werner-pure"],
+    )
+    def test_bisection_matches_scipy_bit_for_bit(self, gap, lo, hi):
+        # the package's own bisection mirrors scipy's loop and default rtol,
+        # so the crossover output did not move when scipy left the runtime
+        ours = bisect(gap, lo, hi, 1e-13)
+        ref = scipy.optimize.bisect(gap, lo, hi, xtol=1e-13)
+        assert float(ours).hex() == float(ref).hex()
 
     def test_find_crossover_matches(self):
         c_a = sweep_family("alpha", "eof-q", 512)

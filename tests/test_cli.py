@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdiscord
 from qdiscord import bounds
 from qdiscord.cli import EXIT_NOT_CONVERGED, _optimizer_from, build_parser, main
 from qdiscord.io import CSV_HEADER, write_state_file
@@ -382,3 +387,19 @@ class TestNotConverged:
         code, _, err = run(capsys, "point", "--family", "alpha", "--param", "0.5")
         assert code == 4
         assert "(states 0)" in err
+
+
+class TestRuntimeDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        # the runtime needs numpy only; scipy is a test-only oracle
+        code = (
+            "import sys, qdiscord.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy'}))"
+        )
+        src = str(Path(qdiscord.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        assert proc.stdout.strip() == "[]"

@@ -281,6 +281,16 @@ class TestStateDirections:
         assert (nx[0, 3], ny[0, 3], nz[0, 3]) == (0.0, 0.0, 1.0)
 
 
+def hermitian_from_upper(values):
+    """The 4 x 4 Hermitian matrix with the upper triangle values, row-major
+    from (0, 0) to (3, 3)."""
+    rho = np.zeros((4, 4), dtype=complex)
+    rows, cols = np.triu_indices(4)
+    rho[rows, cols] = values
+    rho[cols, rows] = np.conj(values)
+    return rho
+
+
 DENSE = OptimizerConfig(grid_theta=120, grid_phi=240, restarts=8)
 STATE_SETS = {
     "x": (41, lambda rng: x_states(rng, 100, rotate=False)),
@@ -309,24 +319,46 @@ class TestDenseOracle:
     def test_shallow_near_pure_landscape(self):
         # found by a hill climb on the deficit against DENSE: a refinement
         # that took a flat 1.8e-5 stencil for convergence stopped 4.2e-12 short
-        upper = {
-            (0, 0): 0.09285962757091573,
-            (0, 1): -0.013830236771385226 - 0.0695390902638127j,
-            (0, 2): -0.12019913382467542 + 0.03334208918492299j,
-            (0, 3): -0.24698921430547868 + 0.051375694856430745j,
-            (1, 1): 0.05415350217728721,
-            (1, 2): -0.007060946419348555 - 0.09497915017611962j,
-            (1, 3): -0.001668529769917477 - 0.1926043073399476j,
-            (2, 2): 0.16756433334868595,
-            (2, 3): 0.33815884195104584 + 0.022184544990165728j,
-            (3, 3): 0.6854225369031112,
-        }
-        rho = np.zeros((4, 4), dtype=complex)
-        for (i, j), v in upper.items():
-            rho[i, j], rho[j, i] = v, np.conj(v)
+        rho = hermitian_from_upper(
+            [
+                0.09285962757091573,
+                -0.013830236771385226 - 0.0695390902638127j,
+                -0.12019913382467542 + 0.03334208918492299j,
+                -0.24698921430547868 + 0.051375694856430745j,
+                0.05415350217728721,
+                -0.007060946419348555 - 0.09497915017611962j,
+                -0.001668529769917477 - 0.1926043073399476j,
+                0.16756433334868595,
+                0.33815884195104584 + 0.022184544990165728j,
+                0.6854225369031112,
+            ]
+        )
         value, _, _ = classical_correlation(rho)
         dense, _, _ = classical_correlation(rho, DENSE)
         assert abs(value - dense) <= 1e-12
+
+    def test_full_rank_state_converges_under_the_default(self):
+        # found by a hill climb on Q - horn_upper over general states: purity
+        # about 0.40, T's two largest singular values within 2 % of each
+        # other. The finite-difference stencil refinement raised
+        # OptimizerDidNotConverge on it at the default max_iter = 500.
+        rho = hermitian_from_upper(
+            [
+                0.3100385979325583,
+                0.10368699918843526 - 0.13201822908104452j,
+                -0.038595822556582025 - 0.1048321441519785j,
+                0.039116855019248636 - 0.09776529584867213j,
+                0.23074112638045002,
+                -0.05724548579738963 - 0.03451683204937618j,
+                0.04949499847324378 + 0.06981638194324821j,
+                0.21117366460512174,
+                -0.015211633930828894 + 0.09209825967460256j,
+                0.24804661108186987,
+            ]
+        )
+        value, _, _ = classical_correlation(rho)
+        dense, _, _ = classical_correlation(rho, DENSE)
+        assert abs(value - dense) <= 1e-13
 
 
 class TestOptimizerConfig:
@@ -445,10 +477,11 @@ def reference_objective(rho, n):
 class TestObjective:
     """S(rho_A) - S(A|Pi_n) of the stacked objective against the reference
     conditional_information, in each broadcast shape the engine uses: the
-    scan (N states x K directions), the refinement stencil (8 points x M
-    starts) and the Newton point and final value (M). Outcomes below
-    P_FLOOR, which the reference drops, contribute at most p bits. In each
-    shape the values also equal the per-component form bit for bit."""
+    scan (N states x K directions) and the refinement and final value (M).
+    Outcomes below P_FLOOR, which the reference drops, contribute at most p
+    bits. In each shape the values also equal the per-component form bit
+    for bit. The refinement's derivative kernel is checked against its
+    value and against central differences."""
 
     K = 8
 
@@ -482,14 +515,39 @@ class TestObjective:
         assert value.shape == ref.shape
         assert np.max(np.abs(value - ref)) <= 1e-12
 
-    def test_stencil_shape(self, cases):
-        c, n, ref, _ = cases  # as (3, K, M): K points per start
-        nt, ct = n.transpose(0, 2, 1), c[..., None, :]
-        cond = measures._conditional_entropy(ct, nt)
-        assert cond.tobytes() == per_component_objective(ct, nt).tobytes()
-        value = measures._entropy_a(ct) - cond
-        assert value.shape == ref.T.shape
-        assert np.max(np.abs(value - ref.T)) <= 1e-12
+    def test_derivative_kernel(self, cases):
+        # value, tangent gradient and tangent Hessian at each direction's
+        # frame: the value equals _conditional_entropy bit for bit, and the
+        # derivatives match central differences along _retract. The p = 0
+        # and pure-product cases, flat to round-off, stay finite.
+        c, n, _, _ = cases
+        owner = np.repeat(np.arange(n.shape[1]), self.K)
+        ck = c[..., owner]
+        frame = measures._frame(measures._angles(n.reshape(3, -1)))
+        out = measures._objective_derivatives(ck, frame)
+        assert out.shape == (6, ck.shape[-1])
+        assert np.isfinite(out).all()
+        cond = measures._conditional_entropy(ck, frame[0])
+        assert out[0].tobytes() == cond.tobytes()
+
+        h = 1e-4
+
+        def along(x, y):
+            xy = np.array([[x], [y]]) * np.ones(ck.shape[-1])
+            return measures._conditional_entropy(ck, measures._retract(frame, xy))
+
+        f0 = along(0, 0)
+        fd_grad = [
+            (along(h, 0) - along(-h, 0)) / (2 * h),
+            (along(0, h) - along(0, -h)) / (2 * h),
+        ]
+        fd_hess = [
+            (along(h, 0) - 2 * f0 + along(-h, 0)) / h**2,
+            (along(0, h) - 2 * f0 + along(0, -h)) / h**2,
+            (along(h, h) - along(h, -h) - along(-h, h) + along(-h, -h)) / (4 * h * h),
+        ]
+        assert np.max(np.abs(out[1:3] - fd_grad)) <= 1e-7
+        assert np.max(np.abs(out[3:] - fd_hess)) <= 1e-5
 
     def test_newton_and_final_shape(self, cases):
         c, n, ref, _ = cases  # one direction per start: M = N K
