@@ -47,6 +47,7 @@ from .states import (
     random_states,
     spectrum,
     validate_state,
+    validate_states,
     von_neumann_entropy,
 )
 

@@ -38,7 +38,7 @@ from .states import (
     ParamOutOfRange,
     make_family,
     random_states,
-    validate_state,
+    validate_states,
 )
 
 PIMPLE_SL = 8.0 / 9.0
@@ -544,10 +544,8 @@ def sample_near_boundary(kind, n, epsilon, seed, cfg=DEFAULT_OPT):
     rng = np.random.default_rng(seed)
     seeds = _derived_seeds(seed, n)
     families = [_draw_family(kind, rng) for _ in range(n)]
-    rhos = [
-        validate_state((1 - epsilon) * make_family(fam) + epsilon * noise)
-        for fam, noise in zip(families, random_states(seeds))
-    ]
+    exact = np.stack([make_family(fam) for fam in families])
+    rhos = validate_states((1 - epsilon) * exact + epsilon * random_states(seeds))
     records = discord_batch(rhos, cfg)
     return SampleBatch(
         records=records,
@@ -584,10 +582,14 @@ def verify_bounds(batch, plane, slack=DEFAULT_SLACK):
     sl-q:  Q <= entropy_upper + slack.
     Each bound is evaluated once, on the x values of the whole batch.
     Violations are reported, never raised; offenders are listed in record
-    order, an upper violation before a lower one.
+    order, an upper violation before a lower one. A negative slack is legal
+    (it tightens the bounds); a NaN or infinite one raises ParamOutOfRange,
+    since no excess compares greater than NaN.
     """
     if not batch.records:
         raise ValueError("batch is empty")
+    if not np.isfinite(slack):
+        raise ParamOutOfRange(f"slack must be finite, got {slack}")
     y = np.array([r.discord for r in batch.records])
     if plane == "eof-q":
         x = np.array([r.eof for r in batch.records])

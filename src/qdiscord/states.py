@@ -1,13 +1,18 @@
 """Two-qubit density matrices: validation, parametrized families, entropies
 and seeded random states.
 
-Seeded random states are built as one (N, 4, 4) stack by random_states;
-random_state is a stack of one, so there is a single construction path.
+States are validated as one (N, 4, 4) stack by validate_states, and seeded
+random states are built as one stack by random_states; validate_state and
+random_state are stacks of one, so each has a single path. random_states
+seeds its generators with numpy's own SeedSequence and PCG64 seeding,
+restated to run on all seeds at once, so a seed gives the stream of
+np.random.Generator(np.random.PCG64(seed)).
 
 Basis order is fixed as |00>, |01>, |10>, |11> throughout.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,30 +51,63 @@ def hermiticity_deviation(m):
     return float(np.max(np.abs(m - m.conj().T)))
 
 
+def validate_states(raw):
+    """Check that `raw` is a (N, 4, 4) stack of two-qubit density matrices.
+
+    Returns a complex copy, or raises for the first state that is not one,
+    with the class and deviation validate_state raises for that state alone
+    and a message that names its index.
+    """
+    m = np.array(raw, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (4, 4):
+        raise StateError(f"expected an (N, 4, 4) stack, got shape {m.shape}")
+    _raise_first_invalid(m, "state {}: ")
+    return m
+
+
 def validate_state(raw):
     """Check that `raw` is a valid two-qubit density matrix.
 
     Returns a complex 4x4 copy, or raises StateError for a wrong shape or a
     NaN/Inf entry, or NotHermitian / TraceNotOne / NotPositive carrying the
-    measured deviation.
+    measured deviation. The checks are validate_states' on a stack of one.
     """
-    m = np.asarray(raw, dtype=complex)
+    m = np.array(raw, dtype=complex)
     if m.shape != (4, 4):
         raise StateError(f"expected a 4x4 matrix, got shape {m.shape}")
-    bad = np.argwhere(~np.isfinite(m))
-    if bad.size:
-        i, j = bad[0]
-        raise StateError(f"entry ({i}, {j}) is not finite: {m[i, j]}")
-    dev = hermiticity_deviation(m)
-    if dev > HERM_TOL:
-        raise NotHermitian(f"matrix is not Hermitian (deviation {dev:.3e})", dev)
-    tr_dev = abs(np.trace(m).real - 1.0) + abs(np.trace(m).imag)
-    if tr_dev > TRACE_TOL:
-        raise TraceNotOne(f"trace differs from 1 by {tr_dev:.3e}", tr_dev)
-    lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
-    if lo < -PSD_TOL:
-        raise NotPositive(f"minimum eigenvalue {lo:.3e} is negative", -lo)
-    return m.copy()
+    _raise_first_invalid(m[None], "")
+    return m
+
+
+def _raise_first_invalid(m, prefix):
+    """Raise for the first state of the (N, 4, 4) stack m that fails a check,
+    with the first check it fails: finite entries, Hermiticity, unit trace,
+    then positivity. prefix.format(index) starts the message."""
+    finite = np.isfinite(m).all(axis=(1, 2))
+    with np.errstate(invalid="ignore"):  # inf - inf in non-finite states
+        herm = np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        tr = np.trace(m, axis1=1, axis2=2)
+        tr = np.abs(tr.real - 1.0) + np.abs(tr.imag)
+    ok = finite & (herm <= HERM_TOL) & (tr <= TRACE_TOL)
+    lo = np.zeros(len(m))
+    h = m[ok]
+    lo[ok] = np.linalg.eigvalsh((h + h.conj().transpose(0, 2, 1)) / 2).min(axis=1)
+    bad = np.flatnonzero(~ok | (lo < -PSD_TOL))
+    if not bad.size:
+        return
+    k = bad[0]
+    at = prefix.format(k)
+    if not finite[k]:
+        i, j = np.argwhere(~np.isfinite(m[k]))[0]
+        raise StateError(f"{at}entry ({i}, {j}) is not finite: {m[k, i, j]}")
+    if herm[k] > HERM_TOL:
+        dev = float(herm[k])
+        raise NotHermitian(f"{at}matrix is not Hermitian (deviation {dev:.3e})", dev)
+    if tr[k] > TRACE_TOL:
+        dev = float(tr[k])
+        raise TraceNotOne(f"{at}trace differs from 1 by {dev:.3e}", dev)
+    low = float(lo[k])
+    raise NotPositive(f"{at}minimum eigenvalue {low:.3e} is negative", -low)
 
 
 def partial_trace(rho, keep):
@@ -192,20 +230,115 @@ def make_family(fam):
     raise ParamOutOfRange(f"unknown family kind {k!r}")
 
 
+# numpy's seeding of np.random.PCG64(seed), restated: SeedSequence
+# hashes the seed's 32-bit words into a pool of 4 words and the pool into
+# the 4 64-bit words of PCG64's seed, and pcg64_set_seed turns those into
+# the generator's 128-bit state and increment (numpy/random/bit_generator.pyx
+# and numpy/random/src/pcg64). Every hash step xors a running constant in,
+# advances it by a multiplier, and multiplies by the advanced constant; the
+# constants do not depend on the seed, so they are tabulated here.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # the seed words
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 2**32 - 1
+_MASK128 = 2**128 - 1
+
+
+def _hash_steps(init, mult, n):
+    """The xor and the multiply constants of n successive hash steps, each
+    as a (n, 1) uint32 column."""
+    xor, mul, h = [], [], init
+    for _ in range(n):
+        xor.append(h)
+        h = h * mult & _MASK32
+        mul.append(h)
+    return tuple(np.array(c, dtype=np.uint32)[:, None] for c in (xor, mul))
+
+
+# the pool's steps: 4 to fill it, then 3 per mixing round, one for each
+# other word in ascending order; a zero step fills the round's own row
+_POOL_STEPS = _hash_steps(_INIT_A, _MULT_A, 16)
+_POOL_FILL = [c[:4] for c in _POOL_STEPS]
+_POOL_ROUNDS = [
+    [np.insert(c[4 + 3 * src : 7 + 3 * src], src, 0, axis=0) for c in _POOL_STEPS]
+    for src in range(4)
+]
+# the 8 32-bit seed words cycle twice through the pool, as (2, 4) halves
+_WORD_XOR, _WORD_MUL = (c.reshape(2, 4, 1) for c in _hash_steps(_INIT_B, _MULT_B, 8))
+_SHIFT = np.uint32(16)
+_MIX_L = np.uint32(_MIX_MULT_L)
+_MIX_R = np.uint32(_MIX_MULT_R)
+_HALF = np.uint64(32)
+
+
+def _hashmix(v, xor, mul):
+    v = (v ^ xor) * mul
+    return v ^ v >> _SHIFT
+
+
+def _pcg_seed_words(seeds):
+    """PCG64's 4 64-bit seed words for each seed of a uint64 array, as
+    SeedSequence(seed).generate_state(4, np.uint64) gives them, shape (4, N).
+
+    The hashing runs as uint32 array arithmetic, which wraps silently, over
+    all seeds at once. A seed below 2**64 is at most 2 words, and
+    SeedSequence fills the pool past the seed's words with hashes of 0, so a
+    seed below 2**32 (one word) hashes as the two words (seed, 0).
+    """
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds & _MASK32
+    pool[1] = seeds >> _HALF
+    pool = _hashmix(pool, *_POOL_FILL)
+    # each word mixes into the other three; those three updates read only
+    # the source word, so they run as one, and the source row is restored
+    for src, (xor, mul) in enumerate(_POOL_ROUNDS):
+        mixed = pool * _MIX_L - _hashmix(pool[src], xor, mul) * _MIX_R
+        mixed ^= mixed >> _SHIFT
+        mixed[src] = pool[src]
+        pool = mixed
+    words = _hashmix(pool, _WORD_XOR, _WORD_MUL).astype(np.uint64)
+    # pairs of 32-bit words, low word first, make the 64-bit words
+    return (words[:, 0::2] | words[:, 1::2] << _HALF).reshape(4, -1)
+
+
 def random_states(seeds):
     """The (N, 4, 4) stack of rho = T T^dag / Tr{T T^dag}, one per seed, with
     T a 4x4 standard complex Gaussian.
 
-    Each seed gets its own generator and one standard_normal draw of 32
-    values, the real then the imaginary parts of T, which is the stream of two
-    (4, 4) draws. The products, traces and divisions then run once on the
-    whole stack; every element keeps the per-state operation order, so a
+    A seed is an integer in [0, 2**64); others raise ParamOutOfRange. Each
+    seed's generator state is np.random.PCG64(seed)'s: the seed
+    hashing runs on all seeds at once (_pcg_seed_words), then per seed the
+    128-bit PCG64 state is set on one generator of the call, which draws 32
+    standard normals, the real then the imaginary parts of T (the stream of
+    two (4, 4) draws). The products, traces and divisions then run once on
+    the whole stack; every element keeps the per-state operation order, so a
     state does not depend on the batch it is built in. Deterministic for
     fixed seeds; PSD and unit trace by construction.
     """
+    seeds = [operator.index(s) for s in seeds]
+    bad = [s for s in seeds if not 0 <= s < 2**64]
+    if bad:
+        raise ParamOutOfRange(f"seed {bad[0]} outside [0, 2**64)")
+    words = _pcg_seed_words(np.array(seeds, dtype=np.uint64))
     g = np.empty((len(seeds), 2, 4, 4))
-    for i, s in enumerate(seeds):
-        np.random.default_rng(s).standard_normal(out=g[i])
+    bits = np.random.PCG64(0)  # its seed state is replaced before each draw
+    generator = np.random.Generator(bits)
+    inner = {}
+    state = {
+        "bit_generator": "PCG64",
+        "state": inner,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for i, (s0, s1, q0, q1) in enumerate(zip(*words.tolist())):
+        # pcg64_set_seed: inc = 2 * initseq + 1, and two LCG steps from
+        # state 0 with initstate added between them
+        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
+        inner["state"] = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+        inner["inc"] = inc
+        bits.state = state
+        generator.standard_normal(out=g[i])
     t = g[:, 0] + 1j * g[:, 1]
     m = t @ t.conj().transpose(0, 2, 1)
     return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]

@@ -444,6 +444,15 @@ class TestVerifyBounds:
         with pytest.raises(ValueError):
             verify_bounds(SampleBatch([], [], "x"), "eof-q")
 
+    @pytest.mark.parametrize("plane", ["eof-q", "sl-q"])
+    @pytest.mark.parametrize("slack", [np.nan, np.inf, -np.inf])
+    def test_non_finite_slack_rejected(self, plane, slack):
+        # no excess compares greater than a NaN slack, so it would report 0
+        # violations whatever the batch
+        b = sample_random(3, 1)
+        with pytest.raises(ParamOutOfRange, match="slack must be finite"):
+            verify_bounds(b, plane, slack=slack)
+
     def test_unknown_plane(self):
         with pytest.raises(ValueError):
             verify_bounds(sample_random(2, 0), "nope")

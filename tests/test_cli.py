@@ -232,6 +232,16 @@ class TestVerify:
         _, out2, _ = run(capsys, "verify", "--n", "10", "--seed", "5")
         assert out1 == out2
 
+    @pytest.mark.parametrize("plane", ["eof-q", "sl-q"])
+    @pytest.mark.parametrize("slack", ["nan", "inf", "-inf"])
+    def test_non_finite_slack_exit_2(self, capsys, plane, slack):
+        code, out, err = run(
+            capsys, "verify", "--plane", plane, "--n", "3", f"--slack={slack}"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"validation error: slack must be finite, got {slack}\n"
+
 
 class TestBatchArguments:
     @pytest.mark.parametrize(

@@ -31,6 +31,7 @@ from qdiscord.measures import (
     werner_discord,
 )
 from qdiscord.states import (
+    FAMILY_KINDS,
     Family,
     NotHermitian,
     linear_entropy,
@@ -483,6 +484,21 @@ def test_sample_near_boundary_records_match_written_out_states():
     eps = 1e-3
     batch = sample_near_boundary("alpha", 30, eps, 5)
     assert batch.seeds == _derived_seeds(5, 30)
+    rhos = [
+        validate_state(
+            (1 - eps) * make_family(fam) + eps * written_out_random_state(s)
+        )
+        for fam, s in zip(batch.families, batch.seeds)
+    ]
+    assert batch.records == discord_batch(rhos)
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_near_boundary_stack_matches_per_state_build(kind):
+    # the mixtures are formed and validated as one stack; each must equal the
+    # per-state mixture of the family member and its seed's random state
+    eps = 0.3
+    batch = sample_near_boundary(kind, 12, eps, 8)
     rhos = [
         validate_state(
             (1 - eps) * make_family(fam) + eps * written_out_random_state(s)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from qdiscord.states import (
     random_states,
     spectrum,
     validate_state,
+    validate_states,
     von_neumann_entropy,
 )
 
@@ -62,6 +65,54 @@ class TestValidate:
     def test_wrong_shape(self):
         with pytest.raises(ValueError):
             validate_state(np.eye(2) / 2)
+
+
+def _non_finite(m):
+    m[3, 3] = complex(0.25, np.nan)
+
+
+def _non_hermitian(m):
+    m[0, 1] += 0.1
+
+
+def _trace_off(m):
+    m[2, 2] += 1e-6
+
+
+def _negative(m):
+    m[:] = np.diag([0.7, 0.5, -0.1, -0.1])
+
+
+class TestValidateStates:
+    def test_valid_stack_is_copied(self):
+        stack = random_states(range(6))
+        out = validate_states(stack)
+        assert np.array_equal(out, stack) and out is not stack
+
+    @pytest.mark.parametrize(
+        "spoil", [_non_finite, _non_hermitian, _trace_off, _negative]
+    )
+    def test_bad_state_raises_as_alone(self, spoil):
+        stack = random_states(range(6))
+        spoil(stack[4])
+        with pytest.raises(StateError) as alone:
+            validate_state(stack[4])
+        with pytest.raises(StateError) as exc:
+            validate_states(stack)
+        assert type(exc.value) is type(alone.value)
+        assert exc.value.deviation == alone.value.deviation
+        assert str(exc.value) == f"state 4: {alone.value}"
+
+    def test_first_bad_state_is_named(self):
+        stack = random_states(range(6))
+        _negative(stack[5])
+        _non_hermitian(stack[2])
+        with pytest.raises(NotHermitian, match="^state 2: "):
+            validate_states(stack)
+
+    def test_wrong_shape(self):
+        with pytest.raises(StateError, match=r"\(N, 4, 4\) stack"):
+            validate_states(np.eye(4) / 4)
 
 
 class TestPartialTrace:
@@ -227,10 +278,37 @@ class TestRandomState:
             a, b = random_state(2 * s), random_state(2 * s + 1)
             assert np.max(np.abs(a - b)) > 1e-6
 
+    # 0 and 2**32 - 1 hash as one 32-bit word, 2**32 and above as two
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 2, 2**64 - 1]
+
     def test_stack_matches_written_out_form(self):
-        seeds = _derived_seeds(1, 500) + [0, 2**63 - 2]
+        # the written-out form seeds numpy's own generator per seed, so this
+        # also checks the restated seeding against numpy's
+        seeds = self.EDGE_SEEDS + _derived_seeds(1, 5000)
         ref = np.stack([written_out_random_state(s) for s in seeds])
         assert np.array_equal(random_states(seeds), ref)
+
+    def test_shuffled_seeds_permute_the_states(self):
+        seeds = self.EDGE_SEEDS + _derived_seeds(4, 200)
+        order = np.random.default_rng(9).permutation(len(seeds))
+        shuffled = random_states([seeds[k] for k in order])
+        assert np.array_equal(shuffled, random_states(seeds)[order])
+
+    def test_empty_seed_list(self):
+        assert random_states([]).shape == (0, 4, 4)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**70)])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(ParamOutOfRange, match=f"seed {seed} outside"):
+            random_states([3, seed])
+
+    def test_seeding_raises_no_warning(self):
+        # the hash wraps uint32 arrays on purpose; numpy warns on overflow
+        # only in scalar arithmetic, which the seeding must not use
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            random_states(self.EDGE_SEEDS)
+            random_state(2**64 - 1)
 
     def test_single_state_is_stack_of_one(self):
         for s in _derived_seeds(2, 50) + [0, 2**63 - 2]:
