@@ -18,7 +18,6 @@ from .bounds import (
 from .measures import (
     AnalyticDiscordTrace,
     CorrelationRecord,
-    OptimizerConfig,
     OptimizerDidNotConverge,
     UnsupportedFamily,
     apply_measurement,

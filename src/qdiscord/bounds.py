@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import (
-    DEFAULT_OPT,
     CorrelationRecord,
     _xlog2,
     alpha_discord,
@@ -184,7 +183,7 @@ def bisect(f, a, b, xtol):
     raise RuntimeError("bisection did not converge in 100 steps")
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def horn_crossovers():
     """(E, Q) of the alpha-Werner junction and E of the Werner-pure junction.
 
@@ -506,14 +505,14 @@ def _derived_seeds(seed, n):
     return [int(s) for s in rng.integers(0, 2**63 - 1, size=n)]
 
 
-def sample_random(n, seed, cfg=DEFAULT_OPT):
+def sample_random(n, seed):
     """Correlation records for n seeded random density matrices."""
     if n < 1:
         raise ParamOutOfRange("n must be >= 1")
     if seed < 0:
         raise ParamOutOfRange("seed must be >= 0")
     seeds = _derived_seeds(seed, n)
-    records = discord_batch(random_states(seeds), cfg)
+    records = discord_batch(random_states(seeds))
     return SampleBatch(
         records=records,
         seeds=seeds,
@@ -533,7 +532,7 @@ def _draw_family(kind, rng):
     raise ParamOutOfRange(f"unknown family kind {kind!r}")
 
 
-def sample_near_boundary(kind, n, epsilon, seed, cfg=DEFAULT_OPT):
+def sample_near_boundary(kind, n, epsilon, seed):
     """Family states convexly mixed with an epsilon-weighted random state."""
     if not 0 <= epsilon <= 1:
         raise ParamOutOfRange("epsilon must be in [0, 1]")
@@ -546,7 +545,7 @@ def sample_near_boundary(kind, n, epsilon, seed, cfg=DEFAULT_OPT):
     families = [_draw_family(kind, rng) for _ in range(n)]
     exact = np.stack([make_family(fam) for fam in families])
     rhos = validate_states((1 - epsilon) * exact + epsilon * random_states(seeds))
-    records = discord_batch(rhos, cfg)
+    records = discord_batch(rhos)
     return SampleBatch(
         records=records,
         seeds=seeds,
@@ -575,6 +574,13 @@ def split_at_pimple(batch):
     return part(True), part(False)
 
 
+def check_slack(slack):
+    """Raise ParamOutOfRange unless slack is finite: no excess compares
+    greater than a NaN slack, and an infinite one passes or fails all."""
+    if not np.isfinite(slack):
+        raise ParamOutOfRange(f"slack must be finite, got {slack}")
+
+
 def verify_bounds(batch, plane, slack=DEFAULT_SLACK):
     """Check every record of a batch against the region bounds.
 
@@ -583,13 +589,12 @@ def verify_bounds(batch, plane, slack=DEFAULT_SLACK):
     Each bound is evaluated once, on the x values of the whole batch.
     Violations are reported, never raised; offenders are listed in record
     order, an upper violation before a lower one. A negative slack is legal
-    (it tightens the bounds); a NaN or infinite one raises ParamOutOfRange,
-    since no excess compares greater than NaN.
+    (it tightens the bounds); a NaN or infinite one raises ParamOutOfRange
+    (see check_slack).
     """
     if not batch.records:
         raise ValueError("batch is empty")
-    if not np.isfinite(slack):
-        raise ParamOutOfRange(f"slack must be finite, got {slack}")
+    check_slack(slack)
     y = np.array([r.discord for r in batch.records])
     if plane == "eof-q":
         x = np.array([r.eof for r in batch.records])

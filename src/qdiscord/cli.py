@@ -12,12 +12,7 @@ import json
 import sys
 
 from . import bounds, io as qio
-from .measures import (
-    DEFAULT_OPT,
-    OptimizerConfig,
-    OptimizerDidNotConverge,
-    discord_numeric,
-)
+from .measures import OptimizerDidNotConverge, discord_numeric
 from .states import FAMILY_KINDS, Family, StateError, make_family
 
 EXIT_OK = 0
@@ -40,11 +35,7 @@ def build_parser():
     p = _Parser(prog="qdiscord", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, optimizer=True):
-        if optimizer:
-            sp.add_argument("--grid-theta", type=int, default=DEFAULT_OPT.grid_theta)
-            sp.add_argument("--grid-phi", type=int, default=DEFAULT_OPT.grid_phi)
-            sp.add_argument("--restarts", type=int, default=DEFAULT_OPT.restarts)
+    def add_common(sp):
         sp.add_argument("--out", dest="output_path", default=None)
         sp.add_argument("--format", choices=["csv", "json"], default=None)
 
@@ -62,7 +53,7 @@ def build_parser():
     add_family(sp, required=True)
     sp.add_argument("--plane", choices=["eof-q", "sl-q"], default="eof-q")
     sp.add_argument("--n", type=int, default=512, help="curve resolution")
-    add_common(sp, optimizer=False)
+    add_common(sp)
 
     sp = sub.add_parser("sample", help="random density-matrix batch")
     sp.add_argument("--n", type=int, default=10000)
@@ -84,14 +75,8 @@ def build_parser():
     add_common(sp)
 
     sp = sub.add_parser("crossover", help="junctions of the horn upper bound")
-    add_common(sp, optimizer=False)
+    add_common(sp)
     return p
-
-
-def _optimizer_from(args):
-    return OptimizerConfig(
-        grid_theta=args.grid_theta, grid_phi=args.grid_phi, restarts=args.restarts
-    )
 
 
 def _family_from(args):
@@ -122,12 +107,11 @@ def _record_json(rec, fam=None, seed=None):
 
 
 def run_point(args):
-    cfg = _optimizer_from(args)
     fam = _family_from(args)
     if (fam is None) == (args.input_path is None):
         raise UsageError("point requires exactly one of --family or --in")
     rho = make_family(fam) if fam is not None else qio.read_state_file(args.input_path)
-    rec = discord_numeric(rho, cfg)
+    rec = discord_numeric(rho)
     if (args.format or "json") == "json":
         return _record_json(rec, fam), args.output_path
     batch = bounds.SampleBatch(
@@ -145,22 +129,19 @@ def run_sweep(args):
 
 
 def run_sample(args):
-    cfg = _optimizer_from(args)
-    batch = bounds.sample_random(args.n, args.seed, cfg)
+    batch = bounds.sample_random(args.n, args.seed)
     return qio.csv_text(batch), args.output_path
 
 
 def run_near(args):
-    cfg = _optimizer_from(args)
-    batch = bounds.sample_near_boundary(
-        args.family, args.n, args.epsilon, args.seed, cfg
-    )
+    batch = bounds.sample_near_boundary(args.family, args.n, args.epsilon, args.seed)
     return qio.csv_text(batch), args.output_path
 
 
 def run_verify(args):
-    cfg = _optimizer_from(args)
-    batch = bounds.sample_random(args.n, args.seed, cfg)
+    # before sampling: a bad slack would otherwise cost the whole batch
+    bounds.check_slack(args.slack)
+    batch = bounds.sample_random(args.n, args.seed)
     if args.plane == "eof-q":
         obj = bounds.verify_bounds(batch, "eof-q", args.slack).to_json_obj()
     else:

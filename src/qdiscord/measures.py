@@ -11,12 +11,13 @@ form, rho = (I + r.sigma x I + I x s.sigma + sum_ij T_ij sigma_i x sigma_j)/4.
 Measuring B along n gives p+- = (1 +- s.n)/2 and conditional Bloch vectors
 a+- = (r +- T n)/(2 p+-), so S(A|Pi) = sum p+- h((1 + |a+-|)/2) in closed
 form (Luo, PRA 77, 042303 (2008)). The engine scans S(A|Pi) over each
-state's start set: the distinct directions of a small angle grid plus four
-directions read off the state, the right singular vectors of T and s/|s|.
-It refines the best start of every state with a trust-region Newton
-iteration in the tangent plane of the sphere, on the value, gradient and
-Hessian of that closed form, all three from one evaluation per step. It
-goes through a batch in chunks of bounded size, with per-state SVDs and
+state's start set: the distinct directions of the fixed _GRID_THETA x
+_GRID_PHI angle grid plus four directions read off the state, the right
+singular vectors of T and s/|s|. It refines the best start of every state
+with a trust-region Newton iteration in the tangent plane of the sphere,
+on the value, gradient and Hessian of that closed form, all three from one
+evaluation per step, to _REFINE_TOL within _MAX_ITER steps. It goes
+through a batch in chunks of bounded size, with per-state SVDs and
 elementwise arithmetic only, so a state's result does not depend on its
 batch. The outcomes, rows and frame vectors of one evaluation lie on
 leading axes of a few arrays, so numpy's per-call cost is paid per
@@ -29,7 +30,6 @@ the reference for the record measures discord_batch computes per batch.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +39,6 @@ from .states import (
     HERM_TOL,
     Family,
     NotHermitian,
-    ParamOutOfRange,
     StateError,
     partial_trace,
     von_neumann_entropy,
@@ -56,65 +55,12 @@ class UnsupportedFamily(StateError):
 
 
 class OptimizerDidNotConverge(RuntimeError):
-    """No refinement start of some state converged within the iteration
-    budget; `states` holds the indices of those states in their batch."""
+    """The refinement of some state did not converge within _MAX_ITER
+    iterations; `states` holds the indices of those states in their batch."""
 
     def __init__(self, message, states=()):
         super().__init__(message)
         self.states = list(states)
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Settings for the discord angle search: the theta x phi grid size,
-    the tolerance and per-start iteration budget of the refinement, and the
-    number of best starts refined per state.
-
-    The refinement is a trust-region Newton iteration (see _refine). A start
-    has converged when the model decrease of its next step is at most
-    refine_tol / 1000 and its least tangent curvature is at least
-    -refine_tol, or when its trust radius has fallen below 1e-10 without a
-    gain. max_iter bounds its Newton steps, one objective evaluation each.
-
-    Each state's start set is the distinct directions of the grid plus four
-    read off the state: the right singular vectors of its correlation matrix
-    T, on which the optimum lies for Bell-diagonal states, and the direction
-    of B's Bloch vector s. The default budget is a 16 x 32 grid (225
-    distinct directions, so 229 starts) and one refinement start. On the
-    acceptance batches (10 000 random states and 1000 1e-3 near-boundary
-    states per family) it moves no classical correlation of the former
-    30 x 60 grid-only default by more than 5.1e-13. Against a 120 x 240
-    grid with 8 starts it agrees within 1e-12 on random, X, low-rank and
-    near-tie Bell-diagonal states. Near-pure mixtures can have several
-    shallow basins that no state direction points to; on 15 000 such states
-    (a seeded study) the default falls at most 6.1e-15 short of 120 x 240
-    grids with 8 starts, and a finer grid is the remedy where a basin is
-    missed.
-
-    Raises ParamOutOfRange unless grid_theta >= 2, grid_phi >= 1,
-    restarts >= 1, max_iter >= 1 and refine_tol > 0.
-    """
-
-    grid_theta: int = 16
-    grid_phi: int = 32
-    refine_tol: float = 1e-12
-    restarts: int = 1
-    max_iter: int = 500
-
-    def __post_init__(self):
-        for name, least in (
-            ("grid_theta", 2),
-            ("grid_phi", 1),
-            ("restarts", 1),
-            ("max_iter", 1),
-        ):
-            if getattr(self, name) < least:
-                raise ParamOutOfRange(f"{name} must be >= {least}")
-        if not self.refine_tol > 0:
-            raise ParamOutOfRange("refine_tol must be > 0")
-
-
-DEFAULT_OPT = OptimizerConfig()
 
 
 @dataclass(frozen=True)
@@ -385,28 +331,42 @@ def _entropy_a(c):
     return -_xlog2(0.5 + w) - _xlog2(0.5 - w)
 
 
-@functools.lru_cache(maxsize=8)
-def _direction_grid(grid_theta, grid_phi):
-    """Bloch vectors of the distinct measurements of the angle grid.
+def _direction_grid(n_theta, n_phi):
+    """Bloch vectors of the distinct measurements of an angle grid.
 
-    The grid is theta = linspace(0, pi/2, grid_theta) times phi =
-    linspace(0, 2 pi, grid_phi, endpoint=False), and n = (sin 2theta cos phi,
+    The grid is theta = linspace(0, pi/2, n_theta) times phi =
+    linspace(0, 2 pi, n_phi, endpoint=False), and n = (sin 2theta cos phi,
     sin 2theta sin phi, cos 2theta). Since n and -n define the same
     measurement (f(theta, phi) = f(pi/2 - theta, phi + pi)), only the half
     phi < pi is kept, and the two poles enter once. Returns the read-only
-    (3, G) array of the directions and the grid spacing as an arc on the
-    Bloch sphere.
+    (3, G) array of the directions.
     """
-    pol = 2 * np.linspace(0.0, np.pi / 2, grid_theta)[1:-1]
-    azi = np.linspace(0.0, np.pi, -(-grid_phi // 2), endpoint=False)
+    pol = 2 * np.linspace(0.0, np.pi / 2, n_theta)[1:-1]
+    azi = np.linspace(0.0, np.pi, -(-n_phi // 2), endpoint=False)
     pp, aa = np.meshgrid(pol, azi, indexing="ij")
     pp = np.concatenate([[0.0], pp.ravel()])
     aa = np.concatenate([[0.0], aa.ravel()])
     n = np.stack([np.sin(pp) * np.cos(aa), np.sin(pp) * np.sin(aa), np.cos(pp)])
     n.setflags(write=False)
-    spacing = max(np.pi / max(grid_theta - 1, 1), 2 * np.pi / max(grid_phi, 1))
-    return n, spacing
+    return n
 
+
+# The search budget: each state's start set is the 225 distinct directions
+# of a 16 x 32 grid plus the four of _state_directions, and the best of
+# those 229 starts is refined (see _refine for the tolerance). On the
+# acceptance batches (10 000 random states and 1000 1e-3 near-boundary
+# states per family) this moves no classical correlation of the former
+# 30 x 60 grid-only search by more than 5.1e-13. Against a 120 x 240 grid
+# with 8 refined starts it agrees within 1e-12 on random, X, low-rank and
+# near-tie Bell-diagonal states. Near-pure mixtures can have several shallow
+# basins that no state direction points to; on 15 000 such states (a seeded
+# study) it falls at most 6.1e-15 short of that search. Refining all four
+# state directions and no grid took 2.5 times as long per state: the
+# slowest start sets the iteration count, 8-18 evaluations against 1-5.
+_GRID_THETA, _GRID_PHI = 16, 32
+_REFINE_TOL = 1e-12
+_MAX_ITER = 500  # Newton steps per start, one objective evaluation each
+_GRID = _direction_grid(_GRID_THETA, _GRID_PHI)
 
 # objective values per plane of a chunk. The largest engine temporary, the
 # (6, 2) row stack of _conditional_entropy, then holds 12 x 3072 x 8 bytes =
@@ -417,21 +377,14 @@ def _direction_grid(grid_theta, grid_phi):
 # of its ~25 array operations on too few values: at 1024, sample_random(2000)
 # took 7 % longer than at 3072.
 _CHUNK_ELEMENTS = 3 << 10
-
-
-def _chunk_size(per_state):
-    """States per chunk when each state needs `per_state` objective values at
-    once: the start set in the scan, and in refinement the restarts times
-    _KERNEL_VALUES."""
-    return max(1, _CHUNK_ELEMENTS // per_state)
-
-
-# objective values per refinement start: the largest temporary of
+# states per scan call, each with its 229 starts
+_SCAN_STATES = _CHUNK_ELEMENTS // (_GRID.shape[1] + 4)
+# states per refinement block: the largest temporary of
 # _objective_derivatives, the pair products of (a, d+, d-, z, t), has
-# 7 rows x 2 x 2 tangent pairs x 2 outcomes = 56 planes per start, as many
+# 7 rows x 2 x 2 tangent pairs x 2 outcomes = 56 planes per state, as many
 # as the (6, 2) row stacks of ceil(56 / 12) = 5 objective values
-_KERNEL_VALUES = 5
-_R_START = 0.05  # first trust radius at most; a start read off the state is close
+_BLOCK_STATES = _CHUNK_ELEMENTS // 5
+_R_START = 0.05  # first trust radius; a start read off the state is close
 # a start whose trust radius falls below this without a gain has converged:
 # the landscape is flat to round-off there (pure states, I/4)
 _R_MIN = 1e-10
@@ -476,7 +429,7 @@ def _retract(frame, xy):
     return v
 
 
-def _refine(c, ang, f, r0, cfg):
+def _refine(c, ang, f, r0):
     """Minimize S(A|Pi_n) from each start, all starts at once.
 
     Start k has halved Fano coefficients c[..., k] and Bloch angles
@@ -490,12 +443,12 @@ def _refine(c, ang, f, r0, cfg):
     one radius. A trial is accepted only if its value is lower; the radius
     then grows to twice the step if that is larger, and otherwise shrinks
     to a quarter of the step. A start has converged when the model
-    decrease of its next step is at most cfg.refine_tol / 1000 and its
-    least tangent curvature is at least -cfg.refine_tol (a second-order
-    stationary point), or when its radius has fallen below _R_MIN without
-    a gain (a landscape flat to round-off); it is then frozen while the
-    others iterate. After cfg.max_iter iterations the rest stop
-    unconverged. The first radius is r0.
+    decrease of its next step is at most _REFINE_TOL / 1000 and its least
+    tangent curvature is at least -_REFINE_TOL (a second-order stationary
+    point), or when its radius has fallen below _R_MIN without a gain (a
+    landscape flat to round-off); it is then frozen while the others
+    iterate. After _MAX_ITER iterations the rest stop unconverged. The
+    first radius is r0.
 
     The two eigendirections lie on a leading axis of one array. Writes the
     final angles into ang and values into f, and returns the per-start
@@ -504,12 +457,12 @@ def _refine(c, ang, f, r0, cfg):
     """
     converged = np.zeros(len(f), dtype=bool)
     act = np.arange(len(f))
-    tol = cfg.refine_tol
+    tol = _REFINE_TOL
     # the active starts' coefficients, angles, frames, evaluations, radii
     ck, at, frame = c, ang, _frame(ang)
     ev = _objective_derivatives(ck, frame)
     rk = np.full(len(f), r0)
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         g, h11, h22, h12 = ev[1:3], ev[3], ev[4], ev[5]
         diff = h11 - h22
         psi = 0.5 * np.arctan2(2 * h12, diff)
@@ -545,30 +498,29 @@ def _refine(c, ang, f, r0, cfg):
     return converged
 
 
-def classical_correlation_batch(rhos, cfg=DEFAULT_OPT):
+def classical_correlation_batch(rhos):
     """Classical correlation of a stack of states: the batch entry point of
     the discord engine.
 
     For each state, S(A|Pi_n) (see _conditional_entropy) is scanned over the
-    distinct directions of the cfg angle grid and the four directions of
-    _state_directions, and the cfg.restarts best of them are refined by
-    _refine, a trust-region Newton iteration on the closed-form value,
+    distinct directions of the _GRID_THETA x _GRID_PHI angle grid and the
+    four directions of _state_directions, and the best of them is refined
+    by _refine, a trust-region Newton iteration on the closed-form value,
     gradient and Hessian of _objective_derivatives, with a first trust
-    radius of at most _R_START; the state's optimum is the best refined
-    start. The value is S(rho_A) - S(A|Pi_n), evaluated at the returned
-    angles. States go through in chunks of _chunk_size; the SVDs run per
-    state and all other arithmetic is elementwise over states, so a
-    state's result does not depend on the batch or chunk it is in, bit for
-    bit.
+    radius of _R_START. The value is S(rho_A) - S(A|Pi_n), evaluated at the
+    returned angles. States go through in chunks of _SCAN_STATES and
+    _BLOCK_STATES; the SVDs run per state and all other arithmetic is
+    elementwise over states, so a state's result does not depend on the
+    batch or chunk it is in, bit for bit.
 
     Returns float arrays (values, theta_opt, phi_opt) with theta in
     [0, pi/2] and phi in [0, 2 pi). Raises StateError if some state has a
     NaN or Inf entry, and OptimizerDidNotConverge, after the whole batch
-    has run, if for some state no refinement start converged within
-    cfg.max_iter iterations.
+    has run, if the refinement of some state did not converge within
+    _MAX_ITER iterations.
     """
     rhos = _state_stack(rhos)
-    return _classical_correlation(rhos, cfg)[1:]
+    return _classical_correlation(rhos)[1:]
 
 
 def _state_stack(rhos):
@@ -593,70 +545,63 @@ def _state_directions(c):
     return np.concatenate([vt.transpose(2, 0, 1), s[:, :, None]], axis=2)
 
 
-def _classical_correlation(rhos, cfg):
+def _classical_correlation(rhos):
     """classical_correlation_batch for a (N, 4, 4) complex stack; also
     returns the halved Fano coefficients (4, 4, N) of the states, first.
 
-    States go through in blocks whose starts _refine takes at once; each
-    block's coefficients and state directions come from one _fano and one
-    _state_directions call, and its scan from objective calls of
-    _chunk_size(starts per state) states each."""
+    States go through in blocks of _BLOCK_STATES, whose starts _refine
+    takes at once; each block's coefficients and state directions come from
+    one _fano and one _state_directions call, and its scan from objective
+    calls of _SCAN_STATES states each."""
     n = len(rhos)
-    grid, spacing = _direction_grid(cfg.grid_theta, cfg.grid_phi)
-    g = grid.shape[1]
-    k = min(cfg.restarts, g + 4)
-    r0 = min(spacing / 2, _R_START)
+    g = _GRID.shape[1]
     c = np.empty((4, 4, n))
-    f = np.empty((n, k))
-    ang = np.empty((2, n, k))
-    converged = np.empty((n, k), dtype=bool)
-    block = _chunk_size(_KERNEL_VALUES * k)
-    size = _chunk_size(g + 4)
+    f = np.empty(n)
+    ang = np.empty((2, n))
+    converged = np.empty(n, dtype=bool)
+    size = _SCAN_STATES
     cand = np.empty((3, min(size, n), g + 4))
-    cand[:, :, :g] = grid[:, None]
-    for lo in range(0, n, block):
-        blk = slice(lo, lo + block)
+    cand[:, :, :g] = _GRID[:, None]
+    for lo in range(0, n, _BLOCK_STATES):
+        blk = slice(lo, lo + _BLOCK_STATES)
         c[..., blk] = _fano(rhos[blk])
-        cb, fb, ab = c[..., blk], f[blk], ang[:, blk]
+        cb = c[..., blk]
+        nb = cb.shape[-1]
         dirs = _state_directions(cb)
-        start = np.empty((3,) + fb.shape)
-        for i in range(0, len(fb), size):
+        start = np.empty((3, nb))
+        for i in range(0, nb, size):
             part = slice(i, i + size)
-            here = cand[:, : len(fb[part])]
+            here = cand[:, : min(size, nb - i)]
             here[:, :, g:] = dirs[:, part]
             scan = _conditional_entropy(cb[..., part, None], here)
-            best = scan.argpartition(k - 1, axis=1)[:, :k]
-            start[:, part] = here[:, np.arange(len(best))[:, None], best]
-        ab[...] = _angles(start.reshape(3, -1)).reshape(ab.shape)
-        owner = np.repeat(np.arange(len(fb)), k)
-        # the reshapes are views, so _refine's in-place updates land in ang, f
-        converged[blk] = _refine(
-            cb[..., owner], ab.reshape(2, -1), fb.reshape(-1), r0, cfg
-        ).reshape(fb.shape)
+            # not argmin, which picks another start on exact ties
+            best = scan.argpartition(0, axis=1)[:, 0]
+            start[:, part] = here[:, np.arange(len(best)), best]
+        ang[:, blk] = _angles(start)
+        # ang[:, blk] and f[blk] are views, so _refine's updates land in ang, f
+        converged[blk] = _refine(cb, ang[:, blk], f[blk], _R_START)
 
-    win = f.argmin(axis=1) + np.arange(n) * k
-    theta = 0.5 * ang.reshape(2, -1)[0, win]
-    phi = np.mod(ang.reshape(2, -1)[1, win], 2 * np.pi)
+    theta = 0.5 * ang[0]
+    phi = np.mod(ang[1], 2 * np.pi)
     n_opt = _frame(np.array([2 * theta, phi]))[0]
     values = _entropy_a(c) - _conditional_entropy(c, n_opt)
-    failed = np.flatnonzero(~converged.any(axis=1))
+    failed = np.flatnonzero(~converged)
     if failed.size:
         raise OptimizerDidNotConverge(
-            f"{failed.size} state(s) with no refinement start converged "
-            f"within {cfg.max_iter} iterations",
+            f"{failed.size} state(s) did not converge within {_MAX_ITER} iterations",
             failed.tolist(),
         )
     return c, values, theta, phi
 
 
-def classical_correlation(rho, cfg=DEFAULT_OPT):
+def classical_correlation(rho):
     """Maximum of conditional_information over projective bases on B.
 
     Returns (value, theta_opt, phi_opt); the value is the objective evaluated
     at the returned angles. A batch of one for classical_correlation_batch,
     which documents the search and when OptimizerDidNotConverge is raised.
     """
-    values, thetas, phis = classical_correlation_batch([rho], cfg)
+    values, thetas, phis = classical_correlation_batch([rho])
     return float(values[0]), float(thetas[0]), float(phis[0])
 
 
@@ -727,7 +672,7 @@ def _record_measures(rhos, c):
     return mi, conc, sl
 
 
-def discord_batch(rhos, cfg=DEFAULT_OPT):
+def discord_batch(rhos):
     """Full numerically optimized correlation records for a stack of states.
 
     The classical correlation of every state comes from one
@@ -742,7 +687,7 @@ def discord_batch(rhos, cfg=DEFAULT_OPT):
     if bad.size:
         d = float(dev[bad[0]])
         raise NotHermitian(f"matrix is not Hermitian (deviation {d:.3e})", d)
-    c, values, thetas, phis = _classical_correlation(rhos, cfg)
+    c, values, thetas, phis = _classical_correlation(rhos)
     mis, concs, sls = _record_measures(rhos, c)
     fields = [
         mis,
@@ -757,10 +702,10 @@ def discord_batch(rhos, cfg=DEFAULT_OPT):
     return [CorrelationRecord(*row) for row in np.stack(fields, axis=1).tolist()]
 
 
-def discord_numeric(rho, cfg=DEFAULT_OPT):
+def discord_numeric(rho):
     """Full numerically optimized correlation record for one state: a batch
     of one for discord_batch."""
-    return discord_batch([rho], cfg)[0]
+    return discord_batch([rho])[0]
 
 
 def _float_or_array(x):

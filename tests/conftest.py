@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import bisect
 
+from qdiscord import measures
 from qdiscord.measures import UnsupportedFamily
 from qdiscord.states import Family
 
@@ -137,3 +138,29 @@ def two_param_q_edge_limit(a):
         + 1.0
         - 0.5 * np.log2((1 - b0 * b0) * (1 - a * a - b0 * b0))
     )
+
+
+def dense_classical_correlation(rhos, grid_theta=120, grid_phi=240, starts=8):
+    """Oracle for classical_correlation_batch: the engine's search with a
+    denser grid and more refined starts, one state at a time. Each state's
+    start set is the grid_theta x grid_phi grid plus the four state
+    directions; the `starts` best are refined from a first trust radius of
+    half the grid spacing, at most _R_START, and the best refined start is
+    the optimum. Returns the values as an array."""
+    m = measures
+    grid = m._direction_grid(grid_theta, grid_phi)
+    spacing = max(np.pi / (grid_theta - 1), 2 * np.pi / grid_phi)
+    r0 = min(spacing / 2, m._R_START)
+    out = []
+    for rho in rhos:
+        c = m._fano(np.asarray(rho, dtype=complex)[None])
+        cand = np.concatenate([grid, m._state_directions(c)[:, 0]], axis=1)
+        scan = m._conditional_entropy(c[..., None], cand[:, None])
+        best = scan.argpartition(starts - 1, axis=1)[0, :starts]
+        ang = m._angles(cand[:, best])
+        f = np.empty(starts)
+        assert m._refine(np.repeat(c, starts, axis=2), ang, f, r0).any()
+        win = [f.argmin()]
+        n_opt = m._frame(np.array([ang[0, win], np.mod(ang[1, win], 2 * np.pi)]))[0]
+        out.append((m._entropy_a(c) - m._conditional_entropy(c, n_opt))[0])
+    return np.array(out)

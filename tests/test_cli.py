@@ -10,9 +10,9 @@ import pytest
 
 import qdiscord
 from qdiscord import bounds
-from qdiscord.cli import EXIT_NOT_CONVERGED, _optimizer_from, build_parser, main
+from qdiscord.cli import EXIT_NOT_CONVERGED, main
 from qdiscord.io import CSV_HEADER, write_state_file
-from qdiscord.measures import DEFAULT_OPT, OptimizerDidNotConverge
+from qdiscord.measures import OptimizerDidNotConverge
 from qdiscord.states import Family, make_family
 
 
@@ -242,6 +242,16 @@ class TestVerify:
         assert out == ""
         assert err == f"validation error: slack must be finite, got {slack}\n"
 
+    @pytest.mark.parametrize("plane", ["eof-q", "sl-q"])
+    def test_bad_slack_rejected_before_sampling(self, capsys, monkeypatch, plane):
+        def sample_random(n, seed):
+            raise AssertionError("sampled before the slack was checked")
+
+        monkeypatch.setattr(bounds, "sample_random", sample_random)
+        code, _, err = run(capsys, "verify", "--plane", plane, "--slack", "nan")
+        assert code == 2
+        assert err == "validation error: slack must be finite, got nan\n"
+
 
 class TestBatchArguments:
     @pytest.mark.parametrize(
@@ -290,39 +300,6 @@ class TestBatchArguments:
         assert len(list(csv.reader(out.splitlines()))) == 3
 
 
-class TestOptimizerArguments:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("point", "--family", "alpha", "--param", "0.5"),
-            ("sample",),
-            ("near", "--family", "beta"),
-            ("verify",),
-        ],
-    )
-    def test_defaults_are_the_library_budget(self, argv):
-        args = build_parser().parse_args(list(argv))
-        assert _optimizer_from(args) == DEFAULT_OPT
-
-    @pytest.mark.parametrize(
-        "flag,value,message",
-        [
-            ("--grid-theta", "-1", "grid_theta must be >= 2"),
-            ("--grid-theta", "1", "grid_theta must be >= 2"),
-            ("--grid-phi", "0", "grid_phi must be >= 1"),
-            ("--restarts", "0", "restarts must be >= 1"),
-            ("--restarts", "-2", "restarts must be >= 1"),
-        ],
-    )
-    def test_bad_budget_exit_2(self, capsys, flag, value, message):
-        code, out, err = run(
-            capsys, "point", "--family", "alpha", "--param", "0.5", flag, value
-        )
-        assert code == 2
-        assert out == ""
-        assert err == f"validation error: {message}\n"
-
-
 class TestCrossover:
     def test_values(self, capsys):
         code, out, _ = run(capsys, "crossover")
@@ -344,11 +321,33 @@ class TestUsage:
         code, _, _ = run(capsys, "sweep", "--family", "beta", "--plane", "xy")
         assert code == 1
 
-    def test_bounds_commands_take_no_optimizer_flags(self, capsys):
-        # bounds are closed forms: sweep and crossover run no discord engine
-        args = ("sweep", "--family", "werner", "--n", "4", "--grid-theta", "12")
-        assert run(capsys, *args)[0] == 1
-        assert run(capsys, "crossover", "--restarts", "2")[0] == 1
+    @pytest.mark.parametrize(
+        "flag",
+        [("--grid-theta", "12"), ("--grid-phi", "24"), ("--restarts", "2")],
+        ids=lambda f: f[0],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("point", "--family", "alpha", "--param", "0.5"),
+            ("sweep", "--family", "werner", "--n", "4"),
+            ("sample", "--n", "2"),
+            ("near", "--family", "beta", "--n", "2"),
+            ("verify", "--n", "2"),
+            ("crossover",),
+        ],
+        ids=lambda a: a[0],
+    )
+    def test_bounds_commands_take_no_optimizer_flags(
+        self, capsys, tmp_path, argv, flag
+    ):
+        # the discord search budget is fixed: no command takes a budget flag
+        dest = tmp_path / "never.out"
+        code, out, err = run(capsys, *argv, *flag, "--out", str(dest))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: unrecognized arguments")
+        assert not dest.exists()
 
     def test_no_partial_output_on_usage_error(self, capsys, tmp_path):
         dest = tmp_path / "never.csv"
@@ -378,7 +377,7 @@ class TestNotConverged:
         ],
     )
     def test_exit_4_names_the_states(self, capsys, monkeypatch, tmp_path, argv):
-        def engine(rhos, cfg):
+        def engine(rhos):
             raise OptimizerDidNotConverge("2 state(s) did not converge", [1, 3])
 
         monkeypatch.setattr(bounds, "discord_batch", engine)
@@ -390,7 +389,7 @@ class TestNotConverged:
         assert not dest.exists()
 
     def test_point_exit_4(self, capsys, monkeypatch):
-        def engine(rho, cfg):
+        def engine(rho):
             raise OptimizerDidNotConverge("1 state(s) did not converge", [0])
 
         monkeypatch.setattr("qdiscord.cli.discord_numeric", engine)

@@ -1,16 +1,20 @@
 """The batched discord engine: independence of batch and chunk size, an
 independent optimizer oracle on degenerate and near-tie landscapes, the
-default search budget against far larger ones, the start directions read
-off the state, config validation, and the non-convergence contract."""
+fixed search budget against far larger searches, the start directions read
+off the state, and the non-convergence contract."""
 import numpy as np
 import pytest
-from conftest import PAULI, bell_diagonal_cc_oracle, random_unitary
+from conftest import (
+    PAULI,
+    bell_diagonal_cc_oracle,
+    dense_classical_correlation,
+    random_unitary,
+)
 from scipy.optimize import minimize
 
 from qdiscord import io, measures
 from qdiscord.bounds import sample_random
 from qdiscord.measures import (
-    OptimizerConfig,
     OptimizerDidNotConverge,
     classical_correlation,
     classical_correlation_batch,
@@ -21,7 +25,6 @@ from qdiscord.measures import (
 from qdiscord.states import (
     FAMILY_KINDS,
     Family,
-    ParamOutOfRange,
     StateError,
     make_family,
     random_state,
@@ -184,7 +187,8 @@ class TestBatchIndependence:
     def test_csv_bytes_do_not_depend_on_chunk_size(self, monkeypatch, chunk):
         n, seed = 20, 5
         reference = io.csv_text(sample_random(n, seed))
-        monkeypatch.setattr(measures, "_chunk_size", lambda _: chunk or n)
+        monkeypatch.setattr(measures, "_SCAN_STATES", chunk or n)
+        monkeypatch.setattr(measures, "_BLOCK_STATES", chunk or n)
         assert io.csv_text(sample_random(n, seed)) == reference
 
     def test_single_state_equals_its_batch_row(self):
@@ -222,7 +226,7 @@ class TestOptimizerOracle:
 
 
 class TestDefaultBudget:
-    """The default budget (one start from a coarse grid) must find the same
+    """The fixed budget (one start from a coarse grid) must find the same
     optimum as a far larger search, on the landscapes it could get wrong."""
 
     @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
@@ -241,9 +245,7 @@ class TestDefaultBudget:
         else:
             rhos = [rho for _, rho in family_mixtures(20, epsilon)]
         values, _, _ = classical_correlation_batch(rhos)
-        wide, _, _ = classical_correlation_batch(
-            rhos, OptimizerConfig(grid_theta=90, grid_phi=180, restarts=8)
-        )
+        wide = dense_classical_correlation(rhos, grid_theta=90, grid_phi=180)
         assert np.max(np.abs(values - wide)) <= 1e-11
 
 
@@ -291,7 +293,6 @@ def hermitian_from_upper(values):
     return rho
 
 
-DENSE = OptimizerConfig(grid_theta=120, grid_phi=240, restarts=8)
 STATE_SETS = {
     "x": (41, lambda rng: x_states(rng, 100, rotate=False)),
     "x-rotated": (42, lambda rng: x_states(rng, 100, rotate=True)),
@@ -305,7 +306,7 @@ STATE_SETS = {
 
 
 class TestDenseOracle:
-    """The default start set (a small grid plus T's singular vectors and s)
+    """The engine's start set (a small grid plus T's singular vectors and s)
     against a 120 x 240 grid with 8 starts."""
 
     @pytest.mark.parametrize("name", list(STATE_SETS))
@@ -313,12 +314,13 @@ class TestDenseOracle:
         seed, make = STATE_SETS[name]
         rhos = make(np.random.default_rng(seed))
         values, _, _ = classical_correlation_batch(rhos)
-        dense, _, _ = classical_correlation_batch(rhos, DENSE)
+        dense = dense_classical_correlation(rhos)
         assert np.max(np.abs(values - dense)) <= 1e-12
 
     def test_shallow_near_pure_landscape(self):
-        # found by a hill climb on the deficit against DENSE: a refinement
-        # that took a flat 1.8e-5 stencil for convergence stopped 4.2e-12 short
+        # found by a hill climb on the deficit against the dense search: a
+        # refinement that took a flat 1.8e-5 stencil for convergence stopped
+        # 4.2e-12 short
         rho = hermitian_from_upper(
             [
                 0.09285962757091573,
@@ -334,14 +336,13 @@ class TestDenseOracle:
             ]
         )
         value, _, _ = classical_correlation(rho)
-        dense, _, _ = classical_correlation(rho, DENSE)
-        assert abs(value - dense) <= 1e-12
+        assert abs(value - dense_classical_correlation([rho])[0]) <= 1e-12
 
     def test_full_rank_state_converges_under_the_default(self):
         # found by a hill climb on Q - horn_upper over general states: purity
         # about 0.40, T's two largest singular values within 2 % of each
         # other. The finite-difference stencil refinement raised
-        # OptimizerDidNotConverge on it at the default max_iter = 500.
+        # OptimizerDidNotConverge on it at _MAX_ITER = 500.
         rho = hermitian_from_upper(
             [
                 0.3100385979325583,
@@ -357,41 +358,17 @@ class TestDenseOracle:
             ]
         )
         value, _, _ = classical_correlation(rho)
-        dense, _, _ = classical_correlation(rho, DENSE)
-        assert abs(value - dense) <= 1e-13
-
-
-class TestOptimizerConfig:
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("grid_theta", 1),
-            ("grid_theta", -1),
-            ("grid_phi", 0),
-            ("restarts", 0),
-            ("restarts", -2),
-            ("max_iter", 0),
-            ("refine_tol", 0.0),
-            ("refine_tol", -1e-12),
-            ("refine_tol", float("nan")),
-        ],
-    )
-    def test_out_of_range_field_raises(self, field, value):
-        with pytest.raises(ParamOutOfRange, match=field):
-            OptimizerConfig(**{field: value})
-
-    def test_smallest_budget_runs(self):
-        # one grid point, the pole: the refinement alone finds the optimum
-        rho = random_state(3)
-        cfg = OptimizerConfig(grid_theta=2, grid_phi=1)
-        value, _, _ = classical_correlation(rho, cfg)
-        assert value == pytest.approx(classical_correlation(rho)[0], abs=1e-12)
+        assert abs(value - dense_classical_correlation([rho])[0]) <= 1e-13
 
 
 class TestNonConvergence:
+    @pytest.fixture(autouse=True)
+    def one_iteration(self, monkeypatch):
+        monkeypatch.setattr(measures, "_MAX_ITER", 1)
+
     def test_tiny_iteration_budget_raises(self):
         with pytest.raises(OptimizerDidNotConverge) as err:
-            classical_correlation(random_state(4), OptimizerConfig(max_iter=1))
+            classical_correlation(random_state(4))
         assert err.value.states == [0]
 
     def test_batch_names_the_unconverged_states(self):
@@ -399,9 +376,9 @@ class TestNonConvergence:
         # the first iteration; the random states need several
         rhos = [random_state(1), np.eye(4) / 4, random_state(2)]
         with pytest.raises(OptimizerDidNotConverge) as err:
-            classical_correlation_batch(rhos, OptimizerConfig(max_iter=1))
+            classical_correlation_batch(rhos)
         assert err.value.states == [0, 2]
-        values, _, _ = classical_correlation_batch(rhos[1:2], OptimizerConfig(max_iter=1))
+        values, _, _ = classical_correlation_batch(rhos[1:2])
         assert values[0] == pytest.approx(0.0, abs=1e-15)
 
 

@@ -13,7 +13,6 @@ from conftest import (
 from qdiscord.bounds import _derived_seeds, sample_near_boundary, sample_random
 from qdiscord.measures import (
     AnalyticDiscordTrace,
-    OptimizerConfig,
     UnsupportedFamily,
     alpha_discord,
     apply_measurement,
@@ -188,12 +187,6 @@ class TestClassicalCorrelation:
             assert conditional_information(rho, th, ph) == pytest.approx(
                 val, abs=1e-10
             )
-
-    def test_small_grid_still_converges(self):
-        cfg = OptimizerConfig(grid_theta=12, grid_phi=24)
-        rho = make_family(Family("alpha", 0.5))
-        val, _, _ = classical_correlation(rho, cfg)
-        assert val == pytest.approx(0.5 - alpha_discord(0.5)[0], abs=1e-7)
 
 
 class TestSpinFlipAndConcurrence:
