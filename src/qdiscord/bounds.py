@@ -7,17 +7,19 @@ or an array of the same shape, and a scalar call is a batch of one, so an
 element's value does not depend on its batch, bit for bit. The horn
 branches are the alpha, Werner (Luo, PRA 77, 042303 (2008)), pure and beta
 family discords in closed form; the EoF axis is mapped to concurrence by a
-Newton inversion of Wootters' E(C). The S_L <= 8/9 ceiling is the
-two-parameter envelope, the largest min{a, q} on the contour
-Tr rho^2 = 1 - 3 S_L / 4, taken over its candidate points (_contour_max):
-closed forms at the window ends and the edge points, and 1-D Newton solves
-only where a sign test finds the maximum inside, at an interior peak of q
-(S_L in about (0.665, 0.709)) or at the kink a = q (about (0.833, 8/9)).
-verify_bounds evaluates each bound once per batch.
+Newton inversion of Wootters' E(C), and each point evaluates only its own
+branch. The junctions of the branches (horn_crossovers) are constants of
+the closed forms, kept as float literals; a test re-derives them bit for
+bit (TestCrossovers.test_constants_rederived_bit_for_bit). The S_L <= 8/9
+ceiling is the two-parameter envelope, the largest min{a, q} on the
+contour Tr rho^2 = 1 - 3 S_L / 4, taken over its candidate points
+(_contour_max): closed forms at the window ends and the edge points, and
+1-D Newton solves only where a sign test finds the maximum inside, at an
+interior peak of q (S_L in about (0.665, 0.709)) or at the kink a = q
+(about (0.833, 8/9)). verify_bounds evaluates each bound once per batch.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,15 +133,20 @@ def eof_to_concurrence(e):
     c[ev < _E_MIN] = 0.0
     e_ln = ev * np.log(2)
     act = np.flatnonzero((c > 0) & (c < 1))
+    # while every element iterates, index with a slice: no gather or scatter
+    at = slice(None) if act.size == c.size else act
     while act.size:
-        ca = c[act]
+        ca = c[at]
         s = np.sqrt((1 - ca) * (1 + ca))
         sp = 1 + s
         p, q = 0.5 * sp, ca * ca / (2 * sp)
         lp, lq = np.log1p(-q), np.log(q)
-        step = (p * lp + q * lq + e_ln[act]) * (2 * s) / (ca * (lq - lp))
-        c[act] = np.minimum(ca - step, cap[act])
-        act = act[np.abs(step) > _NEWTON_RTOL * ca]
+        step = (p * lp + q * lq + e_ln[at]) * (2 * s) / (ca * (lq - lp))
+        go = np.abs(step) > _NEWTON_RTOL * ca
+        c[at] = np.minimum(ca - step, cap[at])
+        # the first element to stop switches the slice to the index array
+        if at is act or np.count_nonzero(go) < act.size:
+            act = at = act[go]
     return _like(c, e)
 
 
@@ -153,50 +160,24 @@ def _werner_q(c):
     return werner_discord((2 * c + 1) / 3)
 
 
-def _alpha_werner_gap(c):
-    return _alpha_q(c) - _werner_q(c)
+# the horn junctions (see horn_crossovers), with their bits in hex
+_E_AW = 0.6204406308668473  # 0x1.3daa64f55d8d2p-1
+_Q_AW = 0.6438177604031483  # 0x1.49a27b4307edcp-1
+_E_WP = 0.746202334097119  # 0x1.7e0e3b7a4abf7p-1
 
 
-def _werner_pure_gap(c):
-    return _werner_q(c) - eof_from_concurrence(c)
-
-
-_BISECT_RTOL = 4 * np.finfo(float).eps
-
-
-def bisect(f, a, b, xtol):
-    """A root of f in [a, b], where f(a) and f(b) differ in sign, by plain
-    bisection: halve dm = b - a, try xm = a + dm, move a to xm while
-    f(xm) f(a) >= 0, and stop at |dm| < xtol + 4 eps |xm|. This is the
-    classic bisect loop with its default relative tolerance, and the tests
-    pin it to that reference bit for bit."""
-    fa = f(a)
-    dm = b - a
-    for _ in range(100):
-        dm *= 0.5
-        xm = a + dm
-        fm = f(xm)
-        if fm * fa >= 0:
-            a = xm
-        if fm == 0 or abs(dm) < xtol + _BISECT_RTOL * abs(xm):
-            return xm
-    raise RuntimeError("bisection did not converge in 100 steps")
-
-
-@functools.cache
 def horn_crossovers():
     """(E, Q) of the alpha-Werner junction and E of the Werner-pure junction.
 
-    Both are bisections in concurrence on the closed-form branches, with
-    the pure branch Q = E(C); the EoF follows from eof_from_concurrence.
+    They are constants of the closed-form branches, kept as float literals.
+    Each is the root in concurrence of a gap between two branches,
+    _alpha_q - _werner_q on [0.6, 0.9] and _werner_q - E(C) on [0.8, 0.95]
+    (the pure branch is Q = E), bisected to 1e-13 and mapped through
+    eof_from_concurrence and _alpha_q. The test
+    TestCrossovers.test_constants_rederived_bit_for_bit re-derives all
+    three that way, bit for bit.
     """
-    c_aw = bisect(_alpha_werner_gap, 0.6, 0.9, 1e-13)
-    c_wp = bisect(_werner_pure_gap, 0.8, 0.95, 1e-13)
-    return (
-        float(eof_from_concurrence(c_aw)),
-        float(_alpha_q(c_aw)),
-        float(eof_from_concurrence(c_wp)),
-    )
+    return _E_AW, _Q_AW, _E_WP
 
 
 def _zero_eof_bound():
@@ -218,15 +199,18 @@ def horn_upper(e):
     the alpha = 1/2 endpoint of the curve.
     """
     x = _batch_of(e, "EoF")
-    e_aw, _, e_wp = horn_crossovers()
     out = x.copy()  # pure branch, Q = E
     zero = x <= 0
     if zero.any():
         out[zero] = _zero_eof_bound()
-    mid = (x > 0) & (x <= e_wp)
-    if mid.any():
+    mid = np.flatnonzero((x > 0) & (x <= _E_WP))
+    if mid.size:
         c = eof_to_concurrence(x[mid])
-        out[mid] = np.where(x[mid] <= e_aw, _alpha_q(c), _werner_q(c))
+        alpha = x[mid] <= _E_AW
+        # each point evaluates only its own branch
+        for sel, branch in ((alpha, _alpha_q), (~alpha, _werner_q)):
+            if sel.any():
+                out[mid[sel]] = branch(c[sel])
     return _like(out, e)
 
 

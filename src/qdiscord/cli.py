@@ -35,9 +35,10 @@ def build_parser():
     p = _Parser(prog="qdiscord", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add_common(sp, formats):
+        # --format takes only what the command emits; the first is the default
         sp.add_argument("--out", dest="output_path", default=None)
-        sp.add_argument("--format", choices=["csv", "json"], default=None)
+        sp.add_argument("--format", choices=formats, default=formats[0])
 
     def add_family(sp, required=False):
         sp.add_argument("--family", choices=FAMILY_KINDS, required=required)
@@ -47,35 +48,35 @@ def build_parser():
     sp = sub.add_parser("point", help="measures of a single state")
     add_family(sp)
     sp.add_argument("--in", dest="input_path", default=None)
-    add_common(sp)
+    add_common(sp, ["json", "csv"])
 
     sp = sub.add_parser("sweep", help="boundary curve of one family")
     add_family(sp, required=True)
     sp.add_argument("--plane", choices=["eof-q", "sl-q"], default="eof-q")
     sp.add_argument("--n", type=int, default=512, help="curve resolution")
-    add_common(sp)
+    add_common(sp, ["csv"])
 
     sp = sub.add_parser("sample", help="random density-matrix batch")
     sp.add_argument("--n", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=0)
-    add_common(sp)
+    add_common(sp, ["csv"])
 
     sp = sub.add_parser("near", help="near-boundary batch for one family")
     add_family(sp, required=True)
     sp.add_argument("--n", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--epsilon", type=float, default=1e-3)
-    add_common(sp)
+    add_common(sp, ["csv"])
 
     sp = sub.add_parser("verify", help="containment check of a random batch")
     sp.add_argument("--plane", choices=["eof-q", "sl-q"], default="eof-q")
     sp.add_argument("--n", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--slack", type=float, default=bounds.DEFAULT_SLACK)
-    add_common(sp)
+    add_common(sp, ["json"])
 
     sp = sub.add_parser("crossover", help="junctions of the horn upper bound")
-    add_common(sp)
+    add_common(sp, ["json"])
     return p
 
 
@@ -112,7 +113,7 @@ def run_point(args):
         raise UsageError("point requires exactly one of --family or --in")
     rho = make_family(fam) if fam is not None else qio.read_state_file(args.input_path)
     rec = discord_numeric(rho)
-    if (args.format or "json") == "json":
+    if args.format == "json":
         return _record_json(rec, fam), args.output_path
     batch = bounds.SampleBatch(
         records=[rec],

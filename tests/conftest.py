@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import bisect
 
-from qdiscord import measures
+from qdiscord import bounds, measures
 from qdiscord.measures import UnsupportedFamily
 from qdiscord.states import Family
 
@@ -89,6 +89,18 @@ def find_crossover(c1, c2, xtol=1e-6):
     i = sign_flip[0]
     x = bisect(diff, grid[i], grid[i + 1], xtol=xtol)
     return float(x), float(np.interp(x, c1.xs, c1.ys))
+
+
+def alpha_werner_gap(c):
+    """Alpha minus Werner branch of the horn ceiling at concurrence c; its
+    root is the alpha-Werner junction."""
+    return bounds._alpha_q(c) - bounds._werner_q(c)
+
+
+def werner_pure_gap(c):
+    """Werner minus pure branch (Q = E) of the horn ceiling at concurrence c;
+    its root is the Werner-pure junction."""
+    return bounds._werner_q(c) - measures.eof_from_concurrence(c)
 
 
 def written_out_random_state(seed):

@@ -3,19 +3,19 @@ import pytest
 import scipy.optimize
 from conftest import (
     NoSignChange,
+    alpha_werner_gap,
     binary_entropy,
     find_crossover,
     two_param_q_edge_limit,
     two_param_q_four_term,
+    werner_pure_gap,
 )
 
 from qdiscord.bounds import (
     PIMPLE_SL,
     SampleBatch,
-    _alpha_werner_gap,
+    _alpha_q,
     _envelope_two_param,
-    _werner_pure_gap,
-    bisect,
     _zero_eof_bound,
     entropy_upper,
     eof_to_concurrence,
@@ -186,17 +186,19 @@ class TestCrossovers:
         _, _, e_wp = horn_crossovers()
         assert e_wp == pytest.approx(0.746, abs=0.01)
 
-    @pytest.mark.parametrize(
-        "gap,lo,hi",
-        [(_alpha_werner_gap, 0.6, 0.9), (_werner_pure_gap, 0.8, 0.95)],
-        ids=["alpha-werner", "werner-pure"],
-    )
-    def test_bisection_matches_scipy_bit_for_bit(self, gap, lo, hi):
-        # the package's own bisection mirrors scipy's loop and default rtol,
-        # so the crossover output did not move when scipy left the runtime
-        ours = bisect(gap, lo, hi, 1e-13)
-        ref = scipy.optimize.bisect(gap, lo, hi, xtol=1e-13)
-        assert float(ours).hex() == float(ref).hex()
+    def test_constants_rederived_bit_for_bit(self):
+        # the junctions are float literals; bisecting the closed-form branch
+        # gaps in concurrence, as they were first found, gives the same bits
+        c_aw = scipy.optimize.bisect(alpha_werner_gap, 0.6, 0.9, xtol=1e-13)
+        c_wp = scipy.optimize.bisect(werner_pure_gap, 0.8, 0.95, xtol=1e-13)
+        derived = (
+            eof_from_concurrence(c_aw),
+            _alpha_q(c_aw),
+            eof_from_concurrence(c_wp),
+        )
+        assert [float(v).hex() for v in horn_crossovers()] == [
+            float(v).hex() for v in derived
+        ]
 
     def test_find_crossover_matches(self):
         c_a = sweep_family("alpha", "eof-q", 512)
@@ -478,6 +480,12 @@ class TestElementwiseBounds:
     SLS = np.concatenate(
         [[0.0, 1e-12, 2 / 3, PIMPLE_SL, 0.95, 1.0], np.linspace(0, 1, 41), ENVELOPE_SLS]
     )
+    # batches that lie wholly on one branch of horn_upper, from the double
+    # after a junction up to the next junction (linspace ends exactly there)
+    E_AW, _, E_WP = horn_crossovers()
+    ALPHA_EOFS = np.concatenate([[5e-324, 1e-300], np.linspace(0, E_AW, 41)[1:]])
+    WERNER_EOFS = np.concatenate([[np.nextafter(E_AW, 1)], np.linspace(E_AW, E_WP, 41)[1:]])
+    PURE_EOFS = np.concatenate([[np.nextafter(E_WP, 1)], np.linspace(E_WP, 1, 41)[1:]])
 
     @pytest.mark.parametrize(
         "fn,xs",
@@ -486,6 +494,9 @@ class TestElementwiseBounds:
             (horn_upper, EOFS),
             (horn_lower, EOFS),
             (entropy_upper, SLS),
+            pytest.param(horn_upper, ALPHA_EOFS, id="horn_upper-all-alpha"),
+            pytest.param(horn_upper, WERNER_EOFS, id="horn_upper-all-werner"),
+            pytest.param(horn_upper, PURE_EOFS, id="horn_upper-all-pure"),
         ],
     )
     def test_array_equals_scalar_calls(self, fn, xs):

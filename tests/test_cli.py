@@ -349,6 +349,42 @@ class TestUsage:
         assert err.startswith("usage error: unrecognized arguments")
         assert not dest.exists()
 
+    @pytest.mark.parametrize(
+        "argv,fmt",
+        [
+            (("sweep", "--family", "werner", "--n", "4"), "json"),
+            (("sample", "--n", "2"), "json"),
+            (("near", "--family", "beta", "--n", "2"), "json"),
+            (("verify", "--n", "2"), "csv"),
+            (("crossover",), "csv"),
+        ],
+        ids=lambda a: a[0] if isinstance(a, tuple) else a,
+    )
+    def test_format_the_command_does_not_emit_exit_1(
+        self, capsys, tmp_path, argv, fmt
+    ):
+        # only point emits both; every other command emits one format
+        dest = tmp_path / "never.out"
+        code, out, err = run(capsys, *argv, "--format", fmt, "--out", str(dest))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:")
+        assert f"invalid choice: '{fmt}'" in err
+        assert not dest.exists()
+
+    @pytest.mark.parametrize(
+        "argv,fmt",
+        [
+            (("sweep", "--family", "werner", "--n", "4"), "csv"),
+            (("sample", "--n", "2"), "csv"),
+            (("verify", "--n", "2"), "json"),
+            (("crossover",), "json"),
+        ],
+        ids=lambda a: a[0] if isinstance(a, tuple) else a,
+    )
+    def test_the_emitted_format_is_accepted(self, capsys, argv, fmt):
+        assert run(capsys, *argv, "--format", fmt) == run(capsys, *argv)
+
     def test_no_partial_output_on_usage_error(self, capsys, tmp_path):
         dest = tmp_path / "never.csv"
         code, _, _ = run(

@@ -338,6 +338,28 @@ class TestDenseOracle:
         value, _, _ = classical_correlation(rho)
         assert abs(value - dense_classical_correlation([rho])[0]) <= 1e-12
 
+    def test_near_pure_basin_only_the_grid_finds(self):
+        # near_pure_mixtures seed 106, state 59: its optimum lies in a basin
+        # that none of the four state directions points to. With a 3 x 2
+        # grid and those directions the engine falls 7.3e-5 short of the
+        # dense search; the 16 x 32 grid finds it
+        rho = hermitian_from_upper(
+            [
+                0.04762948743268192,
+                -0.08821344933983027 + 0.013119495231446232j,
+                0.07233846241545419 - 0.05542651951106723j,
+                -0.1561357046168551 + 0.06565477490575686j,
+                0.1687679972503328,
+                -0.15012906080536517 + 0.08331928596230699j,
+                0.30997238739422317 - 0.07922648675603457j,
+                0.17529221938909123,
+                -0.3151763891113426 - 0.08315798313697752j,
+                0.6083102959278941,
+            ]
+        )
+        value, _, _ = classical_correlation(rho)
+        assert abs(value - dense_classical_correlation([rho])[0]) <= 1e-12
+
     def test_full_rank_state_converges_under_the_default(self):
         # found by a hill climb on Q - horn_upper over general states: purity
         # about 0.40, T's two largest singular values within 2 % of each
