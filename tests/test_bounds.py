@@ -186,18 +186,32 @@ class TestCrossovers:
         _, _, e_wp = horn_crossovers()
         assert e_wp == pytest.approx(0.746, abs=0.01)
 
-    def test_constants_rederived_bit_for_bit(self):
+    @pytest.mark.parametrize(
+        "gap,lo,hi,derive,pinned",
+        [
+            (
+                alpha_werner_gap,
+                0.6,
+                0.9,
+                lambda c: (eof_from_concurrence(c), _alpha_q(c)),
+                slice(0, 2),
+            ),
+            (
+                werner_pure_gap,
+                0.8,
+                0.95,
+                lambda c: (eof_from_concurrence(c),),
+                slice(2, 3),
+            ),
+        ],
+        ids=["alpha-werner", "werner-pure"],
+    )
+    def test_bisection_matches_scipy_bit_for_bit(self, gap, lo, hi, derive, pinned):
         # the junctions are float literals; bisecting the closed-form branch
-        # gaps in concurrence, as they were first found, gives the same bits
-        c_aw = scipy.optimize.bisect(alpha_werner_gap, 0.6, 0.9, xtol=1e-13)
-        c_wp = scipy.optimize.bisect(werner_pure_gap, 0.8, 0.95, xtol=1e-13)
-        derived = (
-            eof_from_concurrence(c_aw),
-            _alpha_q(c_aw),
-            eof_from_concurrence(c_wp),
-        )
-        assert [float(v).hex() for v in horn_crossovers()] == [
-            float(v).hex() for v in derived
+        # gap in concurrence, as they were first found, gives the same bits
+        c = scipy.optimize.bisect(gap, lo, hi, xtol=1e-13)
+        assert [float(v).hex() for v in horn_crossovers()[pinned]] == [
+            float(v).hex() for v in derive(c)
         ]
 
     def test_find_crossover_matches(self):
