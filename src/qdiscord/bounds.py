@@ -10,17 +10,18 @@ family discords in closed form; the EoF axis is mapped to concurrence by a
 Newton inversion of Wootters' E(C), and each point evaluates only its own
 branch. The junctions of the branches (horn_crossovers) are constants of
 the closed forms, kept as float literals; a test re-derives them bit for
-bit (TestCrossovers.test_constants_rederived_bit_for_bit). The S_L <= 8/9
-ceiling is the two-parameter envelope, the largest min{a, q} on the
-contour Tr rho^2 = 1 - 3 S_L / 4, taken over its candidate points
-(_contour_max): closed forms at the window ends and the edge points, and
-1-D Newton solves only where a sign test finds the maximum inside, at an
-interior peak of q (S_L in about (0.665, 0.709)) or at the kink a = q
-(about (0.833, 8/9)). verify_bounds evaluates each bound once per batch.
+bit (TestCrossovers.test_bisection_matches_scipy_bit_for_bit). The
+S_L <= 8/9 ceiling is the two-parameter envelope, the largest min{a, q} on
+the contour Tr rho^2 = 1 - 3 S_L / 4, taken over its candidate points
+(_envelope_two_param): closed forms at the window ends and the edge
+points, and 1-D Newton solves only where a sign test finds the maximum
+inside, at an interior peak of q (S_L in about (0.665, 0.709)) or at the
+kink a = q (about (0.833, 8/9)). verify_bounds evaluates each bound once
+per batch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -83,13 +84,8 @@ class RegionReport:
     offenders: list[dict]
 
     def to_json_obj(self):
-        return {
-            "n_checked": self.n_checked,
-            "n_violations": self.n_violations,
-            "worst_violation": self.worst_violation,
-            "min_margin": self.min_margin,
-            "offenders": self.offenders,
-        }
+        """The report as a dict, keys in field order."""
+        return asdict(self)
 
 
 def _batch_of(x, name):
@@ -174,7 +170,7 @@ def horn_crossovers():
     _alpha_q - _werner_q on [0.6, 0.9] and _werner_q - E(C) on [0.8, 0.95]
     (the pure branch is Q = E), bisected to 1e-13 and mapped through
     eof_from_concurrence and _alpha_q. The test
-    TestCrossovers.test_constants_rederived_bit_for_bit re-derives all
+    TestCrossovers.test_bisection_matches_scipy_bit_for_bit re-derives all
     three that way, bit for bit.
     """
     return _E_AW, _Q_AW, _E_WP
@@ -221,8 +217,11 @@ def horn_lower(e):
     return _like(beta_discord(0.5 * (1 + c)), e)
 
 
-def _two_param_purity(a, b):
-    return a * a + ((1 - a) ** 2 + b * b) / 2
+def _contour_b(a, c):
+    """b(a) >= 0 on the contour b^2 = (1 - a)(1 + 3 a) - c of the
+    two-parameter family, capped at the edge b = 1 - a."""
+    om = 1 - a
+    return np.minimum(np.sqrt(np.maximum(om * (1 + 3 * a) - c, 0.0)), om)
 
 
 _VALUE_TOL = 1e-12  # a contour solve stops once its value is this close
@@ -234,25 +233,20 @@ _PEAK_START = 1 / 16
 _TINY = 1e-300  # stands in for 0 in atanh(x) / x, whose limit there is 1
 
 
-def _contour_value(a, b):
-    """min{a, q} at the two-parameter family points (a, b)."""
-    return np.minimum(a, two_param_q(a, b))
+def _contour_slope(a, b):
+    """dq/da along the contour b(a) of _contour_b, in bits.
 
-
-def _contour_slope(a, b, db_sq):
-    """dq/da along a contour b(a) >= 0 of the two-parameter family, in bits,
-    where db_sq = d(b^2)/da.
-
-    Differentiating two_param_q term by term, with u, v = 1 - a -+ b and
-    s = sqrt(a^2 + b^2), the +1 of each xlog derivative cancels and the b
-    terms pair into atanh ratios, which stay finite at b = 0:
-    ln 2 dq/da = ln(2a) - ln(u v)/2 + (db_sq/2) [atanh(b/(1 - a)) - atanh(b)]/b
-    - (a + db_sq/2) atanh(s)/s. It is infinite on the edge u = 0.
+    Differentiating two_param_q term by term, with u, v = 1 - a -+ b,
+    s = sqrt(a^2 + b^2) and d(b^2)/da = 2 - 6 a, the +1 of each xlog
+    derivative cancels and the b terms pair into atanh ratios, which stay
+    finite at b = 0: ln 2 dq/da = ln(2a) - ln(u v)/2
+    + (1 - 3a) [atanh(b/(1 - a)) - atanh(b)]/b - (1 - 2a) atanh(s)/s.
+    It is infinite on the edge u = 0.
     """
     om = 1 - a
     bt = np.maximum(b, _TINY)
     st = np.maximum(np.hypot(a, b), _TINY)
-    half = 0.5 * db_sq
+    half = 1 - 3 * a
     ln_dq = (
         np.log(2 * a)
         - 0.5 * np.log((om - b) * (om + b))
@@ -291,96 +285,25 @@ def _newton_root(evaluate, rows, lo, hi, x):
     return x, f_end
 
 
-def _contour_max(contour, points, peak, kink):
-    """Largest min{a, q} on each of a batch of contours b(a) of the
-    two-parameter family, over its candidate points.
-
-    contour(a, rows) returns (b, d(b^2)/da) at abscissae a on the contours
-    indexed by rows (along the last axis of a), with 0 <= b <= 1 - a.
-    Arrays hold one entry per contour along their last axis. The
-    candidates are:
-    - points, a pair (a, b) of (k, contours) arrays: closed-form points such
-      as the window ends and the points where the contour meets the edge
-      |b| = 1 - a, with b given exactly; NaN points are skipped;
-    - the interior maximum of q in the bracket peak = (lo, hi), solved only
-      on contours where q rises along the contour at lo and falls at hi;
-    - the kink a = q in the bracket kink = (lo, hi), on which a - q rises
-      through 0. Since min{a, q} <= a, a kink beats the best other
-      candidate only at a > best, so it is solved only on contours where
-      a - q < 0 at max(best, lo) and > 0 at hi.
-    Each bracket must hold at most one such root. Each solve is a
-    _newton_root from the secant point of its bracket, with the slope of q
-    from _contour_slope and its curvature from a backward difference of
-    that slope; it stops once the value error is below _VALUE_TOL. Every
-    candidate is a point of the family, so the maximum never lies above
-    the true one. Every operation is elementwise over contours, so a value
-    does not depend on its batch. Call it under
-    np.errstate(divide="ignore", invalid="ignore"): the slope is infinite on
-    the edge, and NaN points and Newton steps off the bracket are expected.
-    """
-    best = np.fmax.reduce(_contour_value(*points))
-
-    def slope(a, rows):
-        return _contour_slope(a, *contour(a, rows))
-
-    def peak_step(x, rows):
-        s = slope(x - _CURVATURE_OFFSETS, rows)
-        curv = (s[1] - s[0]) / _CURVATURE_OFFSETS[0]
-        # q is concave at its maximum: within s^2 / (2 |curv|) of it
-        err = np.where(curv < 0, -0.5 * s[1] ** 2 / curv, np.inf)
-        return -s[1], -curv, err
-
-    def kink_step(x, rows):
-        b, db_sq = contour(x, rows)
-        d = x - two_param_q(x, b)
-        s = _contour_slope(x, b, db_sq)
-        # the kink is a Newton step |d / (1 - s)| away, and the value
-        # min{a, q} changes with slope 1 left of it and s right of it
-        return d, 1 - s, np.abs(d / (1 - s)) * np.maximum(1, np.abs(s))
-
-    def start(f, lo, hi):  # the secant point of the bracket
-        return lo - f[0] * (hi - lo) / (f[1] - f[0])
-
-    s = slope(np.array(peak), slice(None))
-    sel = (s[0] > 0) & (s[1] < 0)
-    if sel.any():
-        rows = np.flatnonzero(sel)
-        lo, hi = peak[0][rows], peak[1][rows]
-        x = _newton_root(peak_step, rows, lo, hi, start(-s[:, sel], lo, hi))[0]
-        best[rows] = np.maximum(best[rows], _contour_value(x, contour(x, rows)[0]))
-
-    lo = np.maximum(best, kink[0])
-    sel = lo < kink[1]
-    if sel.any():
-        rows = np.flatnonzero(sel)
-        ends = np.array([lo[rows], kink[1][rows]])
-        d = ends - two_param_q(ends, contour(ends, rows)[0])
-        sel = (d[0] < 0) & (d[1] > 0)
-        if sel.any():
-            rows = rows[sel]
-            lo, hi = lo[rows], kink[1][rows]
-            x, d = _newton_root(kink_step, rows, lo, hi, start(d[:, sel], lo, hi))
-            best[rows] = np.maximum(best[rows], x - np.maximum(d, 0.0))
-    return best
-
-
 def _envelope_two_param(sl):
     """Max over the two-parameter family of min{a, q} at fixed linear
     entropy, elementwise over a float or an array.
 
     The constraint Tr rho^2 = 1 - 3 sl / 4 is the ellipse
-    3 (a - 1/3)^2 + b^2 = 4/3 - c with c = 3 sl / 2, that is
-    b^2 = (1 - a)(1 + 3 a) - c on the window a_lo <= a <= a_hi (the family
-    discord is even in b, so b >= 0). Its top a = 1/3 splits it into an
-    upper and a lower arc. The candidates (see _contour_max) are:
+    3 (a - 1/3)^2 + b^2 = 4/3 - c with c = 3 sl / 2, that is the contour
+    b(a) of _contour_b on the window a_lo <= a <= a_hi (the family discord
+    is even in b, so b >= 0). Its top a = 1/3 splits it into an upper and
+    a lower arc. The envelope is the largest of these candidates:
     - the window ends; the b = 0 end a_hi is the maximum for sl in about
       (0.709, 0.833);
     - for c <= 1, the points a = (1 +- sqrt(1 - c))/2 where the contour
-      meets the edge |b| = 1 - a; the upper one is the maximum for
-      sl <= about 0.665;
+      meets the edge |b| = 1 - a, with b = 1 - a exactly (NaN, and
+      skipped, for c > 1); the upper one is the maximum for sl <= about
+      0.665;
     - the interior maximum of q on the upper arc, bracketed by a_hi and
       the top (c > 1) or a point _PEAK_START of the upper arc inside the
-      edge point (c <= 1). It is the maximum for sl in about
+      edge point (c <= 1), solved where q rises along the contour at the
+      lower end and falls at a_hi. It is the maximum for sl in about
       (0.665, 0.709). Near the edge q has a u log u term (u = 1 - a - |b|),
       so q falls steeply from the edge point into a thin layer with a
       minimum before it can rise to that peak; the bracket starts past
@@ -389,9 +312,17 @@ def _envelope_two_param(sl):
       more from it, wherever the peak is the largest candidate);
     - the kink a = q on the lower arc, bracketed by a_lo and the top (or
       the lower edge point, if lower), the maximum for sl in about
-      (0.833, 8/9).
+      (0.833, 8/9). Since min{a, q} <= a, a kink beats the best other
+      candidate only at a > best, so it is solved where a - q < 0 at
+      max(best, a_lo) and > 0 at the upper end.
     Those sl ranges are measured, not used: each solve runs where a sign
-    test at its bracket ends finds a root.
+    test at its bracket ends finds a root, and each bracket holds at most
+    one. Each solve is a _newton_root from the secant point of its bracket,
+    with the slope of q from _contour_slope and its curvature from a
+    backward difference of that slope; it stops once the value error is
+    below _VALUE_TOL. Every candidate is a point of the family, so the
+    envelope never lies above the true one, and every operation is
+    elementwise, so a value does not depend on its batch.
     """
     x = np.asarray(sl, dtype=float).reshape(-1)
     c = 1.5 * x
@@ -403,23 +334,58 @@ def _envelope_two_param(sl):
     a_hi = np.minimum(1.0, (1 + root) / 3)
     top = 1 / 3
 
-    def contour(a, rows):
-        om = 1 - a
-        b = np.minimum(np.sqrt(np.maximum(om * (1 + 3 * a) - c[rows], 0.0)), om)
-        return b, 2 - 6 * a
+    def peak_step(a, rows):
+        a = a - _CURVATURE_OFFSETS
+        s = _contour_slope(a, _contour_b(a, c[rows]))
+        curv = (s[1] - s[0]) / _CURVATURE_OFFSETS[0]
+        # q is concave at its maximum: within s^2 / (2 |curv|) of it
+        err = np.where(curv < 0, -0.5 * s[1] ** 2 / curv, np.inf)
+        return -s[1], -curv, err
 
+    def kink_step(a, rows):
+        b = _contour_b(a, c[rows])
+        d = a - two_param_q(a, b)
+        s = _contour_slope(a, b)
+        # the kink is a Newton step |d / (1 - s)| away, and the value
+        # min{a, q} changes with slope 1 left of it and s right of it
+        return d, 1 - s, np.abs(d / (1 - s)) * np.maximum(1, np.abs(s))
+
+    def start(f, lo, hi):  # the secant point of the bracket
+        return lo - f[0] * (hi - lo) / (f[1] - f[0])
+
+    # the slope is infinite on the edge, and NaN points and Newton steps off
+    # the bracket are expected
     with np.errstate(divide="ignore", invalid="ignore"):
         # w, and with it the edge points, is NaN where the contour does not
         # meet the edge (c > 1); b(a_lo) is w for c <= 1 (a_lo = 0), else 0
         w = np.sqrt(1 - c)
         e_lo, e_hi = (1 - w) / 2, (1 + w) / 2
-        points = (
-            np.array([a_hi, a_lo, e_lo, e_hi]),
-            np.array([0 * x, np.fmax(w, 0.0), 1 - e_lo, 1 - e_hi]),
-        )
-        peak = (np.fmax(e_hi + _PEAK_START * (a_hi - e_hi), top), a_hi)
-        kink = (a_lo, np.fmin(e_lo, top))
-        return _like(_contour_max(contour, points, peak, kink), sl)
+        pa = np.array([a_hi, a_lo, e_lo, e_hi])
+        pb = np.array([0 * x, np.fmax(w, 0.0), 1 - e_lo, 1 - e_hi])
+        best = np.fmax.reduce(np.minimum(pa, two_param_q(pa, pb)))
+
+        ends = np.array([np.fmax(e_hi + _PEAK_START * (a_hi - e_hi), top), a_hi])
+        s = _contour_slope(ends, _contour_b(ends, c))
+        sel = (s[0] > 0) & (s[1] < 0)
+        if sel.any():
+            rows = np.flatnonzero(sel)
+            lo, hi = ends[0][rows], ends[1][rows]
+            a = _newton_root(peak_step, rows, lo, hi, start(-s[:, sel], lo, hi))[0]
+            q = two_param_q(a, _contour_b(a, c[rows]))
+            best[rows] = np.maximum(best[rows], np.minimum(a, q))
+
+        lo, hi = np.maximum(best, a_lo), np.fmin(e_lo, top)
+        rows = np.flatnonzero(lo < hi)
+        if rows.size:
+            ends = np.array([lo[rows], hi[rows]])
+            d = ends - two_param_q(ends, _contour_b(ends, c[rows]))
+            sel = (d[0] < 0) & (d[1] > 0)
+            if sel.any():
+                rows = rows[sel]
+                lo, hi = lo[rows], hi[rows]
+                a, d = _newton_root(kink_step, rows, lo, hi, start(d[:, sel], lo, hi))
+                best[rows] = np.maximum(best[rows], a - np.maximum(d, 0.0))
+        return _like(best, sl)
 
 
 def entropy_upper(sl):
@@ -480,21 +446,23 @@ def sweep_family(kind, plane, resolution=512):
             xs = 1 - p * p
     else:  # the b = 0 slice of twoparam
         ys = np.minimum(p, two_param_q(p, 0.0))
-        xs = (4 / 3) * (1 - _two_param_purity(p, 0.0))
+        xs = (4 / 3) * (1 - (p * p + (1 - p) ** 2 / 2))  # 4/3 (1 - Tr rho^2)
     return BoundaryCurve(plane=plane, family_tag=kind, params=p, xs=xs, ys=ys)
 
 
 def _derived_seeds(seed, n):
+    """n child seeds drawn from seed; ParamOutOfRange unless n >= 1 and
+    seed >= 0."""
+    if n < 1:
+        raise ParamOutOfRange("n must be >= 1")
+    if seed < 0:
+        raise ParamOutOfRange("seed must be >= 0")
     rng = np.random.default_rng(seed)
     return [int(s) for s in rng.integers(0, 2**63 - 1, size=n)]
 
 
 def sample_random(n, seed):
     """Correlation records for n seeded random density matrices."""
-    if n < 1:
-        raise ParamOutOfRange("n must be >= 1")
-    if seed < 0:
-        raise ParamOutOfRange("seed must be >= 0")
     seeds = _derived_seeds(seed, n)
     records = discord_batch(random_states(seeds))
     return SampleBatch(
@@ -520,12 +488,8 @@ def sample_near_boundary(kind, n, epsilon, seed):
     """Family states convexly mixed with an epsilon-weighted random state."""
     if not 0 <= epsilon <= 1:
         raise ParamOutOfRange("epsilon must be in [0, 1]")
-    if n < 1:
-        raise ParamOutOfRange("n must be >= 1")
-    if seed < 0:
-        raise ParamOutOfRange("seed must be >= 0")
-    rng = np.random.default_rng(seed)
     seeds = _derived_seeds(seed, n)
+    rng = np.random.default_rng(seed)
     families = [_draw_family(kind, rng) for _ in range(n)]
     exact = np.stack([make_family(fam) for fam in families])
     rhos = validate_states((1 - epsilon) * exact + epsilon * random_states(seeds))

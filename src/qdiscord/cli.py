@@ -96,14 +96,12 @@ def _emit(text, path):
         fh.write(text)
 
 
-def _record_json(rec, fam=None, seed=None):
+def _record_json(rec, fam=None):
     obj = dataclasses.asdict(rec)
     if fam is not None:
         obj["family"] = fam.kind
         obj["param1"] = fam.p1
         obj["param2"] = fam.p2
-    if seed is not None:
-        obj["seed"] = seed
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -147,6 +145,11 @@ def run_verify(args):
         obj = bounds.verify_bounds(batch, "eof-q", args.slack).to_json_obj()
     else:
         gate, rest = bounds.split_at_pimple(batch)
+        if not gate.records:
+            raise bounds.ParamOutOfRange(
+                f"no state of the batch has S_L <= 8/9 to check in the sl-q plane "
+                f"(n = {args.n}, seed = {args.seed})"
+            )
         obj = bounds.verify_bounds(gate, "sl-q", args.slack).to_json_obj()
         # the S_L > 8/9 slice is informational only (Werner-takeover region)
         obj["informational_above_8_9"] = (

@@ -13,7 +13,6 @@ from qdiscord.bounds import (
     horn_crossovers,
     sample_near_boundary,
     sample_random,
-    split_at_pimple,
     verify_bounds,
 )
 from qdiscord.cli import main
@@ -145,17 +144,24 @@ def test_criterion_6_horn_containment(report, random_batch, near_batches):
            f"min margin = {margin:.2e}")
 
 
-def test_criterion_7_entropy_containment(report, random_batch):
-    gate, rest = split_at_pimple(random_batch)
-    rep = verify_bounds(gate, "sl-q", slack=1e-6)
+def test_criterion_7_entropy_containment(report, tmp_path):
+    # the CLI's S_L <= 8/9 gate, on the states of random_batch
+    dest = tmp_path / "verify_sl_q.json"
+    code = main([
+        "verify", "--plane", "sl-q", "--n", str(N_RANDOM),
+        "--seed", str(RANDOM_SEED), "--slack", "1e-6", "--out", str(dest),
+    ])
+    assert code == 0
+    rep = json.loads(dest.read_bytes())
     info = ""
-    if rest.records:
-        irep = verify_bounds(rest, "sl-q", slack=1e-6)
-        info = (f"; informational S_L > 8/9: {irep.n_checked} states, "
-                f"{irep.n_violations} above two-param envelope")
-    report(7, "entropy-plane containment", rep.n_violations == 0,
-           f"{rep.n_checked} states with S_L <= 8/9, "
-           f"{rep.n_violations} violations, min margin = {rep.min_margin:.2e}{info}")
+    if rep["informational_above_8_9"] is not None:
+        irep = rep["informational_above_8_9"]
+        info = (f"; informational S_L > 8/9: {irep['n_checked']} states, "
+                f"{irep['n_violations']} above two-param envelope")
+    report(7, "entropy-plane containment", rep["n_violations"] == 0,
+           f"{rep['n_checked']} states with S_L <= 8/9, "
+           f"{rep['n_violations']} violations, "
+           f"min margin = {rep['min_margin']:.2e}{info}")
 
 
 def test_criterion_8_endpoint_sanity(report, random_batch, near_batches):

@@ -208,11 +208,15 @@ class TestCsvContract:
             assert -1 / 3 <= float(rec["param1"]) <= 1
 
 
+REPORT_KEYS = ["n_checked", "n_violations", "worst_violation", "min_margin", "offenders"]
+
+
 class TestVerify:
     def test_eof_q_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "20", "--seed", "3")
         assert code == 0
         obj = json.loads(out)
+        assert list(obj) == REPORT_KEYS + ["seed", "n", "plane"]
         assert obj["n_checked"] == 20
         assert obj["n_violations"] == 0
         assert obj["plane"] == "eof-q"
@@ -225,7 +229,21 @@ class TestVerify:
         assert code == 0
         obj = json.loads(out)
         assert obj["n_violations"] == 0
-        assert "informational_above_8_9" in obj
+        assert list(obj) == REPORT_KEYS + [
+            "informational_above_8_9", "seed", "n", "plane"
+        ]
+
+    def test_sl_q_nothing_below_pimple_exit_2(self, capsys, tmp_path):
+        # the one state of seed 544 has S_L = 0.8965 > 8/9: nothing to gate
+        dest = tmp_path / "out.json"
+        code, out, err = run(
+            capsys, "verify", "--plane", "sl-q", "--n", "1", "--seed", "544",
+            "--out", str(dest),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("validation error: no state of the batch has S_L <= 8/9")
+        assert not dest.exists()
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "verify", "--n", "10", "--seed", "5")
