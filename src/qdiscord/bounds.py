@@ -4,7 +4,10 @@ their crossovers, and the random / near-boundary containment experiments.
 Every bound is evaluated elementwise: eof_to_concurrence, horn_upper,
 horn_lower and entropy_upper take a float or an array and return a float
 or an array of the same shape, and a scalar call is a batch of one, so an
-element's value does not depend on its batch, bit for bit. The horn
+element's value does not depend on its batch, bit for bit. A scalar call
+runs on the fewest and cheapest numpy calls the arithmetic allows (masks
+tested by np.count_nonzero and indexed by mask.nonzero(), float literals),
+and TestBitPins pins its outputs bit for bit. The horn
 branches are the alpha, Werner (Luo, PRA 77, 042303 (2008)), pure and beta
 family discords in closed form; the EoF axis is mapped to concurrence by a
 Newton inversion of Wootters' E(C), and each point evaluates only its own
@@ -91,18 +94,22 @@ class RegionReport:
 def _batch_of(x, name):
     """x as a flat float array, checked to lie in [0, 1]."""
     arr = np.asarray(x, dtype=float).reshape(-1)
-    bad = ~((arr >= 0) & (arr <= 1))
-    if bad.any():
-        raise ValueError(f"{name} {arr[bad][0]} outside [0, 1]")
+    ok = (arr >= 0) & (arr <= 1)
+    if np.count_nonzero(ok) < ok.size:
+        raise ValueError(f"{name} {arr[~ok][0]} outside [0, 1]")
     return arr
 
 
 def _like(out, x):
     """out shaped as the argument x: a float for a scalar x."""
-    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
+    if isinstance(x, float):  # np.float64 too
+        return float(out[0])
+    shape = x.shape if isinstance(x, np.ndarray) else np.shape(x)
+    return out.reshape(shape) if shape else float(out[0])
 
 
 _NEWTON_RTOL = 1e-9  # Newton stops once its step is below this times C
+_LN2 = np.log(2.0)
 _E_MIN = 1e-230  # smaller EoF maps to C = 0: the start's C^2 would underflow
 
 
@@ -123,21 +130,24 @@ def eof_to_concurrence(e):
     dE/dC ln 2 = C (ln p - ln q) / (2 s). E < _E_MIN maps to 0, E >= 1 to 1.
     """
     ev = np.asarray(e, dtype=float).reshape(-1)
-    e_cl = np.clip(ev, 0.0, 1.0)
+    # not np.clip, which takes twice as long on one value; this turns
+    # -0.0 into +0.0, and E < _E_MIN maps to 0 anyway
+    e_cl = np.minimum(np.maximum(ev, 0.0), 1.0)
     cap = np.sqrt(e_cl)
     c = e_cl ** (2 / 3)
     c[ev < _E_MIN] = 0.0
-    e_ln = ev * np.log(2)
-    act = np.flatnonzero((c > 0) & (c < 1))
+    e_ln = ev * _LN2
+    act = ((c > 0) & (c < 1)).nonzero()[0]
     # while every element iterates, index with a slice: no gather or scatter
     at = slice(None) if act.size == c.size else act
+    # float literals: numpy converts an int operand at a further cost per call
     while act.size:
         ca = c[at]
-        s = np.sqrt((1 - ca) * (1 + ca))
-        sp = 1 + s
-        p, q = 0.5 * sp, ca * ca / (2 * sp)
+        s = np.sqrt((1.0 - ca) * (1.0 + ca))
+        sp = 1.0 + s
+        p, q = 0.5 * sp, ca * ca / (2.0 * sp)
         lp, lq = np.log1p(-q), np.log(q)
-        step = (p * lp + q * lq + e_ln[at]) * (2 * s) / (ca * (lq - lp))
+        step = (p * lp + q * lq + e_ln[at]) * (2.0 * s) / (ca * (lq - lp))
         go = np.abs(step) > _NEWTON_RTOL * ca
         c[at] = np.minimum(ca - step, cap[at])
         # the first element to stop switches the slice to the index array
@@ -148,12 +158,12 @@ def eof_to_concurrence(e):
 
 def _alpha_q(c):
     """Alpha-family discord at concurrence c: alpha = (1 + c)/2."""
-    return alpha_discord(0.5 * (1 + c))[0]
+    return alpha_discord(0.5 * (1.0 + c))[0]
 
 
 def _werner_q(c):
     """Werner discord at concurrence c: xi = (2 c + 1)/3."""
-    return werner_discord((2 * c + 1) / 3)
+    return werner_discord((2.0 * c + 1.0) / 3.0)
 
 
 # the horn junctions (see horn_crossovers), with their bits in hex
@@ -197,15 +207,16 @@ def horn_upper(e):
     x = _batch_of(e, "EoF")
     out = x.copy()  # pure branch, Q = E
     zero = x <= 0
-    if zero.any():
+    if np.count_nonzero(zero):
         out[zero] = _zero_eof_bound()
-    mid = np.flatnonzero((x > 0) & (x <= _E_WP))
+    mid = ((x > 0) & (x <= _E_WP)).nonzero()[0]
     if mid.size:
-        c = eof_to_concurrence(x[mid])
-        alpha = x[mid] <= _E_AW
+        xm = x[mid]
+        c = eof_to_concurrence(xm)
+        alpha = xm <= _E_AW
         # each point evaluates only its own branch
         for sel, branch in ((alpha, _alpha_q), (~alpha, _werner_q)):
-            if sel.any():
+            if np.count_nonzero(sel):
                 out[mid[sel]] = branch(c[sel])
     return _like(out, e)
 
@@ -214,14 +225,14 @@ def horn_lower(e):
     """Lower discord bound at a given EoF, generated by the beta states;
     elementwise over a float or an array."""
     c = eof_to_concurrence(_batch_of(e, "EoF"))
-    return _like(beta_discord(0.5 * (1 + c)), e)
+    return _like(beta_discord(0.5 * (1.0 + c)), e)
 
 
 def _contour_b(a, c):
     """b(a) >= 0 on the contour b^2 = (1 - a)(1 + 3 a) - c of the
     two-parameter family, capped at the edge b = 1 - a."""
-    om = 1 - a
-    return np.minimum(np.sqrt(np.maximum(om * (1 + 3 * a) - c, 0.0)), om)
+    om = 1.0 - a
+    return np.minimum(np.sqrt(np.maximum(om * (1.0 + 3.0 * a) - c, 0.0)), om)
 
 
 _VALUE_TOL = 1e-12  # a contour solve stops once its value is this close
@@ -243,17 +254,17 @@ def _contour_slope(a, b):
     + (1 - 3a) [atanh(b/(1 - a)) - atanh(b)]/b - (1 - 2a) atanh(s)/s.
     It is infinite on the edge u = 0.
     """
-    om = 1 - a
+    om = 1.0 - a
     bt = np.maximum(b, _TINY)
     st = np.maximum(np.hypot(a, b), _TINY)
-    half = 1 - 3 * a
+    half = 1.0 - 3.0 * a
     ln_dq = (
-        np.log(2 * a)
+        np.log(2.0 * a)
         - 0.5 * np.log((om - b) * (om + b))
         + half * (np.arctanh(bt / om) - np.arctanh(bt)) / bt
         - (a + half) * np.arctanh(st) / st
     )
-    return ln_dq / np.log(2)
+    return ln_dq / _LN2
 
 
 def _newton_root(evaluate, rows, lo, hi, x):
@@ -326,12 +337,12 @@ def _envelope_two_param(sl):
     """
     x = np.asarray(sl, dtype=float).reshape(-1)
     c = 1.5 * x
-    rad = 4 - 3 * c
-    if (rad < -1e-12).any():
+    rad = 4.0 - 3.0 * c
+    if np.count_nonzero(rad < -1e-12):
         raise ValueError(f"linear entropy {x.max()} exceeds the family maximum 8/9")
     root = np.sqrt(np.maximum(rad, 0.0))
-    a_lo = np.maximum(0.0, (1 - root) / 3)
-    a_hi = np.minimum(1.0, (1 + root) / 3)
+    a_lo = np.maximum(0.0, (1.0 - root) / 3.0)
+    a_hi = np.minimum(1.0, (1.0 + root) / 3.0)
     top = 1 / 3
 
     def peak_step(a, rows):
@@ -348,7 +359,7 @@ def _envelope_two_param(sl):
         s = _contour_slope(a, b)
         # the kink is a Newton step |d / (1 - s)| away, and the value
         # min{a, q} changes with slope 1 left of it and s right of it
-        return d, 1 - s, np.abs(d / (1 - s)) * np.maximum(1, np.abs(s))
+        return d, 1.0 - s, np.abs(d / (1.0 - s)) * np.maximum(1.0, np.abs(s))
 
     def start(f, lo, hi):  # the secant point of the bracket
         return lo - f[0] * (hi - lo) / (f[1] - f[0])
@@ -358,29 +369,29 @@ def _envelope_two_param(sl):
     with np.errstate(divide="ignore", invalid="ignore"):
         # w, and with it the edge points, is NaN where the contour does not
         # meet the edge (c > 1); b(a_lo) is w for c <= 1 (a_lo = 0), else 0
-        w = np.sqrt(1 - c)
-        e_lo, e_hi = (1 - w) / 2, (1 + w) / 2
+        w = np.sqrt(1.0 - c)
+        e_lo, e_hi = (1.0 - w) / 2.0, (1.0 + w) / 2.0
         pa = np.array([a_hi, a_lo, e_lo, e_hi])
-        pb = np.array([0 * x, np.fmax(w, 0.0), 1 - e_lo, 1 - e_hi])
+        pb = np.array([np.zeros_like(x), np.fmax(w, 0.0), 1.0 - e_lo, 1.0 - e_hi])
         best = np.fmax.reduce(np.minimum(pa, two_param_q(pa, pb)))
 
         ends = np.array([np.fmax(e_hi + _PEAK_START * (a_hi - e_hi), top), a_hi])
         s = _contour_slope(ends, _contour_b(ends, c))
         sel = (s[0] > 0) & (s[1] < 0)
-        if sel.any():
-            rows = np.flatnonzero(sel)
+        if np.count_nonzero(sel):
+            rows = sel.nonzero()[0]
             lo, hi = ends[0][rows], ends[1][rows]
             a = _newton_root(peak_step, rows, lo, hi, start(-s[:, sel], lo, hi))[0]
             q = two_param_q(a, _contour_b(a, c[rows]))
             best[rows] = np.maximum(best[rows], np.minimum(a, q))
 
         lo, hi = np.maximum(best, a_lo), np.fmin(e_lo, top)
-        rows = np.flatnonzero(lo < hi)
+        rows = (lo < hi).nonzero()[0]
         if rows.size:
             ends = np.array([lo[rows], hi[rows]])
             d = ends - two_param_q(ends, _contour_b(ends, c[rows]))
             sel = (d[0] < 0) & (d[1] > 0)
-            if sel.any():
+            if np.count_nonzero(sel):
                 rows = rows[sel]
                 lo, hi = lo[rows], hi[rows]
                 a, d = _newton_root(kink_step, rows, lo, hi, start(d[:, sel], lo, hi))
@@ -399,10 +410,12 @@ def entropy_upper(sl):
     x = _batch_of(sl, "linear entropy")
     low = x <= PIMPLE_SL
     out = np.empty_like(x)
-    if low.any():
+    n_low = np.count_nonzero(low)
+    if n_low:
         out[low] = _envelope_two_param(x[low])
-    if not low.all():
-        out[~low] = werner_discord(np.sqrt(1 - x[~low]))
+    if n_low < low.size:
+        high = ~low
+        out[high] = werner_discord(np.sqrt(1.0 - x[high]))
     return _like(out, sl)
 
 
@@ -557,7 +570,7 @@ def verify_bounds(batch, plane, slack=DEFAULT_SLACK):
     offenders = []
     worst = 0.0
     hit = np.any([excess > slack for _, excess, _ in checks], axis=0)
-    for i in np.flatnonzero(hit):
+    for i in hit.nonzero()[0]:
         for branch, excess, bound in checks:
             if excess[i] > slack:
                 worst = max(worst, float(excess[i]))

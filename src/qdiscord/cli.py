@@ -182,10 +182,14 @@ COMMANDS = {
 }
 
 
+# built once per process: parse_args reads the parser and writes only the
+# fresh namespace it returns, so no value carries over from one call to the next
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -359,10 +359,13 @@ def _direction_grid(n_theta, n_phi):
 # 30 x 60 grid-only search by more than 5.1e-13. Against a 120 x 240 grid
 # with 8 refined starts it agrees within 1e-12 on random, X, low-rank and
 # near-tie Bell-diagonal states. Near-pure mixtures can have several shallow
-# basins that no state direction points to; on 15 000 such states (a seeded
-# study) it falls at most 6.1e-15 short of that search. Refining all four
-# state directions and no grid took 2.5 times as long per state: the
-# slowest start sets the iteration count, 8-18 evaluations against 1-5.
+# basins that no state direction points to, and there it can miss. On 15 000
+# such states (a seeded study) it falls at most 6.1e-15 short of that search;
+# a second study of 30 000 found one that falls 2.36e-10 short, its best
+# start in the wrong basin (test_near_pure_state_the_default_misses), and
+# states that a 12 x 24 or 10 x 20 grid misses by up to 9.1e-6. Refining
+# all four state directions and no grid took 2.5 times as long per state:
+# the slowest start sets the iteration count, 8-18 evaluations against 1-5.
 _GRID_THETA, _GRID_PHI = 16, 32
 _REFINE_TOL = 1e-12
 _MAX_ITER = 500  # Newton steps per start, one objective evaluation each
@@ -477,11 +480,12 @@ def _refine(c, ang, f, r0):
         model = steps * (0.5 * mu * steps - gr)  # minus the model decrease
         stationary = (model[0] + model[1] >= -1e-3 * tol) & (mu[1] >= -tol)
         done = stationary | (rk < _R_MIN)
-        if done.any():
+        n_done = np.count_nonzero(done)
+        if n_done:
             fin, go = act[done], ~done
             converged[fin] = True
             ang[:, fin], f[fin] = at[:, done], ev[0, done]
-            if done.all():
+            if n_done == done.size:
                 return converged
             act, ck, at, frame = act[go], ck[..., go], at[:, go], frame[..., go]
             ev, rk, steps, cp, sp = ev[:, go], rk[go], steps[:, go], cp[go], sp[go]
@@ -527,8 +531,9 @@ def _state_stack(rhos):
     """rhos as a (N, 4, 4) complex stack. Raises StateError if some state
     has a NaN or Inf entry, which the SVDs and eigensolvers cannot take."""
     rhos = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
-    if not np.isfinite(rhos).all():
-        bad = np.flatnonzero(~np.isfinite(rhos).all(axis=(1, 2)))[0]
+    finite = np.isfinite(rhos)
+    if np.count_nonzero(finite) < finite.size:
+        bad = (~finite.all(axis=(1, 2))).nonzero()[0][0]
         raise StateError(f"state {bad} has a non-finite entry")
     return rhos
 
@@ -585,7 +590,7 @@ def _classical_correlation(rhos):
     phi = np.mod(ang[1], 2 * np.pi)
     n_opt = _frame(np.array([2 * theta, phi]))[0]
     values = _entropy_a(c) - _conditional_entropy(c, n_opt)
-    failed = np.flatnonzero(~converged)
+    failed = (~converged).nonzero()[0]
     if failed.size:
         raise OptimizerDidNotConverge(
             f"{failed.size} state(s) did not converge within {_MAX_ITER} iterations",
@@ -626,9 +631,11 @@ def eof_from_concurrence(c):
     """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2) in bits, with C
     clipped to [0, 1], elementwise: a float for a scalar C, an array for an
     array."""
-    c = np.clip(np.asarray(c, dtype=float), 0.0, 1.0)
-    x = (1 + np.sqrt(1 - c * c)) / 2
-    return _float_or_array(-_xlog2(x) - _xlog2(1 - x))
+    # not np.clip, which takes twice as long on one value; this turns
+    # -0.0 into +0.0, which c * c does as well
+    c = np.minimum(np.maximum(np.asarray(c, dtype=float), 0.0), 1.0)
+    x = (1.0 + np.sqrt(1.0 - c * c)) / 2.0
+    return _float_or_array(-_xlog2(x) - _xlog2(1.0 - x))
 
 
 def _spectral_entropy(ev):
@@ -683,7 +690,7 @@ def discord_batch(rhos):
     """
     rhos = _state_stack(rhos)
     dev = np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    bad = np.flatnonzero(dev > HERM_TOL)
+    bad = (dev > HERM_TOL).nonzero()[0]
     if bad.size:
         d = float(dev[bad[0]])
         raise NotHermitian(f"matrix is not Hermitian (deviation {d:.3e})", d)
@@ -710,20 +717,20 @@ def discord_numeric(rho):
 
 def _float_or_array(x):
     """A 0-d result as a Python float; arrays pass through."""
-    return x if np.ndim(x) else float(x)
+    return x if x.ndim else float(x)
 
 
 def alpha_discord(a):
     """Closed-form discord of the alpha family and its zeta, elementwise:
     floats for a scalar a, arrays for an array."""
     a = np.asarray(a, dtype=float)
-    zeta = np.maximum(np.abs(a), np.abs(2 * a - 1))
+    zeta = np.maximum(np.abs(a), np.abs(2.0 * a - 1.0))
     val = (
-        _xlog2(1 - a)
+        _xlog2(1.0 - a)
         + _xlog2(a)
-        + (1 + a)
-        - _xlog2(1 - zeta) / 2
-        - _xlog2(1 + zeta) / 2
+        + (1.0 + a)
+        - _xlog2(1.0 - zeta) / 2.0
+        - _xlog2(1.0 + zeta) / 2.0
     )
     return _float_or_array(np.maximum(val, 0.0)), _float_or_array(zeta)
 
@@ -731,7 +738,7 @@ def alpha_discord(a):
 def beta_discord(b):
     """Closed-form discord of the beta family, 1 - h(beta), elementwise."""
     b = np.asarray(b, dtype=float)
-    return _float_or_array(np.maximum(1.0 + _xlog2(b) + _xlog2(1 - b), 0.0))
+    return _float_or_array(np.maximum(1.0 + _xlog2(b) + _xlog2(1.0 - b), 0.0))
 
 
 def werner_discord(xi):
@@ -746,10 +753,10 @@ def werner_discord(xi):
     x = np.abs(xi)
     val = (
         1.0
-        + _xlog2(0.25 * (1 + 3 * xi))
-        + 3 * _xlog2(0.25 * (1 - xi))
-        - _xlog2(0.5 * (1 + x))
-        - _xlog2(0.5 * (1 - x))
+        + _xlog2(0.25 * (1.0 + 3.0 * xi))
+        + 3.0 * _xlog2(0.25 * (1.0 - xi))
+        - _xlog2(0.5 * (1.0 + x))
+        - _xlog2(0.5 * (1.0 - x))
     )
     return _float_or_array(np.maximum(val, 0.0))
 
@@ -766,16 +773,16 @@ def two_param_q(a, b):
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     s = np.sqrt(a * a + b * b)
-    om = 1 - a
+    om = 1.0 - a
     # one xlog call per term: stacking the seven arguments into one array
     # saved no time on single values and took seven times the memory
-    q = 1 + a + _xlog2(a) + 0.5 * (
+    q = 1.0 + a + _xlog2(a) + 0.5 * (
         _xlog2(om - b)
         + _xlog2(om + b)
-        - _xlog2(1 + b)
-        - _xlog2(1 - b)
-        - _xlog2(1 + s)
-        - _xlog2(1 - s)
+        - _xlog2(1.0 + b)
+        - _xlog2(1.0 - b)
+        - _xlog2(1.0 + s)
+        - _xlog2(1.0 - s)
     )
     return _float_or_array(q)
 

@@ -11,6 +11,7 @@ from conftest import (
     werner_pure_gap,
 )
 
+from qdiscord import bounds
 from qdiscord.bounds import (
     PIMPLE_SL,
     SampleBatch,
@@ -538,6 +539,87 @@ class TestElementwiseBounds:
         c = eof_to_concurrence(es)
         assert np.all(c <= np.sqrt(es) + 1e-15)
         assert all(eof_from_concurrence(np.sqrt(e)) >= e - 1e-15 for e in es)
+
+
+# (EoF, eof_to_concurrence, horn_upper, horn_lower), all as float.hex
+HORN_PINS = [
+    ("0x0.0p+0", "0x0.0p+0", "0x1.5555555555550p-2", "0x0.0p+0"),
+    ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+     "0x1.0000000000000p+0"),
+    # EoF 0.3, 0.7 and 0.9: the alpha, Werner and pure branch
+    ("0x1.3333333333333p-2", "0x1.cbcbc9c7d0a90p-2", "0x1.d0773523163c8p-2",
+     "0x1.34c5627a8c4d0p-3"),
+    ("0x1.6666666666666p-1", "0x1.912594b5d34f8p-1", "0x1.6a5f7b89f16eep-1",
+     "0x1.02bfd45c32ab1p-1"),
+    ("0x1.ccccccccccccdp-1", "0x1.dc14220d3e1a4p-1", "0x1.ccccccccccccdp-1",
+     "0x1.8fbd72582dbe2p-1"),
+    # the double below the alpha-Werner junction _E_AW, _E_AW, the double above
+    ("0x1.3daa64f55d8d1p-1", "0x1.71e215a6ac732p-1", "0x1.49a27b4307edcp-1",
+     "0x1.ad01133dcc2fbp-2"),
+    ("0x1.3daa64f55d8d2p-1", "0x1.71e215a6ac733p-1", "0x1.49a27b4307edep-1",
+     "0x1.ad01133dcc300p-2"),
+    ("0x1.3daa64f55d8d3p-1", "0x1.71e215a6ac733p-1", "0x1.49a27b4307ea2p-1",
+     "0x1.ad01133dcc300p-2"),
+    # the same around the Werner-pure junction _E_WP
+    ("0x1.7e0e3b7a4abf6p-1", "0x1.a2e1e319f6c00p-1", "0x1.7e0e3b7a4abf8p-1",
+     "0x1.1eeee3f4b87b0p-1"),
+    ("0x1.7e0e3b7a4abf7p-1", "0x1.a2e1e319f6c00p-1", "0x1.7e0e3b7a4abf8p-1",
+     "0x1.1eeee3f4b87b0p-1"),
+    ("0x1.7e0e3b7a4abf8p-1", "0x1.a2e1e319f6c01p-1", "0x1.7e0e3b7a4abf8p-1",
+     "0x1.1eeee3f4b87b0p-1"),
+]
+# S_L -> (entropy_upper as float.hex, the contour solve it runs): the ends,
+# an edge point, the interior peak of q, the a = q kink and the Werner side
+ENTROPY_PINS = {
+    0.0: ("0x1.0000000000000p+0", None),
+    0.5: ("0x1.40fc0738f19a3p-1", None),
+    0.68: ("0x1.98e05055dc498p-2", "peak_step"),
+    0.86: ("0x1.49d64b7c27b6cp-2", "kink_step"),
+    0.95: ("0x1.ee4f8a2d9ae88p-5", None),
+    1.0: ("0x0.0p+0", None),
+}
+
+
+class TestBitPins:
+    """Scalar bound values pinned to their bits, as float.hex."""
+
+    @pytest.mark.parametrize("pins", HORN_PINS, ids=lambda p: p[0])
+    def test_horn(self, pins):
+        e = float.fromhex(pins[0])
+        got = tuple(f(e).hex() for f in (eof_to_concurrence, horn_upper, horn_lower))
+        assert got == pins[1:]
+
+    @pytest.mark.parametrize("sl", list(ENTROPY_PINS))
+    def test_entropy_upper(self, sl, monkeypatch):
+        solves = []
+        newton_root = bounds._newton_root
+
+        def spy(evaluate, *args):
+            solves.append(evaluate.__name__)
+            return newton_root(evaluate, *args)
+
+        monkeypatch.setattr(bounds, "_newton_root", spy)
+        value, solve = ENTROPY_PINS[sl]
+        assert entropy_upper(sl).hex() == value
+        assert solves == ([solve] if solve else [])
+
+    @pytest.mark.parametrize(
+        "c,value",
+        [(-0.0, "0x0.0p+0"), (0.0, "0x0.0p+0"), (1.0, "0x1.0000000000000p+0")],
+    )
+    def test_eof_from_concurrence(self, c, value):
+        assert eof_from_concurrence(c).hex() == value
+
+    @pytest.mark.parametrize("fn", [eof_to_concurrence, horn_upper, horn_lower, entropy_upper])
+    def test_argument_types(self, fn):
+        # a float, an int, a 0-d array and a numpy scalar give the same float;
+        # a list gives an array
+        ref = fn(0.5)
+        for x in (np.float64(0.5), np.array(0.5)):
+            assert type(fn(x)) is float and fn(x) == ref
+        assert type(fn(1)) is float and fn(1) == fn(1.0)
+        out = fn([0.5, 1.0])
+        assert isinstance(out, np.ndarray) and out.tolist() == [ref, fn(1.0)]
 
 
 def test_pimple_state_measures():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qdiscord
-from qdiscord import bounds
+from qdiscord import bounds, cli
 from qdiscord.cli import EXIT_NOT_CONVERGED, main
 from qdiscord.io import CSV_HEADER, write_state_file
 from qdiscord.measures import OptimizerDidNotConverge
@@ -326,6 +326,40 @@ class TestCrossover:
         assert obj["alpha_werner"]["eof"] == pytest.approx(0.620, abs=0.01)
         assert obj["alpha_werner"]["discord"] == pytest.approx(0.644, abs=0.01)
         assert obj["werner_pure"]["eof"] == pytest.approx(0.746, abs=0.01)
+
+
+class TestParserReuse:
+    """main parses with one parser per process: each call must give the exit
+    code, output and parsed options of a call on a fresh parser."""
+
+    SEQUENCE = [
+        ("verify", "--slack", "0.25", "--plane", "xy"),  # usage error after --slack
+        ("verify", "--slack", "0.5", "--n", "3"),
+        ("verify", "--n", "3"),
+        ("sample", "--n", "2"),
+    ]
+
+    def test_calls_in_sequence_match_fresh_calls(self, capsys, monkeypatch):
+        parsed = []
+        for name, command in list(cli.COMMANDS.items()):
+
+            def spy(args, command=command):
+                parsed.append(dict(vars(args)))
+                return command(args)
+
+            monkeypatch.setitem(cli.COMMANDS, name, spy)
+        in_sequence = [run(capsys, *argv) for argv in self.SEQUENCE]
+        n_parsed = len(parsed)
+        fresh = []
+        for argv in self.SEQUENCE:
+            monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+            fresh.append(run(capsys, *argv))
+        assert in_sequence == fresh
+        assert parsed[n_parsed:] == parsed[:n_parsed]
+        assert [code for code, _, _ in in_sequence] == [1, 0, 0, 0]
+        # the usage error reached no command; no option value carries over
+        assert [args["slack"] for args in parsed[:2]] == [0.5, bounds.DEFAULT_SLACK]
+        assert "seed" in parsed[2] and "slack" not in parsed[2]
 
 
 class TestUsage:
