@@ -7,7 +7,8 @@ or an array of the same shape, and a scalar call is a batch of one, so an
 element's value does not depend on its batch, bit for bit. A scalar call
 runs on the fewest and cheapest numpy calls the arithmetic allows (masks
 tested by np.count_nonzero and indexed by mask.nonzero(), float literals),
-and TestBitPins pins its outputs bit for bit. The horn
+and TestBitPins pins its outputs bit for bit, at chosen points and as
+digests on grids. The horn
 branches are the alpha, Werner (Luo, PRA 77, 042303 (2008)), pure and beta
 family discords in closed form; the EoF axis is mapped to concurrence by a
 Newton inversion of Wootters' E(C), and each point evaluates only its own
@@ -20,7 +21,9 @@ the contour Tr rho^2 = 1 - 3 S_L / 4, taken over its candidate points
 points, and 1-D Newton solves only where a sign test finds the maximum
 inside, at an interior peak of q (S_L in about (0.665, 0.709)) or at the
 kink a = q (about (0.833, 8/9)). verify_bounds evaluates each bound once
-per batch.
+per batch, and on eof-q inverts E(C) once for both horns: the private
+_horn_upper(x, c) and _horn_lower(c) read the same concurrences, which
+horn_upper and horn_lower compute for themselves.
 """
 from __future__ import annotations
 
@@ -197,14 +200,10 @@ def _zero_eof_bound():
     return alpha_discord(1 / 3)[0]
 
 
-def horn_upper(e):
-    """Upper discord bound at a given EoF: alpha, Werner, then pure branch.
-
-    Elementwise over a float or an array. The EoF = 0 edge is bounded by
-    the separable alpha slice (Q = 1/3 at alpha = 1/3), which sits above
-    the alpha = 1/2 endpoint of the curve.
-    """
-    x = _batch_of(e, "EoF")
+def _horn_upper(x, c):
+    """horn_upper on checked EoFs x (a flat array). c holds their
+    concurrences, eof_to_concurrence(x), or is None to invert here only the
+    points that read it, those on the alpha and Werner branches."""
     out = x.copy()  # pure branch, Q = E
     zero = x <= 0
     if np.count_nonzero(zero):
@@ -212,20 +211,34 @@ def horn_upper(e):
     mid = ((x > 0) & (x <= _E_WP)).nonzero()[0]
     if mid.size:
         xm = x[mid]
-        c = eof_to_concurrence(xm)
+        cm = eof_to_concurrence(xm) if c is None else c[mid]
         alpha = xm <= _E_AW
         # each point evaluates only its own branch
         for sel, branch in ((alpha, _alpha_q), (~alpha, _werner_q)):
             if np.count_nonzero(sel):
-                out[mid[sel]] = branch(c[sel])
-    return _like(out, e)
+                out[mid[sel]] = branch(cm[sel])
+    return out
+
+
+def _horn_lower(c):
+    """horn_lower at concurrences c: the beta state with beta = (1 + c)/2."""
+    return beta_discord(0.5 * (1.0 + c))
+
+
+def horn_upper(e):
+    """Upper discord bound at a given EoF: alpha, Werner, then pure branch.
+
+    Elementwise over a float or an array. The EoF = 0 edge is bounded by
+    the separable alpha slice (Q = 1/3 at alpha = 1/3), which sits above
+    the alpha = 1/2 endpoint of the curve.
+    """
+    return _like(_horn_upper(_batch_of(e, "EoF"), None), e)
 
 
 def horn_lower(e):
     """Lower discord bound at a given EoF, generated by the beta states;
     elementwise over a float or an array."""
-    c = eof_to_concurrence(_batch_of(e, "EoF"))
-    return _like(beta_discord(0.5 * (1.0 + c)), e)
+    return _like(_horn_lower(eof_to_concurrence(_batch_of(e, "EoF"))), e)
 
 
 def _contour_b(a, c):
@@ -521,18 +534,16 @@ def split_at_pimple(batch):
     The sl-q containment check covers the first part only; above 8/9 the
     ceiling is the Werner curve, and that slice is informational.
     """
-    keep = [r.linear_entropy <= PIMPLE_SL for r in batch.records]
-
-    def part(flag):
-        idx = [i for i, k in enumerate(keep) if k == flag]
-        return SampleBatch(
+    gate = np.array([r.linear_entropy <= PIMPLE_SL for r in batch.records], bool)
+    return tuple(
+        SampleBatch(
             records=[batch.records[i] for i in idx],
             seeds=[batch.seeds[i] for i in idx],
             provenance=batch.provenance,
             families=[batch.families[i] for i in idx] if batch.families else [],
         )
-
-    return part(True), part(False)
+        for idx in (gate.nonzero()[0].tolist(), (~gate).nonzero()[0].tolist())
+    )
 
 
 def check_slack(slack):
@@ -547,7 +558,9 @@ def verify_bounds(batch, plane, slack=DEFAULT_SLACK):
 
     eof-q: horn_lower - slack <= Q <= horn_upper + slack.
     sl-q:  Q <= entropy_upper + slack.
-    Each bound is evaluated once, on the x values of the whole batch.
+    Each bound is evaluated once, on the x values of the whole batch; on
+    eof-q both horns read one eof_to_concurrence of them, which gives each
+    value the bits of horn_upper and horn_lower, since it is elementwise.
     Violations are reported, never raised; offenders are listed in record
     order, an upper violation before a lower one. A negative slack is legal
     (it tightens the bounds); a NaN or infinite one raises ParamOutOfRange
@@ -558,8 +571,10 @@ def verify_bounds(batch, plane, slack=DEFAULT_SLACK):
     check_slack(slack)
     y = np.array([r.discord for r in batch.records])
     if plane == "eof-q":
-        x = np.array([r.eof for r in batch.records])
-        up, lo = horn_upper(x), horn_lower(x)
+        x = _batch_of([r.eof for r in batch.records], "EoF")
+        # one inversion of E(C) serves both horns
+        c = eof_to_concurrence(x)
+        up, lo = _horn_upper(x, c), _horn_lower(c)
         checks = [("upper", y - up, up), ("lower", lo - y, lo)]
     elif plane == "sl-q":
         x = np.array([r.linear_entropy for r in batch.records])

@@ -1,10 +1,22 @@
 """CSV / JSON emission for sample batches, boundary curves, and reports, and
-the JSON state-file format."""
+the JSON state-file format.
+
+csv_text writes one cheap operation per row, not one per field. A
+SampleBatch row is a head (state id, provenance, family, params, seed)
+and one %-format of the record's eight floats; a BoundaryCurve is one
+row template per plane, formatted with each point's parameter, x and y.
+A float is written to 17 significant digits ("%.17g"), an absent value
+as an empty field. The free-text fields, provenance and family, are
+quoted as csv.writer quotes them (QUOTE_MINIMAL): a field holding a
+comma, a quote, CR or LF is wrapped in quotes with every inner quote
+doubled. No other field can hold one of those, so none is quoted.
+"""
 from __future__ import annotations
 
-import csv
-import io
 import json
+import operator
+import re
+from itertools import count
 
 import numpy as np
 
@@ -27,68 +39,79 @@ CSV_HEADER = [
     "theta_opt",
     "phi_opt",
 ]
+_HEADER_LINE = ",".join(CSV_HEADER) + "\r\n"
+# the record's floats in CSV_HEADER order, from S_L on
+_MEASURES = operator.attrgetter(
+    "linear_entropy",
+    "mutual_info",
+    "classical_corr",
+    "discord",
+    "concurrence",
+    "eof",
+    "theta_opt",
+    "phi_opt",
+)
+_MEASURES_ROW = ",".join(["%.17g"] * 8) + "\r\n"
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+def _quoted(text):
+    """A free-text field as csv.writer writes it with QUOTE_MINIMAL."""
+    if _NEEDS_QUOTES(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _fmt(x):
+    """A head field other than free text: empty for None, a float to 17
+    significant digits, anything else (an int) as str."""
     if x is None:
         return ""
     if isinstance(x, float):
-        return format(x, ".17g")
+        return "%.17g" % x
     return str(x)
 
 
-def batch_rows(batch):
-    for i, (seed, rec) in enumerate(zip(batch.seeds, batch.records)):
-        fam = batch.families[i] if batch.families else None
-        yield [
-            i,
-            batch.provenance,
-            fam.kind if fam else "",
-            fam.p1 if fam else None,
-            fam.p2 if fam else None,
-            seed,
-            rec.linear_entropy,
-            rec.mutual_info,
-            rec.classical_corr,
-            rec.discord,
-            rec.concurrence,
-            rec.eof,
-            rec.theta_opt,
-            rec.phi_opt,
-        ]
+def _batch_text(batch):
+    prov = _quoted(batch.provenance)
+    fams = batch.families or [None] * len(batch.records)
+    rows = [_HEADER_LINE]
+    for i, seed, fam, rec in zip(count(), batch.seeds, fams, batch.records):
+        if fam is None:
+            head = f"{i},{prov},,,,{_fmt(seed)},"
+        else:
+            head = (
+                f"{i},{prov},{_quoted(fam.kind)},{_fmt(fam.p1)},"
+                f"{_fmt(fam.p2)},{_fmt(seed)},"
+            )
+        rows.append(head + _MEASURES_ROW % _MEASURES(rec))
+    return "".join(rows)
 
 
-def curve_rows(curve):
-    # curve points reuse the batch schema: x/y land in the columns of the
-    # plane's measures, everything else non-applicable stays empty
-    xcol = "eof" if curve.plane == "eof-q" else "S_L"
-    for i, (p, x, y) in enumerate(zip(curve.params, curve.xs, curve.ys)):
-        row = dict.fromkeys(CSV_HEADER, None)
-        row.update(
-            state_id=i,
-            provenance=f"curve:{curve.plane}",
-            family=curve.family_tag,
-            param1=float(p),
-            discord=float(y),
-        )
-        row[xcol] = float(x)
-        yield [row[k] for k in CSV_HEADER]
+def _curve_text(curve):
+    # curve points reuse the batch schema: x and y land in the columns of
+    # the plane's measures (S_L or eof, and discord), the rest stay empty;
+    # the free text is %-escaped, since it becomes part of the template
+    head = (
+        f"{_quoted(f'curve:{curve.plane}')},{_quoted(curve.family_tag)}"
+    ).replace("%", "%%")
+    if curve.plane == "eof-q":  # param1, discord, eof
+        row = f"%d,{head},%.17g,,,,,,%.17g,,%.17g,,\r\n"
+        cols = (curve.params, curve.ys, curve.xs)
+    else:  # param1, S_L, discord
+        row = f"%d,{head},%.17g,,,%.17g,,,%.17g,,,,\r\n"
+        cols = (curve.params, curve.xs, curve.ys)
+    points = zip(count(), *(np.asarray(c, dtype=float).tolist() for c in cols))
+    return _HEADER_LINE + "".join([row % p for p in points])
 
 
 def csv_text(obj):
     """RFC-4180 CSV for a SampleBatch or BoundaryCurve, 17 significant digits."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\r\n")
-    w.writerow(CSV_HEADER)
     if isinstance(obj, SampleBatch):
-        rows = batch_rows(obj)
-    elif isinstance(obj, BoundaryCurve):
-        rows = curve_rows(obj)
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} as CSV")
-    for row in rows:
-        w.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
+        return _batch_text(obj)
+    if isinstance(obj, BoundaryCurve):
+        return _curve_text(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__} as CSV")
 
 
 def report_json_text(report):

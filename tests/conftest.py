@@ -1,8 +1,12 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from scipy.optimize import bisect
 
 from qdiscord import bounds, measures
+from qdiscord.io import CSV_HEADER
 from qdiscord.measures import UnsupportedFamily
 from qdiscord.states import Family
 
@@ -176,3 +180,57 @@ def dense_classical_correlation(rhos, grid_theta=120, grid_phi=240, starts=8):
         n_opt = m._frame(np.array([ang[0, win], np.mod(ang[1, win], 2 * np.pi)]))[0]
         out.append((m._entropy_a(c) - m._conditional_entropy(c, n_opt))[0])
     return np.array(out)
+
+
+def reference_csv_text(obj):
+    """Oracle for io.csv_text: csv.writer (QUOTE_MINIMAL, CRLF) on rows of
+    fields, each formatted on its own: None empty, a float to 17
+    significant digits, anything else by str."""
+
+    def fmt(x):
+        if x is None:
+            return ""
+        if isinstance(x, float):
+            return format(x, ".17g")
+        return str(x)
+
+    rows = []
+    if isinstance(obj, bounds.SampleBatch):
+        for i, (seed, rec) in enumerate(zip(obj.seeds, obj.records)):
+            fam = obj.families[i] if obj.families else None
+            rows.append([
+                i,
+                obj.provenance,
+                fam.kind if fam else "",
+                fam.p1 if fam else None,
+                fam.p2 if fam else None,
+                seed,
+                rec.linear_entropy,
+                rec.mutual_info,
+                rec.classical_corr,
+                rec.discord,
+                rec.concurrence,
+                rec.eof,
+                rec.theta_opt,
+                rec.phi_opt,
+            ])
+    else:
+        # curve points: x and y in the columns of the plane's measures
+        xcol = "eof" if obj.plane == "eof-q" else "S_L"
+        for i, (p, x, y) in enumerate(zip(obj.params, obj.xs, obj.ys)):
+            row = dict.fromkeys(CSV_HEADER, None)
+            row.update(
+                state_id=i,
+                provenance=f"curve:{obj.plane}",
+                family=obj.family_tag,
+                param1=float(p),
+                discord=float(y),
+            )
+            row[xcol] = float(x)
+            rows.append([row[k] for k in CSV_HEADER])
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\r\n")
+    w.writerow(CSV_HEADER)
+    for row in rows:
+        w.writerow([fmt(v) for v in row])
+    return buf.getvalue()

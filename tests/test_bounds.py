@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -410,6 +412,22 @@ class TestVerifyBounds:
         ]
         assert order == expect
 
+    def test_offenders_on_every_horn_branch_bit_for_bit(self):
+        # random states (many at EoF = 0) and near-pure ones, so the zero,
+        # alpha, Werner and pure branches of horn_upper all report
+        rnd = sample_random(100, 8)
+        pure = sample_near_boundary("pure", 40, 1e-3, 2)
+        b = SampleBatch(rnd.records + pure.records, rnd.seeds + pure.seeds, "mixed")
+        e_aw, _, e_wp = horn_crossovers()
+        xs = np.array([r.eof for r in b.records])
+        for lo, hi in ((-1, 0), (0, e_aw), (e_aw, e_wp), (e_wp, 1)):
+            assert np.count_nonzero((xs > lo) & (xs <= hi))
+        rep = verify_bounds(b, "eof-q", slack=-10.0)
+        assert rep.n_violations == 2 * len(b.records)
+        scalar = {"upper": horn_upper, "lower": horn_lower}
+        for off in rep.offenders:
+            assert off["bound"].hex() == scalar[off["branch"]](off["x"]).hex()
+
     def test_split_at_pimple(self):
         # Werner members with |xi| < 1/3 lie above S_L = 8/9
         b = sample_near_boundary("werner", 30, 1e-3, 3)
@@ -580,6 +598,25 @@ ENTROPY_PINS = {
 }
 
 
+# SHA-256 of the little-endian float64 bytes of each bound on a grid, which
+# holds the bits of every grid point, not only of the HORN_PINS and
+# ENTROPY_PINS points. Taken, like those pins, with numpy 2.4.6 on x86-64
+# (AVX-512): a numpy build whose log or sqrt rounds differently moves a last
+# bit, and then the pins must be taken again from the build at hand.
+EOF_GRID = np.linspace(0, 1, 4001)
+SL_GRID = np.linspace(0, 1, 3001)
+GRID_PINS = [
+    (eof_to_concurrence, EOF_GRID,
+     "f9e9927458fb31a9ff2adf039cd072ccbce873da6200402b990335bed71d1fa1"),
+    (horn_upper, EOF_GRID,
+     "ae5dea23ed78fe55afaa570f6ca9ea9c2ba37fbf8af359c299dcd160bb8e47b0"),
+    (horn_lower, EOF_GRID,
+     "7db31db67fd39581f7898812a28249aea88e806dbfd824caa4cc07d578b5968e"),
+    (entropy_upper, SL_GRID,
+     "4ab67c66245312e09e60d092ff92fb9dd75816466450298fb91ef5ff2bdaf43a"),
+]
+
+
 class TestBitPins:
     """Scalar bound values pinned to their bits, as float.hex."""
 
@@ -620,6 +657,13 @@ class TestBitPins:
         assert type(fn(1)) is float and fn(1) == fn(1.0)
         out = fn([0.5, 1.0])
         assert isinstance(out, np.ndarray) and out.tolist() == [ref, fn(1.0)]
+
+    @pytest.mark.parametrize(
+        "fn,grid,digest", GRID_PINS, ids=[pin[0].__name__ for pin in GRID_PINS]
+    )
+    def test_grid_digest(self, fn, grid, digest):
+        values = np.asarray(fn(grid), dtype="<f8")
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
 def test_pimple_state_measures():
