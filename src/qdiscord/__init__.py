@@ -21,8 +21,6 @@ from .measures import (
     OptimizerDidNotConverge,
     UnsupportedFamily,
     apply_measurement,
-    classical_correlation,
-    classical_correlation_batch,
     concurrence,
     conditional_information,
     discord_analytic,

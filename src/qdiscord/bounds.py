@@ -46,7 +46,6 @@ from .states import (
     ParamOutOfRange,
     make_family,
     random_states,
-    validate_states,
 )
 
 PIMPLE_SL = 8.0 / 9.0
@@ -189,15 +188,12 @@ def horn_crossovers():
     return _E_AW, _Q_AW, _E_WP
 
 
-def _zero_eof_bound():
-    """Largest family discord on the EoF = 0 axis.
-
-    All alpha states with alpha <= 1/2 are separable, and their discord peaks
-    at alpha = 1/3 (the pimple state, at the kink where zeta changes branch)
-    with Q = 1/3 — above the alpha = 1/2 value that continues the E > 0
-    branch, so E = 0 needs its own bound.
-    """
-    return alpha_discord(1 / 3)[0]
+# The largest family discord on the EoF = 0 axis. All alpha states with
+# alpha <= 1/2 are separable, and their discord peaks at alpha = 1/3 (the
+# pimple state, at the kink where zeta changes branch) with Q = 1/3, above
+# the alpha = 1/2 value that continues the E > 0 branch, so E = 0 needs its
+# own bound.
+_ZERO_EOF_BOUND = alpha_discord(1 / 3)[0]
 
 
 def _horn_upper(x, c):
@@ -207,7 +203,7 @@ def _horn_upper(x, c):
     out = x.copy()  # pure branch, Q = E
     zero = x <= 0
     if np.count_nonzero(zero):
-        out[zero] = _zero_eof_bound()
+        out[zero] = _ZERO_EOF_BOUND
     mid = ((x > 0) & (x <= _E_WP)).nonzero()[0]
     if mid.size:
         xm = x[mid]
@@ -518,8 +514,8 @@ def sample_near_boundary(kind, n, epsilon, seed):
     rng = np.random.default_rng(seed)
     families = [_draw_family(kind, rng) for _ in range(n)]
     exact = np.stack([make_family(fam) for fam in families])
-    rhos = validate_states((1 - epsilon) * exact + epsilon * random_states(seeds))
-    records = discord_batch(rhos)
+    # discord_batch checks the mixtures as density matrices
+    records = discord_batch((1 - epsilon) * exact + epsilon * random_states(seeds))
     return SampleBatch(
         records=records,
         seeds=seeds,

@@ -6,7 +6,9 @@ Measurements are two-element projective sets on subsystem B, parametrized by
 (theta, phi) with |psi> = cos(theta)|0> + e^{i phi} sin(theta)|1>, that is,
 by the Bloch vector n = (sin 2theta cos phi, sin 2theta sin phi, cos 2theta).
 
-The discord engine (classical_correlation_batch) writes each state in Fano
+discord_batch is the one entry to the discord engine (_classical_correlation):
+it checks its states once, by the rules of states.validate_states, and
+discord_numeric is its batch of one. The engine writes each state in Fano
 form, rho = (I + r.sigma x I + I x s.sigma + sum_ij T_ij sigma_i x sigma_j)/4.
 Measuring B along n gives p+- = (1 +- s.n)/2 and conditional Bloch vectors
 a+- = (r +- T n)/(2 p+-), so S(A|Pi) = sum p+- h((1 + |a+-|)/2) in closed
@@ -23,7 +25,6 @@ batch. The outcomes, rows and frame vectors of one evaluation lie on
 leading axes of a few arrays, so numpy's per-call cost is paid per
 evaluation, not per component, and each element still goes through the
 per-component operations in their order.
-classical_correlation and discord_numeric are batches of one;
 apply_measurement and conditional_information are the reference the engine
 is tested against, and mutual_information, concurrence and linear_entropy
 the reference for the record measures discord_batch computes per batch.
@@ -36,11 +37,12 @@ import numpy as np
 
 from .states import (
     EIG_CLIP,
-    HERM_TOL,
+    PSD_TOL,
     Family,
-    NotHermitian,
     StateError,
+    _hermitian_unit_trace,
     partial_trace,
+    validate_states,
     von_neumann_entropy,
 )
 
@@ -191,23 +193,34 @@ def _conditional_entropy(c, n):
     contributes 0 and one with p below P_FLOOR at most p bits; the
     reference conditional_information drops both.
     """
+    b, _, lg = _outcomes(c, _rows(c, n))
+    lg *= b[3:]
+    return _outcome_sum(lg)
+
+
+def _rows(c, n):
+    """The rows (T n, s.n)/2 of the halved Fano coefficients c (see _fano)
+    for the Bloch vectors n = (nx, ny, nz) (leading axis), each as
+    ((c_x nx + c_y ny) + c_z nz), elementwise over the broadcast of c's
+    trailing shape against n's; shape (4, ...)."""
     m = c[:, 1:]
-    rows = m[:, 0] * n[0]  # each row as ((c_x nx + c_y ny) + c_z nz)
+    rows = m[:, 0] * n[0]
     rows += m[:, 1] * n[1]
     rows += m[:, 2] * n[2]
-    b, _ = _outcomes(c, rows)
-    x = np.maximum(b[3:], 0.0, out=b[3:])  # xlog2 of (p, eig+, eig-) at once
-    lg = np.maximum(x, 1e-300)
-    np.log2(lg, out=lg)
-    lg *= x
-    return _outcome_sum(lg)
+    return rows
 
 
 def _outcomes(c, rows):
     """The two outcomes of measuring B along n, from the rows (T n, s.n)/2
-    (leading axis): b[:, k] holds outcome k's u (3 rows), p and the
-    eigenvalues (p + |u|)/2 and (p - |u|)/2, shape (6, 2, ...); also |u|,
-    shape (2, ...)."""
+    of n (see _rows), with the clamped logarithms of S(A|Pi_n): the one
+    value path of _conditional_entropy and _objective_derivatives.
+
+    Returns (b, w, lg). b[:, k] holds outcome k's u (3 rows), then p and
+    the eigenvalues (p + |u|)/2 and (p - |u|)/2, the last three clamped at
+    0, shape (6, 2, ...); w holds |u|, shape (2, ...); lg holds log2 of the
+    clamped (p, eig+, eig-), each at least 1e-300, so that
+    _outcome_sum(lg * b[3:]) is S(A|Pi_n).
+    """
     b = np.empty((6, 2) + rows.shape[1:])
     np.add(c[:, 0], rows, out=b[:4, 0])
     np.subtract(c[:, 0], rows, out=b[:4, 1])
@@ -219,7 +232,12 @@ def _outcomes(c, rows):
     np.subtract(b[3], w, out=b[5])
     e = b[4:]
     e *= 0.5
-    return b, w
+    x = np.maximum(b[3:], 0.0, out=b[3:])
+    # sq is spent, and lg takes its buffer: kept alive next to a fresh lg,
+    # it made the scan about a fifth slower (see _CHUNK_ELEMENTS)
+    lg = np.maximum(x, 1e-300, out=sq)
+    np.log2(lg, out=lg)
+    return b, w, lg
 
 
 def _outcome_sum(xl):
@@ -264,17 +282,12 @@ def _objective_derivatives(c, frame):
     derivatives (and at most p bits to the value).
 
     Returns the stack (f, g1, g2, h11, h22, h12), shape (6, M). f equals
-    _conditional_entropy(c, frame[0]) bit for bit: the rows are formed in
-    its order and the value code is shared.
+    _conditional_entropy(c, frame[0]) bit for bit: both take it from
+    _rows and _outcomes.
     """
-    m = c[:, 1:]
-    rows = m[:, 0, None] * frame[:, 0]  # (4, 3, M): the rows times n, e1, e2
-    rows += m[:, 1, None] * frame[:, 1]
-    rows += m[:, 2, None] * frame[:, 2]
-    b, w = _outcomes(c, rows[:, 0])
-    x = np.maximum(b[3:], 0.0, out=b[3:])
-    lg = np.maximum(x, 1e-300)
-    np.log2(lg, out=lg)
+    rows = _rows(c[:, :, None], frame.swapaxes(0, 1))  # (4, 3, M): n, e1, e2
+    b, w, lg = _outcomes(c, rows[:, 0])
+    x = b[3:]
     out = np.empty((6,) + w.shape[1:])
     out[0] = _outcome_sum(lg * x)
 
@@ -502,42 +515,6 @@ def _refine(c, ang, f, r0):
     return converged
 
 
-def classical_correlation_batch(rhos):
-    """Classical correlation of a stack of states: the batch entry point of
-    the discord engine.
-
-    For each state, S(A|Pi_n) (see _conditional_entropy) is scanned over the
-    distinct directions of the _GRID_THETA x _GRID_PHI angle grid and the
-    four directions of _state_directions, and the best of them is refined
-    by _refine, a trust-region Newton iteration on the closed-form value,
-    gradient and Hessian of _objective_derivatives, with a first trust
-    radius of _R_START. The value is S(rho_A) - S(A|Pi_n), evaluated at the
-    returned angles. States go through in chunks of _SCAN_STATES and
-    _BLOCK_STATES; the SVDs run per state and all other arithmetic is
-    elementwise over states, so a state's result does not depend on the
-    batch or chunk it is in, bit for bit.
-
-    Returns float arrays (values, theta_opt, phi_opt) with theta in
-    [0, pi/2] and phi in [0, 2 pi). Raises StateError if some state has a
-    NaN or Inf entry, and OptimizerDidNotConverge, after the whole batch
-    has run, if the refinement of some state did not converge within
-    _MAX_ITER iterations.
-    """
-    rhos = _state_stack(rhos)
-    return _classical_correlation(rhos)[1:]
-
-
-def _state_stack(rhos):
-    """rhos as a (N, 4, 4) complex stack. Raises StateError if some state
-    has a NaN or Inf entry, which the SVDs and eigensolvers cannot take."""
-    rhos = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
-    finite = np.isfinite(rhos)
-    if np.count_nonzero(finite) < finite.size:
-        bad = (~finite.all(axis=(1, 2))).nonzero()[0][0]
-        raise StateError(f"state {bad} has a non-finite entry")
-    return rhos
-
-
 def _state_directions(c):
     """The four measurement directions read off each state with halved Fano
     coefficients c (see _fano): the three right singular vectors of T, from
@@ -551,13 +528,28 @@ def _state_directions(c):
 
 
 def _classical_correlation(rhos):
-    """classical_correlation_batch for a (N, 4, 4) complex stack; also
-    returns the halved Fano coefficients (4, 4, N) of the states, first.
+    """The discord engine: the classical correlation of each state of a
+    (N, 4, 4) complex stack of checked states (see discord_batch).
 
-    States go through in blocks of _BLOCK_STATES, whose starts _refine
-    takes at once; each block's coefficients and state directions come from
-    one _fano and one _state_directions call, and its scan from objective
-    calls of _SCAN_STATES states each."""
+    For each state, S(A|Pi_n) (see _conditional_entropy) is scanned over the
+    distinct directions of the _GRID_THETA x _GRID_PHI angle grid and the
+    four directions of _state_directions, and the best of them is refined
+    by _refine, a trust-region Newton iteration on the closed-form value,
+    gradient and Hessian of _objective_derivatives, with a first trust
+    radius of _R_START. The value is S(rho_A) - S(A|Pi_n), evaluated at the
+    returned angles. States go through in blocks of _BLOCK_STATES, whose
+    starts _refine takes at once; each block's coefficients and state
+    directions come from one _fano and one _state_directions call, and its
+    scan from objective calls of _SCAN_STATES states each. The SVDs run per
+    state and all other arithmetic is elementwise over states, so a state's
+    result does not depend on the batch or chunk it is in, bit for bit.
+
+    Returns the halved Fano coefficients (4, 4, N) of the states and float
+    arrays (values, theta_opt, phi_opt) with theta in [0, pi/2] and phi in
+    [0, 2 pi). Raises OptimizerDidNotConverge, after the whole batch has
+    run, if the refinement of some state did not converge within _MAX_ITER
+    iterations.
+    """
     n = len(rhos)
     g = _GRID.shape[1]
     c = np.empty((4, 4, n))
@@ -599,17 +591,6 @@ def _classical_correlation(rhos):
     return c, values, theta, phi
 
 
-def classical_correlation(rho):
-    """Maximum of conditional_information over projective bases on B.
-
-    Returns (value, theta_opt, phi_opt); the value is the objective evaluated
-    at the returned angles. A batch of one for classical_correlation_batch,
-    which documents the search and when OptimizerDidNotConverge is raised.
-    """
-    values, thetas, phis = classical_correlation_batch([rho])
-    return float(values[0]), float(thetas[0]), float(phis[0])
-
-
 def concurrence(rho):
     """Wootters concurrence max{0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)}.
 
@@ -647,19 +628,20 @@ def _spectral_entropy(ev):
     return -sum(terms[..., k] for k in range(terms.shape[-1]))
 
 
-def _record_measures(rhos, c):
+def _record_measures(c, lam, v):
     """Mutual information, concurrence and linear entropy of a stack of
-    states with halved Fano coefficients c (see _fano), one array each.
+    states with halved Fano coefficients c (see _fano) and eigendecompositions
+    rho = V diag(lam) V^dagger, one array each.
 
     S(rho_A), S(rho_B) and Tr rho^2 = 1/4 + sum c^2 are closed forms in c,
     with A and B stacked and the 15 squares summed in one running order.
-    One stacked eigh, rho = V diag(lam) V^dagger, serves the rest: S(rho)
-    from lam, and the concurrence, which takes Wootters' sqrt(l) as the
-    singular values of tau = X^T (sy x sy) X with rho = X X^dagger,
-    X = V diag(sqrt(lam)). That is accurate to round-off on pure and
-    rank-deficient states, where the square roots of eigenvalues of
-    rho rho_tilde are off by up to ~1e-8. mutual_information, concurrence
-    and linear_entropy are the per-state reference.
+    The eigendecomposition serves the rest: S(rho) from lam, and the
+    concurrence, which takes Wootters' sqrt(l) as the singular values of
+    tau = X^T (sy x sy) X with rho = X X^dagger, X = V diag(sqrt(lam)).
+    That is accurate to round-off on pure and rank-deficient states, where
+    the square roots of eigenvalues of rho rho_tilde are off by up to ~1e-8.
+    mutual_information, concurrence and linear_entropy are the per-state
+    reference.
     """
     rs = np.array([c[:3, 0], c[3, 1:]])  # r/2 and s/2
     sq = rs * rs
@@ -667,7 +649,6 @@ def _record_measures(rhos, c):
     w += sq[:, 2]
     np.sqrt(w, out=w)
     s_ab = _spectral_entropy(0.5 + w[:, :, None] * _PM[:, 0])  # 1/2 +- |r|/2, |s|/2
-    lam, v = np.linalg.eigh(rhos)
     mi = s_ab[0] + s_ab[1] - _spectral_entropy(lam)
     x = v * np.sqrt(np.maximum(lam, 0.0))[:, None, :]
     s = np.linalg.svd(np.swapaxes(x, 1, 2) @ SYSY @ x, compute_uv=False)
@@ -682,20 +663,30 @@ def _record_measures(rhos, c):
 def discord_batch(rhos):
     """Full numerically optimized correlation records for a stack of states.
 
-    The classical correlation of every state comes from one
-    classical_correlation_batch call and the other measures from
-    _record_measures, all elementwise over states. Raises NotHermitian, as
-    the per-state measures do, if some state is not Hermitian, and
-    StateError if some state has a NaN or Inf entry.
+    rhos is an (N, 4, 4) stack or a sequence of N 4x4 matrices, N >= 0, of
+    density matrices: Hermitian, of unit trace and positive within
+    HERM_TOL, TRACE_TOL and PSD_TOL, the rules of validate_states. The
+    positivity is read off the one stacked eigh that _record_measures uses.
+    Input that fails, or whose positivity that eigh cannot decide, goes to
+    validate_states, which raises StateError (wrong shape, NaN or Inf
+    entry), NotHermitian, TraceNotOne or NotPositive for the first bad
+    state and names its index. The classical correlations come from one
+    _classical_correlation call.
     """
-    rhos = _state_stack(rhos)
-    dev = np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    bad = (dev > HERM_TOL).nonzero()[0]
-    if bad.size:
-        d = float(dev[bad[0]])
-        raise NotHermitian(f"matrix is not Hermitian (deviation {d:.3e})", d)
+    rhos = np.asarray(rhos, dtype=complex)
+    if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
+        validate_states(rhos)
+    ok, herm, _ = _hermitian_unit_trace(rhos)
+    if np.count_nonzero(ok) < len(ok):
+        validate_states(rhos)
+    lam, v = np.linalg.eigh(rhos)
+    # eigh reads the lower triangle of rho, validate_states the matrix
+    # (rho + rho^dagger)/2; their difference has zero diagonal and entries of
+    # at most herm/2, so their eigenvalues differ by at most 1.5 herm
+    if np.count_nonzero(lam[:, 0] < 1.5 * herm - PSD_TOL):
+        validate_states(rhos)
     c, values, thetas, phis = _classical_correlation(rhos)
-    mis, concs, sls = _record_measures(rhos, c)
+    mis, concs, sls = _record_measures(c, lam, v)
     fields = [
         mis,
         values,

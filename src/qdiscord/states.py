@@ -79,16 +79,23 @@ def validate_state(raw):
     return m
 
 
-def _raise_first_invalid(m, prefix):
-    """Raise for the first state of the (N, 4, 4) stack m that fails a check,
-    with the first check it fails: finite entries, Hermiticity, unit trace,
-    then positivity. prefix.format(index) starts the message."""
-    finite = np.isfinite(m).all(axis=(1, 2))
+def _hermitian_unit_trace(m):
+    """Per state of the (N, 4, 4) complex stack m: whether it is Hermitian
+    and of unit trace within HERM_TOL and TRACE_TOL, and the two deviations,
+    the largest |m - m^dagger| entry and |Tr m - 1|. A NaN or Inf entry
+    makes the Hermiticity deviation NaN or Inf, so such a state fails."""
     with np.errstate(invalid="ignore"):  # inf - inf in non-finite states
         herm = np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2))
         tr = np.trace(m, axis1=1, axis2=2)
         tr = np.abs(tr.real - 1.0) + np.abs(tr.imag)
-    ok = finite & (herm <= HERM_TOL) & (tr <= TRACE_TOL)
+    return (herm <= HERM_TOL) & (tr <= TRACE_TOL), herm, tr
+
+
+def _raise_first_invalid(m, prefix):
+    """Raise for the first state of the (N, 4, 4) stack m that fails a check,
+    with the first check it fails: finite entries, Hermiticity, unit trace,
+    then positivity. prefix.format(index) starts the message."""
+    ok, herm, tr = _hermitian_unit_trace(m)
     lo = np.zeros(len(m))
     h = m[ok]
     lo[ok] = np.linalg.eigvalsh((h + h.conj().transpose(0, 2, 1)) / 2).min(axis=1)
@@ -97,7 +104,7 @@ def _raise_first_invalid(m, prefix):
         return
     k = bad[0]
     at = prefix.format(k)
-    if not finite[k]:
+    if not np.isfinite(m[k]).all():
         i, j = np.argwhere(~np.isfinite(m[k]))[0]
         raise StateError(f"{at}entry ({i}, {j}) is not finite: {m[k, i, j]}")
     if herm[k] > HERM_TOL:

@@ -157,7 +157,8 @@ def two_param_q_edge_limit(a):
 
 
 def dense_classical_correlation(rhos, grid_theta=120, grid_phi=240, starts=8):
-    """Oracle for classical_correlation_batch: the engine's search with a
+    """Oracle for the discord engine's classical correlation (the
+    classical_corr field of discord_batch's records): its search with a
     denser grid and more refined starts, one state at a time. Each state's
     start set is the grid_theta x grid_phi grid plus the four state
     directions; the `starts` best are refined from a first trust radius of

@@ -16,10 +16,10 @@ from conftest import (
 from qdiscord import bounds
 from qdiscord.bounds import (
     PIMPLE_SL,
+    _ZERO_EOF_BOUND,
     SampleBatch,
     _alpha_q,
     _envelope_two_param,
-    _zero_eof_bound,
     entropy_upper,
     eof_to_concurrence,
     horn_crossovers,
@@ -173,7 +173,7 @@ class TestHornBounds:
 
     def test_zero_eof_bound_dominates_separable_alpha(self):
         # the maximum sits at the kink alpha = 1/3, where zeta changes branch
-        top = _zero_eof_bound()
+        top = _ZERO_EOF_BOUND
         assert top == pytest.approx(1 / 3, abs=1e-15)
         grid = np.concatenate([np.linspace(0, 0.5, 100001), [1 / 3]])
         assert top >= np.max(alpha_discord(grid)[0])

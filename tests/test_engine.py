@@ -16,25 +16,31 @@ from qdiscord import io, measures
 from qdiscord.bounds import sample_random
 from qdiscord.measures import (
     OptimizerDidNotConverge,
-    classical_correlation,
-    classical_correlation_batch,
     conditional_information,
     discord_batch,
     discord_numeric,
 )
 from qdiscord.states import (
     FAMILY_KINDS,
+    PSD_TOL,
     Family,
+    NotPositive,
     StateError,
     make_family,
     random_state,
     validate_state,
+    validate_states,
 )
 
 EPSILON = 1e-3
 # B-side rotation taking the z axis to the x axis: the reference optimizer
 # also runs in this rotated angle chart, so no optimum sits only at a pole
 HADAMARD_B = np.kron(np.eye(2), np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+
+
+def classical_corrs(rhos):
+    """The classical correlations of a batch, from discord_batch's records."""
+    return np.array([rec.classical_corr for rec in discord_batch(rhos)])
 
 
 def reference_classical_correlation(rho):
@@ -195,15 +201,12 @@ class TestBatchIndependence:
         rhos = [random_state(s) for s in range(12)] + [
             rho for _, rho in family_mixtures(1)
         ]
-        values, thetas, phis = classical_correlation_batch(rhos)
         records = discord_batch(rhos)
         for i, rho in enumerate(rhos):
-            assert classical_correlation(rho) == (values[i], thetas[i], phis[i])
             assert discord_numeric(rho) == records[i]
 
     def test_empty_batch(self):
-        values, thetas, phis = classical_correlation_batch(np.empty((0, 4, 4)))
-        assert values.shape == thetas.shape == phis.shape == (0,)
+        assert discord_batch(np.empty((0, 4, 4))) == []
 
 
 class TestOptimizerOracle:
@@ -211,7 +214,8 @@ class TestOptimizerOracle:
         "fam,rho", family_mixtures(3), ids=lambda v: getattr(v, "kind", "")
     )
     def test_family_mixture_matches_reference(self, fam, rho):
-        value, theta, phi = classical_correlation(rho)
+        rec = discord_numeric(rho)
+        value, theta, phi = rec.classical_corr, rec.theta_opt, rec.phi_opt
         ref = reference_classical_correlation(rho)
         assert abs(value - ref) <= 1e-8, (fam, value, ref)
         assert value == pytest.approx(
@@ -220,7 +224,7 @@ class TestOptimizerOracle:
 
     def test_random_batch_matches_reference(self):
         rhos = [random_state(s) for s in range(300, 310)]
-        values, _, _ = classical_correlation_batch(rhos)
+        values = classical_corrs(rhos)
         for rho, value in zip(rhos, values):
             assert abs(value - reference_classical_correlation(rho)) <= 1e-8
 
@@ -232,7 +236,7 @@ class TestDefaultBudget:
     @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
     def test_near_tie_bell_diagonal_matches_oracle(self, rotate):
         pairs = near_tie_bell_diagonal(60, rotate)
-        values, _, _ = classical_correlation_batch([rho for rho, _ in pairs])
+        values = classical_corrs([rho for rho, _ in pairs])
         for value, (_, diag) in zip(values, pairs):
             assert abs(value - bell_diagonal_cc_oracle(diag)) <= 1e-10
 
@@ -244,7 +248,7 @@ class TestDefaultBudget:
             rhos = [random_state(s) for s in range(1000, 1200)]
         else:
             rhos = [rho for _, rho in family_mixtures(20, epsilon)]
-        values, _, _ = classical_correlation_batch(rhos)
+        values = classical_corrs(rhos)
         wide = dense_classical_correlation(rhos, grid_theta=90, grid_phi=180)
         assert np.max(np.abs(values - wide)) <= 1e-11
 
@@ -398,7 +402,7 @@ class TestDenseOracle:
     def test_default_matches_dense_search(self, name):
         seed, make = STATE_SETS[name]
         rhos = make(np.random.default_rng(seed))
-        values, _, _ = classical_correlation_batch(rhos)
+        values = classical_corrs(rhos)
         dense = dense_classical_correlation(rhos)
         assert np.max(np.abs(values - dense)) <= 1e-12
 
@@ -420,7 +424,7 @@ class TestDenseOracle:
                 0.6854225369031112,
             ]
         )
-        value, _, _ = classical_correlation(rho)
+        value = discord_numeric(rho).classical_corr
         assert abs(value - dense_classical_correlation([rho])[0]) <= 1e-12
 
     def test_near_pure_basin_only_the_grid_finds(self):
@@ -442,13 +446,13 @@ class TestDenseOracle:
                 0.6083102959278941,
             ]
         )
-        value, _, _ = classical_correlation(rho)
+        value = discord_numeric(rho).classical_corr
         assert abs(value - dense_classical_correlation([rho])[0]) <= 1e-12
 
     @pytest.mark.parametrize("name", list(NEAR_PURE_GRID_MARGIN))
     def test_near_pure_state_a_coarser_grid_misses(self, name):
         rho = hermitian_from_upper(NEAR_PURE_GRID_MARGIN[name])
-        value, _, _ = classical_correlation(rho)
+        value = discord_numeric(rho).classical_corr
         assert abs(value - dense_classical_correlation([rho])[0]) <= 1e-12
 
     @pytest.mark.xfail(
@@ -474,7 +478,7 @@ class TestDenseOracle:
                 0.4860509621339408,
             ]
         )
-        value, _, _ = classical_correlation(rho)
+        value = discord_numeric(rho).classical_corr
         assert abs(value - dense_classical_correlation([rho])[0]) <= 1e-12
 
     def test_full_rank_state_converges_under_the_default(self):
@@ -496,7 +500,7 @@ class TestDenseOracle:
                 0.24804661108186987,
             ]
         )
-        value, _, _ = classical_correlation(rho)
+        value = discord_numeric(rho).classical_corr
         assert abs(value - dense_classical_correlation([rho])[0]) <= 1e-13
 
 
@@ -507,7 +511,7 @@ class TestNonConvergence:
 
     def test_tiny_iteration_budget_raises(self):
         with pytest.raises(OptimizerDidNotConverge) as err:
-            classical_correlation(random_state(4))
+            discord_numeric(random_state(4))
         assert err.value.states == [0]
 
     def test_batch_names_the_unconverged_states(self):
@@ -515,20 +519,107 @@ class TestNonConvergence:
         # the first iteration; the random states need several
         rhos = [random_state(1), np.eye(4) / 4, random_state(2)]
         with pytest.raises(OptimizerDidNotConverge) as err:
-            classical_correlation_batch(rhos)
+            discord_batch(rhos)
         assert err.value.states == [0, 2]
-        values, _, _ = classical_correlation_batch(rhos[1:2])
-        assert values[0] == pytest.approx(0.0, abs=1e-15)
+        value = discord_batch(rhos[1:2])[0].classical_corr
+        assert value == pytest.approx(0.0, abs=1e-15)
 
 
 class TestNonFiniteInput:
-    @pytest.mark.parametrize("engine", [classical_correlation_batch, discord_batch])
+    @pytest.mark.parametrize("engine", [discord_numeric, discord_batch])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_entry_raises_state_error(self, engine, value):
         rho = np.eye(4) / 4
         rho[0, 0] = value
-        with pytest.raises(StateError, match="state 1 has a non-finite entry"):
-            engine([np.eye(4) / 4, rho])
+        # discord_numeric's batch of one holds the bad state as state 0
+        if engine is discord_numeric:
+            arg, k = rho, 0
+        else:
+            arg, k = [np.eye(4) / 4, rho], 1
+        message = rf"state {k}: entry \(0, 0\) is not finite"
+        with pytest.raises(StateError, match=message):
+            engine(arg)
+
+
+# not density matrices: trace 0, trace 2, a negative eigenvalue of -1/2
+NOT_DENSITY = {
+    "zero": np.zeros((4, 4)),
+    "eye-half": np.eye(4) / 2,
+    "negative": np.diag([0.5, 0.5, 0.5, -0.5]),
+}
+WRONG_SHAPES = [(2, 16), (2, 2, 4, 4), (8, 8)]
+
+
+def validate_states_error(stack):
+    """The exception validate_states raises on stack."""
+    with pytest.raises(StateError) as err:
+        validate_states(stack)
+    return err.value
+
+
+def assert_raises_like(engine, arg, expected):
+    """engine(arg) raises expected's class with expected's message."""
+    with pytest.raises(StateError) as err:
+        engine(arg)
+    assert type(err.value) is type(expected)
+    assert str(err.value) == str(expected)
+
+
+class TestInputContract:
+    """discord_batch accepts only what validate_states accepts, and raises
+    validate_states' error, naming the same state, for anything else."""
+
+    @pytest.mark.parametrize("name", list(NOT_DENSITY))
+    def test_not_a_density_matrix(self, name):
+        rho = NOT_DENSITY[name]
+        expected = validate_states_error([rho])
+        assert str(expected).startswith("state 0: ")
+        assert_raises_like(discord_batch, [rho], expected)
+        assert_raises_like(discord_numeric, rho, expected)
+
+    @pytest.mark.parametrize("shape", WRONG_SHAPES, ids=str)
+    def test_wrong_shape(self, shape):
+        m = np.zeros(shape)
+        assert_raises_like(discord_batch, m, validate_states_error(m))
+        assert_raises_like(discord_numeric, m, validate_states_error([m]))
+
+    @pytest.mark.parametrize("name", list(NOT_DENSITY))
+    def test_batch_names_the_invalid_state(self, name):
+        rhos = [random_state(s) for s in range(4)]
+        rhos[2] = NOT_DENSITY[name]
+        expected = validate_states_error(rhos)
+        assert str(expected).startswith("state 2: ")
+        assert_raises_like(discord_batch, rhos, expected)
+        assert_raises_like(discord_batch, np.array(rhos), expected)
+
+    def test_positivity_is_decided_at_psd_tol(self):
+        inside = np.diag([0.5, 0.5, 0.5 * PSD_TOL, -0.5 * PSD_TOL])
+        outside = np.diag([0.5, 0.5, 2 * PSD_TOL, -2 * PSD_TOL])
+        assert discord_batch([inside])[0] == discord_numeric(inside)
+        with pytest.raises(NotPositive, match="state 0: minimum eigenvalue"):
+            discord_numeric(outside)
+
+    def test_state_that_validate_states_rejects_by_a_hair_is_rejected(self):
+        # eigh's lowest eigenvalue d - y = -0.8e-10 passes PSD_TOL, but that of
+        # (rho + rho^dagger)/2, d - (x + y)/2 = -1.3e-10, does not
+        d, x, y = 0.2e-10, 2e-10, 1e-10
+        rho = np.diag([0.5 - d, 0.5 - d, d, d]).astype(complex)
+        rho[2, 3], rho[3, 2] = x, y
+        assert np.linalg.eigh(rho)[0][0] >= -PSD_TOL
+        assert_raises_like(discord_numeric, rho, validate_states_error([rho]))
+
+    def test_state_that_validate_states_passes_goes_on(self):
+        # eigh reads the lower triangle, whose block [[d, y], [y, d]] has the
+        # eigenvalue d - y = -1.3e-10, below -PSD_TOL; validate_states reads
+        # (rho + rho^dagger)/2, whose block has d - (x + y)/2 = -0.825e-10,
+        # and the Hermiticity deviation y - x = 0.95e-10 is within HERM_TOL
+        d, x, y = 0.7e-10, 1.05e-10, 2e-10
+        rho = np.diag([0.5 - d, 0.5 - d, d, d]).astype(complex)
+        rho[2, 3], rho[3, 2] = x, y
+        assert np.linalg.eigh(rho)[0][0] < -PSD_TOL
+        validate_states([rho])
+        rec = discord_numeric(rho)
+        assert rec == discord_batch([random_state(0), rho])[1]
 
 
 def objective_cases():

@@ -17,7 +17,6 @@ from qdiscord.measures import (
     alpha_discord,
     apply_measurement,
     beta_discord,
-    classical_correlation,
     concurrence,
     conditional_information,
     discord_analytic,
@@ -160,30 +159,31 @@ class TestConditionalInformation:
 
 class TestClassicalCorrelation:
     def test_bell(self):
-        val, _, _ = classical_correlation(BELL)
+        val = discord_numeric(BELL).classical_corr
         assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_product(self):
         rho = np.kron(np.diag([0.3, 0.7]), np.diag([0.6, 0.4])).astype(complex)
-        val, _, _ = classical_correlation(rho)
+        val = discord_numeric(rho).classical_corr
         assert val == pytest.approx(0.0, abs=1e-9)
 
     def test_two_param_pimple_vs_oracle(self):
         rho = make_family(Family("twoparam", 1 / 3, 0.0))
-        val, _, _ = classical_correlation(rho)
+        val = discord_numeric(rho).classical_corr
         assert val == pytest.approx(bell_diagonal_cc_oracle(rho), abs=1e-8)
         assert val == pytest.approx(0.081704, abs=1e-6)
 
     @pytest.mark.parametrize("xi", [0.2, 0.5, 0.8, 1.0])
     def test_werner_vs_bell_diagonal_oracle(self, xi):
         rho = make_family(Family("werner", xi))
-        val, _, _ = classical_correlation(rho)
+        val = discord_numeric(rho).classical_corr
         assert val == pytest.approx(bell_diagonal_cc_oracle(rho), abs=1e-8)
 
     def test_argmax_consistency(self):
         for s in range(20):
             rho = random_state(s)
-            val, th, ph = classical_correlation(rho)
+            rec = discord_numeric(rho)
+            val, th, ph = rec.classical_corr, rec.theta_opt, rec.phi_opt
             assert conditional_information(rho, th, ph) == pytest.approx(
                 val, abs=1e-10
             )
