@@ -42,6 +42,7 @@ from .measures import (
     werner_discord,
 )
 from .states import (
+    FAMILY_RANGES,
     Family,
     ParamOutOfRange,
     make_family,
@@ -443,7 +444,8 @@ _SWEEP_RANGES = {
 def sweep_family(kind, plane, resolution=512):
     """Trace one family's curve in the requested plane, with the family's
     closed-form discord evaluated once on the whole parameter array. Points
-    are ordered with x increasing.
+    are ordered with x increasing: EoF on eof-q, S_L on sl-q, where alpha
+    and twoparam both sweep the b = 0 slice of the two-parameter family.
     """
     if resolution < 2:
         raise ParamOutOfRange("resolution must be >= 2")
@@ -452,23 +454,23 @@ def sweep_family(kind, plane, resolution=512):
         raise ParamOutOfRange(f"no sweep defined for family {kind!r} in {plane}")
     p0, p1 = _SWEEP_RANGES[key]
     p = np.linspace(p0, p1, resolution)
-    if kind == "alpha":
-        ys = alpha_discord(p)[0]
-        xs = eof_from_concurrence(np.maximum(0.0, 2 * p - 1))
-    elif kind == "beta":
-        ys = beta_discord(p)
-        xs = eof_from_concurrence(np.abs(2 * p - 1))
-    elif kind == "pure":
-        ys = xs = -_xlog2(p) - _xlog2(1 - p)  # h(p)
-    elif kind == "werner":
+    if kind == "werner":
         ys = werner_discord(p)
         if plane == "eof-q":
             xs = eof_from_concurrence(np.maximum(0.0, (3 * p - 1) / 2))
         else:
             xs = 1 - p * p
-    else:  # the b = 0 slice of twoparam
+    elif plane == "sl-q":  # alpha or twoparam: the b = 0 slice
         ys = np.minimum(p, two_param_q(p, 0.0))
         xs = (4 / 3) * (1 - (p * p + (1 - p) ** 2 / 2))  # 4/3 (1 - Tr rho^2)
+    elif kind == "alpha":
+        ys = alpha_discord(p)[0]
+        xs = eof_from_concurrence(np.maximum(0.0, 2 * p - 1))
+    elif kind == "beta":
+        ys = beta_discord(p)
+        xs = eof_from_concurrence(np.abs(2 * p - 1))
+    else:  # pure
+        ys = xs = -_xlog2(p) - _xlog2(1 - p)  # h(p)
     return BoundaryCurve(plane=plane, family_tag=kind, params=p, xs=xs, ys=ys)
 
 
@@ -495,24 +497,22 @@ def sample_random(n, seed):
     )
 
 
-def _draw_family(kind, rng):
-    if kind == "werner":
-        return Family("werner", float(rng.uniform(-1 / 3, 1)))
-    if kind in ("alpha", "beta", "pure"):
-        return Family(kind, float(rng.uniform(0, 1)))
-    if kind == "twoparam":
-        a = float(rng.uniform(0, 1))
-        return Family("twoparam", a, float(rng.uniform(a - 1, 1 - a)))
-    raise ParamOutOfRange(f"unknown family kind {kind!r}")
-
-
 def sample_near_boundary(kind, n, epsilon, seed):
-    """Family states convexly mixed with an epsilon-weighted random state."""
+    """Family states convexly mixed with an epsilon-weighted random state;
+    p1 is uniform on FAMILY_RANGES[kind], twoparam's b on [a - 1, 1 - a]."""
     if not 0 <= epsilon <= 1:
         raise ParamOutOfRange("epsilon must be in [0, 1]")
     seeds = _derived_seeds(seed, n)
+    if kind not in FAMILY_RANGES:
+        raise ParamOutOfRange(f"unknown family kind {kind!r}")
+    lo, hi = FAMILY_RANGES[kind]
+    two = kind == "twoparam"
     rng = np.random.default_rng(seed)
-    families = [_draw_family(kind, rng) for _ in range(n)]
+    families = []
+    for _ in range(n):
+        a = float(rng.uniform(lo, hi))
+        b = float(rng.uniform(a - 1, 1 - a)) if two else None
+        families.append(Family(kind, a, b))
     exact = np.stack([make_family(fam) for fam in families])
     # discord_batch checks the mixtures as density matrices
     records = discord_batch((1 - epsilon) * exact + epsilon * random_states(seeds))

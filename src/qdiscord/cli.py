@@ -62,7 +62,7 @@ def build_parser():
     add_common(sp, ["csv"])
 
     sp = sub.add_parser("near", help="near-boundary batch for one family")
-    add_family(sp, required=True)
+    sp.add_argument("--family", choices=FAMILY_KINDS, required=True)
     sp.add_argument("--n", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--epsilon", type=float, default=1e-3)

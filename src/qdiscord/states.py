@@ -164,7 +164,15 @@ def linear_entropy(rho):
     return float(min(max(s, 0.0), 1.0))
 
 
-FAMILY_KINDS = ("werner", "alpha", "beta", "twoparam", "pure")
+# kind -> range of p1 (twoparam's b lies in [a - 1, 1 - a]), in FAMILY_KINDS order
+FAMILY_RANGES = {
+    "werner": (-1 / 3, 1.0),
+    "alpha": (0.0, 1.0),
+    "beta": (0.0, 1.0),
+    "twoparam": (0.0, 1.0),
+    "pure": (0.0, 1.0),
+}
+FAMILY_KINDS = tuple(FAMILY_RANGES)
 
 
 @dataclass(frozen=True)
@@ -172,7 +180,8 @@ class Family:
     """Tagged parametrized state family.
 
     kind: one of 'werner' (xi), 'alpha', 'beta', 'pure' (Schmidt eigenvalue),
-    each with a single parameter p1, or 'twoparam' with (p1, p2) = (a, b).
+    each with a single parameter p1 in FAMILY_RANGES[kind], or 'twoparam'
+    with (p1, p2) = (a, b).
     """
 
     kind: str
@@ -181,60 +190,43 @@ class Family:
 
     def __post_init__(self):
         k, x = self.kind, self.p1
-        if k not in FAMILY_KINDS:
+        if k not in FAMILY_RANGES:
             raise ParamOutOfRange(f"unknown family kind {k!r}")
-        if k == "werner" and not (-1 / 3 <= x <= 1):
-            raise ParamOutOfRange(f"werner xi={x} out of range [-1/3,1]")
-        if k in ("alpha", "beta", "pure") and not (0 <= x <= 1):
-            raise ParamOutOfRange(f"{k}={x} out of range [0,1]")
-        if k == "twoparam":
-            if self.p2 is None:
-                raise ParamOutOfRange("twoparam requires two parameters (a, b)")
-            a, b = x, self.p2
-            # 1e-12 slack absorbs round-off at the |b| = 1-a edge
-            if not (0 <= a <= 1) or not (a - 1 - 1e-12 <= b <= 1 - a + 1e-12):
-                raise ParamOutOfRange(
-                    f"twoparam (a={a}, b={b}) outside 0<=a<=1, a-1<=b<=1-a"
-                )
-        if k != "twoparam" and self.p2 is not None:
-            raise ParamOutOfRange(f"{k} takes a single parameter")
+        two = k == "twoparam"
+        if two == (self.p2 is None):
+            n = "two parameters (a, b)" if two else "a single parameter"
+            raise ParamOutOfRange(f"{k} takes {n}")
+        lo, hi = FAMILY_RANGES[k]
+        if not lo <= x <= hi:
+            raise ParamOutOfRange(f"{k} p1={x} out of range [{lo:.4g}, {hi:g}]")
+        # 1e-12 slack absorbs round-off at the |b| = 1-a edge
+        if two and not x - 1 - 1e-12 <= self.p2 <= 1 - x + 1e-12:
+            raise ParamOutOfRange(f"twoparam (a={x}, b={self.p2}) outside a-1<=b<=1-a")
 
 
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
 
 def make_family(fam):
-    """Build the density matrix of a parametrized family member."""
-    k = fam.kind
+    """Build the density matrix of a parametrized family member. alpha, beta
+    and twoparam are one X-state block with rho_03 = p1/2: alpha is twoparam
+    at b = 0, and beta adds rho_12 = (1 - beta)/2."""
+    k, p = fam.kind, fam.p1
     if k == "werner":
-        xi = fam.p1
-        return (1 - xi) * np.eye(4, dtype=complex) / 4 + xi * np.outer(
+        return (1 - p) * np.eye(4, dtype=complex) / 4 + p * np.outer(
             PSI_MINUS, PSI_MINUS.conj()
         )
-    if k == "alpha":
-        a = fam.p1
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 0] = m[3, 3] = m[0, 3] = m[3, 0] = a / 2
-        m[1, 1] = m[2, 2] = (1 - a) / 2
-        return m
-    if k == "beta":
-        b = fam.p1
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 0] = m[3, 3] = m[0, 3] = m[3, 0] = b / 2
-        m[1, 1] = m[2, 2] = m[1, 2] = m[2, 1] = (1 - b) / 2
-        return m
-    if k == "twoparam":
-        a, b = fam.p1, fam.p2
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 0] = m[3, 3] = m[0, 3] = m[3, 0] = a / 2
-        m[1, 1] = (1 - a - b) / 2
-        m[2, 2] = (1 - a + b) / 2
-        return m
     if k == "pure":
-        lam = fam.p1
-        v = np.array([np.sqrt(lam), 0, 0, np.sqrt(1 - lam)], dtype=complex)
+        v = np.array([np.sqrt(p), 0, 0, np.sqrt(1 - p)], dtype=complex)
         return np.outer(v, v.conj())
-    raise ParamOutOfRange(f"unknown family kind {k!r}")
+    b = 0.0 if fam.p2 is None else fam.p2
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0] = m[3, 3] = m[0, 3] = m[3, 0] = p / 2
+    m[1, 1] = (1 - p - b) / 2
+    m[2, 2] = (1 - p + b) / 2
+    if k == "beta":
+        m[1, 2] = m[2, 1] = (1 - p) / 2
+    return m
 
 
 # numpy's seeding of np.random.PCG64(seed), restated: SeedSequence

@@ -25,6 +25,7 @@ from qdiscord.bounds import (
     horn_crossovers,
     horn_lower,
     horn_upper,
+    _SWEEP_RANGES,
     sample_near_boundary,
     sample_random,
     split_at_pimple,
@@ -34,6 +35,7 @@ from qdiscord.bounds import (
 from qdiscord.measures import (
     alpha_discord,
     discord_analytic,
+    discord_batch,
     discord_numeric,
     eof_from_concurrence,
     two_param_q,
@@ -262,11 +264,23 @@ class TestSweep:
             ("pure", "eof-q"),
             ("werner", "sl-q"),
             ("twoparam", "sl-q"),
+            ("alpha", "sl-q"),
         ],
     )
     def test_x_increasing(self, kind, plane):
         c = sweep_family(kind, plane, 65)
         assert np.all(np.diff(c.xs) > -1e-15)
+
+    @pytest.mark.parametrize("kind,plane", list(_SWEEP_RANGES))
+    def test_matches_records_of_its_states(self, kind, plane):
+        # each point is the (x, Q) of the numeric record of its own state:
+        # x is S_L on sl-q and EoF on eof-q; twoparam is swept at b = 0
+        c = sweep_family(kind, plane, 33)
+        b = 0.0 if kind == "twoparam" else None
+        recs = discord_batch([make_family(Family(kind, float(p), b)) for p in c.params])
+        x = [r.linear_entropy if plane == "sl-q" else r.eof for r in recs]
+        assert np.max(np.abs(c.xs - x)) <= 1e-12
+        assert np.max(np.abs(c.ys - [r.discord for r in recs])) <= 1e-9
 
     def test_werner_sl_relation(self):
         c = sweep_family("werner", "sl-q", 65)
@@ -361,6 +375,40 @@ class TestSampling:
             assert rec.discord == pytest.approx(
                 discord_analytic(fam).value, abs=1e-7
             )
+
+    # the p1 (and twoparam's b) of the families that
+    # sample_near_boundary(kind, 3, 1e-3, 3) draws; alpha, beta and pure
+    # draw on [0, 1] from one stream
+    UNIT_DRAWS = [
+        "0x1.5ed1a93cfbec0p-4",
+        "0x1.e4fce8296f7e8p-3",
+        "0x1.9a40a58e5cdbdp-1",
+    ]
+    NEAR_DRAWS = {
+        "werner": [
+            ("-0x1.c0c98f2cad62ap-3", None),
+            ("-0x1.2020fe4605650p-6", None),
+            ("0x1.78563213267a6p-1", None),
+        ],
+        "alpha": [(x, None) for x in UNIT_DRAWS],
+        "beta": [(x, None) for x in UNIT_DRAWS],
+        "twoparam": [
+            ("0x1.5ed1a93cfbec0p-4", "-0x1.ecd89d0f5c678p-2"),
+            ("0x1.9a40a58e5cdbdp-1", "0x1.0b835088f206cp-5"),
+            ("0x1.818d0900a1608p-4", "-0x1.f042173069810p-4"),
+        ],
+        "pure": [(x, None) for x in UNIT_DRAWS],
+    }
+
+    @pytest.mark.parametrize("kind", list(NEAR_DRAWS))
+    def test_near_draws_pinned(self, kind):
+        b = sample_near_boundary(kind, 3, 1e-3, 3)
+        got = [(f.p1.hex(), f.p2 if f.p2 is None else f.p2.hex()) for f in b.families]
+        assert got == self.NEAR_DRAWS[kind]
+
+    def test_near_unknown_kind(self):
+        with pytest.raises(ParamOutOfRange, match="unknown family kind 'nosuch'"):
+            sample_near_boundary("nosuch", 3, 1e-3, 3)
 
     def test_near_provenance(self):
         b = sample_near_boundary("alpha", 3, 1e-3, 0)

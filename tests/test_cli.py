@@ -401,6 +401,18 @@ class TestUsage:
         assert err.startswith("usage error: unrecognized arguments")
         assert not dest.exists()
 
+    @pytest.mark.parametrize("flag", ["--param", "--param2"])
+    def test_near_takes_no_family_parameter(self, capsys, tmp_path, flag):
+        # near draws its family parameters; only point builds one from flags
+        dest = tmp_path / "never.out"
+        code, out, err = run(
+            capsys, "near", "--family", "beta", flag, "0.3", "--out", str(dest)
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: unrecognized arguments: {flag} 0.3\n"
+        assert not dest.exists()
+
     @pytest.mark.parametrize(
         "argv,fmt",
         [

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -7,6 +8,8 @@ from conftest import binary_entropy, written_out_random_state
 from qdiscord.bounds import _derived_seeds
 from qdiscord.io import state_from_json_obj, state_to_json_obj
 from qdiscord.states import (
+    FAMILY_KINDS,
+    FAMILY_RANGES,
     Family,
     NotHermitian,
     NotPositive,
@@ -223,6 +226,28 @@ class TestFamilies:
             Family("twoparam", 0.4)  # missing b
         with pytest.raises(ParamOutOfRange):
             Family("nosuch", 0.5)
+
+    def test_kinds_keep_their_order(self):
+        # the benchmark draws its family states kind by kind in this order
+        assert FAMILY_KINDS == ("werner", "alpha", "beta", "twoparam", "pure")
+        assert FAMILY_KINDS == tuple(FAMILY_RANGES)
+
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    def test_range_ends_accepted_and_beyond_rejected(self, kind):
+        lo, hi = FAMILY_RANGES[kind]
+        b = 0.0 if kind == "twoparam" else None
+        for x in (lo, hi):
+            Family(kind, x, b)
+        for x in (float(np.nextafter(lo, -2)), float(np.nextafter(hi, 2))):
+            message = re.escape(f"{kind} p1={x} out of range [{lo:.4g}, {hi:g}]")
+            with pytest.raises(ParamOutOfRange, match=message):
+                Family(kind, x, b)
+
+    def test_alpha_is_twoparam_at_b_zero_bit_for_bit(self):
+        for a in np.r_[np.linspace(0, 1, 97), 1 / 3, 0.5, 0.1, 0.7]:
+            alpha = make_family(Family("alpha", float(a)))
+            two = make_family(Family("twoparam", float(a), 0.0))
+            assert alpha.tobytes() == two.tobytes()
 
     def test_alpha_one_is_bell(self):
         assert np.allclose(make_family(Family("alpha", 1.0)), BELL)
