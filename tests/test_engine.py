@@ -1,7 +1,10 @@
 """The batched discord engine: independence of batch and chunk size, an
 independent optimizer oracle on degenerate and near-tie landscapes, the
 fixed search budget against far larger searches, the start directions read
-off the state, and the non-convergence contract."""
+off the state, the non-convergence contract and the bits of the records."""
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from conftest import (
@@ -22,12 +25,14 @@ from qdiscord.measures import (
 )
 from qdiscord.states import (
     FAMILY_KINDS,
+    FAMILY_RANGES,
     PSD_TOL,
     Family,
     NotPositive,
     StateError,
     make_family,
     random_state,
+    random_states,
     validate_state,
     validate_states,
 )
@@ -523,6 +528,92 @@ class TestNonConvergence:
         assert err.value.states == [0, 2]
         value = discord_batch(rhos[1:2])[0].classical_corr
         assert value == pytest.approx(0.0, abs=1e-15)
+
+
+class TestFinalValue:
+    """A record's classical correlation is S(rho_A) - S(A|Pi_n) at the angles
+    it reports, bit for bit, whether or not the reported azimuth phi_opt is
+    the refined one: the refinement's azimuth lies in [-pi, pi], and a
+    negative one is reported as phi + 2 pi."""
+
+    @pytest.mark.parametrize("seed,negative", [(4, True), (0, False)])
+    def test_value_at_the_reported_angles(self, seed, negative):
+        rho = random_state(seed)
+        rec = discord_numeric(rho)
+        assert (rec.phi_opt > np.pi) == negative
+        c = measures._fano(rho[None])
+        n = measures._frame(np.array([[2 * rec.theta_opt], [rec.phi_opt]]))[0]
+        value = measures._entropy_a(c) - measures._conditional_entropy(c, n)
+        assert rec.classical_corr.hex() == float(value[0]).hex()
+
+
+def family_grid(per_kind=40):
+    """per_kind members of each family, evenly over its range of p1, twoparam
+    with b = (1 - a) times -1, -1/2, 0, 1/2 and 1 in turn. The Werner and
+    alpha members, among others, have starts whose values tie exactly."""
+    out = []
+    for kind in FAMILY_KINDS:
+        lo, hi = FAMILY_RANGES[kind]
+        for k in range(per_kind):
+            p = lo + (hi - lo) * k / (per_kind - 1)
+            b = (1 - p) * ((k % 5) / 2 - 1) if kind == "twoparam" else None
+            out.append(make_family(Family(kind, p, b)))
+    return np.array(out)
+
+
+def engine_pin_corpus():
+    """name -> states of the corpus whose records TestEngineBitPins pins."""
+    families = family_grid()
+    noise = random_states(range(1000, 1000 + len(families)))
+    return {
+        "families": families,
+        "mixtures": (1 - EPSILON) * families + EPSILON * noise,
+        "near-pure": np.array(
+            [hermitian_from_upper(v) for v in NEAR_PURE_GRID_MARGIN.values()]
+        ),
+        "random": random_states(range(200)),
+    }
+
+
+def record_digest(records):
+    """SHA-256 of the little-endian float64 bytes of the records' eight
+    fields, row by row."""
+    rows = np.array([dataclasses.astuple(r) for r in records], dtype="<f8")
+    return hashlib.sha256(rows.tobytes()).hexdigest()
+
+
+class TestEngineBitPins:
+    """The records of a fixed corpus pinned to their bits. The family scans
+    tie exactly on 79 of the 200 members, where argpartition picks a start
+    other than the first minimum, so the pins also hold numpy's tie rule.
+    Taken with numpy 2.4.6 on x86-64 (AVX-512), as the bound pins of
+    test_bounds.TestBitPins: a numpy build whose log, sqrt, trigonometric
+    functions or LAPACK round differently moves a last bit, and then the
+    pins must be taken again from the build at hand."""
+
+    DIGESTS = {
+        "families": "4ab3f661b72409498b1900ef073b64d65bfe68f6232142ae998958b9bc023878",
+        "mixtures": "9971ec4f5b71f1338af3d367e37e973554d2cebd0ac95d40f18ad09eb1ad616f",
+        "near-pure": "22b4e2e7699a98fc899ff2e0a09f2e775ae2cf762e7a701a066cd4d379fc7038",
+        "random": "1e979ce50325f4f8361934b6355cf1eecaf3ed29ac86b918bceef7f8c2df707c",
+    }
+    # a mid-range member of each family, then the first mixture, near-pure
+    # and random state, each through discord_numeric alone
+    SINGLE_DIGEST = "c8db6b47a4201c83572ba0869746619f13effde22ae3c8cd3eba1757b1639147"
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return engine_pin_corpus()
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_batch_digest(self, corpus, name):
+        assert record_digest(discord_batch(corpus[name])) == self.DIGESTS[name]
+
+    def test_single_state_digest(self, corpus):
+        rhos = list(corpus["families"][20::40])
+        rhos += [corpus[name][0] for name in ("mixtures", "near-pure", "random")]
+        records = [discord_numeric(rho) for rho in rhos]
+        assert record_digest(records) == self.SINGLE_DIGEST
 
 
 class TestNonFiniteInput:
