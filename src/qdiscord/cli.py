@@ -40,18 +40,15 @@ def build_parser():
         sp.add_argument("--out", dest="output_path", default=None)
         sp.add_argument("--format", choices=formats, default=formats[0])
 
-    def add_family(sp, required=False):
-        sp.add_argument("--family", choices=FAMILY_KINDS, required=required)
-        sp.add_argument("--param", type=float, default=None)
-        sp.add_argument("--param2", type=float, default=None)
-
     sp = sub.add_parser("point", help="measures of a single state")
-    add_family(sp)
+    sp.add_argument("--family", choices=FAMILY_KINDS)
+    sp.add_argument("--param", type=float, default=None)
+    sp.add_argument("--param2", type=float, default=None)
     sp.add_argument("--in", dest="input_path", default=None)
     add_common(sp, ["json", "csv"])
 
     sp = sub.add_parser("sweep", help="boundary curve of one family")
-    add_family(sp, required=True)
+    sp.add_argument("--family", choices=FAMILY_KINDS, required=True)
     sp.add_argument("--plane", choices=["eof-q", "sl-q"], default="eof-q")
     sp.add_argument("--n", type=int, default=512, help="curve resolution")
     add_common(sp, ["csv"])

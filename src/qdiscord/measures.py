@@ -134,23 +134,23 @@ def conditional_information(rho, theta, phi):
 
 # Each two-qubit Pauli product P = sigma_i x sigma_j has one nonzero entry per
 # row, so Tr(P rho) = sum_k P[k, c_k] rho[c_k, k]: four products per state.
+# Product 4 i + j takes A's index i in the order x, y, z, 0 and B's index j
+# in the order 0, x, y, z (see _fano).
 _PAULIS = (
     np.eye(2),
     np.array([[0, 1], [1, 0]]),
     SIGMA_Y,
     np.array([[1, 0], [0, -1]]),
 )
-_PRODUCTS = [np.kron(a, b) for a in _PAULIS for b in _PAULIS]
+_PRODUCTS = [np.kron(a, b) for a in _PAULIS[1:] + _PAULIS[:1] for b in _PAULIS]
 _PAULI_COLS = np.array([np.argmax(np.abs(p), axis=1) for p in _PRODUCTS])
 _PAULI_VALS = np.array(
     [p[np.arange(4), c] for p, c in zip(_PRODUCTS, _PAULI_COLS)], dtype=complex
 )
-# product index 4 i + j of sigma_i x sigma_j, with A's index i in the order
-# x, y, z, 0 and B's index j in the order 0, x, y, z (see _fano)
-_FANO_ORDER = np.roll(np.arange(16), -4)
+_PAULI_ENTRIES = 4 * _PAULI_COLS + np.arange(4)  # flat indices of rho[c_k, k]
 # the 15 coefficients other than the constant, as flat indices into the 4 x 4
 # layout, in the order r, s, T: Tr rho^2 sums their squares in this order
-_PURITY_ORDER = [0, 4, 8, 13, 14, 15, 1, 2, 3, 5, 6, 7, 9, 10, 11]
+_PURITY_ORDER = np.array([0, 4, 8, 13, 14, 15, 1, 2, 3, 5, 6, 7, 9, 10, 11])
 
 
 def _fano(rhos):
@@ -163,9 +163,9 @@ def _fano(rhos):
     of measuring B along n then has (u, p) = c[:, 0] +- c[:, 1:] n (see
     _conditional_entropy).
     """
-    t = rhos[:, _PAULI_COLS, np.arange(4)] * _PAULI_VALS
+    t = rhos.reshape(len(rhos), 16)[:, _PAULI_ENTRIES] * _PAULI_VALS
     tr = (t[..., 0] + t[..., 1] + t[..., 2] + t[..., 3]).real
-    c = (0.5 * tr[:, _FANO_ORDER]).T.reshape(4, 4, len(rhos))
+    c = (0.5 * tr).T.reshape(4, 4, len(rhos))
     c[3, 0] = 0.5
     return c
 
@@ -202,11 +202,11 @@ def _rows(c, n):
     """The rows (T n, s.n)/2 of the halved Fano coefficients c (see _fano)
     for the Bloch vectors n = (nx, ny, nz) (leading axis), each as
     ((c_x nx + c_y ny) + c_z nz), elementwise over the broadcast of c's
-    trailing shape against n's; shape (4, ...)."""
-    m = c[:, 1:]
-    rows = m[:, 0] * n[0]
-    rows += m[:, 1] * n[1]
-    rows += m[:, 2] * n[2]
+    trailing shape against n's; shape (4, ...). The nine products come
+    from one multiplication."""
+    prod = c[:, 1:] * n
+    rows = prod[:, 0] + prod[:, 1]
+    rows += prod[:, 2]
     return rows
 
 
@@ -240,10 +240,11 @@ def _outcomes(c, rows):
     return b, w, lg
 
 
-def _outcome_sum(xl):
+def _outcome_sum(xl, out=None):
     """The running sum 0 + xlog(p) - xlog(eig+) - xlog(eig-) over the two
-    outcomes of xl = xlog2 of (p, eig+, eig-), shape (3, 2, ...)."""
-    out = xl[0, 0] + 0.0
+    outcomes of xl = xlog2 of (p, eig+, eig-), shape (3, 2, ...), into out
+    if given."""
+    out = np.add(xl[0, 0], 0.0, out=out)
     out -= xl[1, 0]
     out -= xl[2, 0]
     out += xl[0, 1]
@@ -289,7 +290,7 @@ def _objective_derivatives(c, frame):
     b, w, lg = _outcomes(c, rows[:, 0])
     x = b[3:]
     out = np.empty((6,) + w.shape[1:])
-    out[0] = _outcome_sum(lg * x)
+    _outcome_sum(lg * x, out=out[0])
 
     keep = x > EIG_CLIP
     np.maximum(lg, _LOG2_CLIP, out=lg)  # log2 of max(x, EIG_CLIP)
@@ -338,10 +339,21 @@ def _sum_leading(x):
 
 
 def _entropy_a(c):
-    """S(rho_A) from the halved Bloch vector r/2 = c[:3, 0] of A."""
+    """S(rho_A) from the halved Bloch vector r/2 = c[:3, 0] of A, elementwise
+    over c's trailing shape."""
     r = c[:3, 0]
     w = np.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
-    return -_xlog2(0.5 + w) - _xlog2(0.5 - w)
+    x = np.empty((2,) + w.shape)
+    np.add(0.5, w, out=x[0])
+    np.subtract(0.5, w, out=x[1])
+    return _binary_entropy_pair(x)
+
+
+def _binary_entropy_pair(x):
+    """-xlog2(x[0]) - xlog2(x[1]) of the stacked pair x, from one _xlog2
+    call."""
+    xl = _xlog2(x)
+    return -xl[0] - xl[1]
 
 
 def _direction_grid(n_theta, n_phi):
@@ -494,12 +506,13 @@ def _refine(c, ang, f, r0):
         stationary = (model[0] + model[1] >= -1e-3 * tol) & (mu[1] >= -tol)
         done = stationary | (rk < _R_MIN)
         n_done = np.count_nonzero(done)
+        if n_done == done.size:
+            converged[act] = True
+            break
         if n_done:
             fin, go = act[done], ~done
             converged[fin] = True
             ang[:, fin], f[fin] = at[:, done], ev[0, done]
-            if n_done == done.size:
-                return converged
             act, ck, at, frame = act[go], ck[..., go], at[:, go], frame[..., go]
             ev, rk, steps, cp, sp = ev[:, go], rk[go], steps[:, go], cp[go], sp[go]
         d = _PM * (sp * steps[::-1]) - cp * steps
@@ -520,11 +533,16 @@ def _state_directions(c):
     coefficients c (see _fano): the three right singular vectors of T, from
     one stacked SVD, and s/|s|, or the z axis where s = 0. Returns the
     components (nx, ny, nz) stacked, shape (3, N, 4)."""
-    vt = np.linalg.svd(c[:3, 1:].transpose(2, 0, 1))[2]
+    out = np.empty((3, c.shape[-1], 4))
+    out[:, :, :3] = np.linalg.svd(c[:3, 1:].transpose(2, 0, 1))[2].transpose(2, 0, 1)
     s = c[3, 1:]
     w = np.hypot(np.hypot(s[0], s[1]), s[2])
-    s = np.where(w > 0, s / np.where(w > 0, w, 1.0), [[0.0], [0.0], [1.0]])
-    return np.concatenate([vt.transpose(2, 0, 1), s[:, :, None]], axis=2)
+    out[:, :, 3] = _Z_AXIS
+    np.divide(s, w, out=out[:, :, 3], where=w > 0)
+    return out
+
+
+_Z_AXIS = np.array([[0.0], [0.0], [1.0]])
 
 
 def _classical_correlation(rhos):
@@ -580,8 +598,14 @@ def _classical_correlation(rhos):
 
     theta = 0.5 * ang[0]
     phi = np.mod(ang[1], 2 * np.pi)
-    n_opt = _frame(np.array([2 * theta, phi]))[0]
-    values = _entropy_a(c) - _conditional_entropy(c, n_opt)
+    # f holds S(A|Pi_n) at the refined angles, bit for bit; it is evaluated
+    # again only where the reported angles differ: a negative azimuth, or a
+    # polar angle so small that halving it drops a bit
+    moved = ((2 * theta != ang[0]) | (phi != ang[1])).nonzero()[0]
+    if moved.size:
+        n_opt = _frame(np.array([2 * theta[moved], phi[moved]]))[0]
+        f[moved] = _conditional_entropy(c[..., moved], n_opt)
+    values = _entropy_a(c) - f
     failed = (~converged).nonzero()[0]
     if failed.size:
         raise OptimizerDidNotConverge(
@@ -616,16 +640,21 @@ def eof_from_concurrence(c):
     # -0.0 into +0.0, which c * c does as well
     c = np.minimum(np.maximum(np.asarray(c, dtype=float), 0.0), 1.0)
     x = (1.0 + np.sqrt(1.0 - c * c)) / 2.0
-    return _float_or_array(-_xlog2(x) - _xlog2(1.0 - x))
+    return _float_or_array(_binary_entropy_pair(np.array([x, 1.0 - x])))
 
 
 def _spectral_entropy(ev):
     """-sum ev log2 ev over the eigenvalues above EIG_CLIP, as
-    von_neumann_entropy takes it, along the last axis of ev; the sums run in
-    a fixed order, so a row's value does not depend on the others."""
-    keep = ev > EIG_CLIP
-    terms = np.where(keep, ev * np.log2(np.where(keep, ev, 1.0)), 0.0)
-    return -sum(terms[..., k] for k in range(terms.shape[-1]))
+    von_neumann_entropy takes it, over the four eigenvalues on the leading
+    axis of ev. The sum runs in their order, so a row's value does not
+    depend on the others. A term at or below EIG_CLIP is 0 or -0; the four
+    terms of a unit-trace spectrum are never all -0, so the sum is that of
+    0 + t0 + t1 + t2 + t3 to the bit."""
+    t = ev * np.log2(np.where(ev > EIG_CLIP, ev, 1.0))
+    s = t[0] + t[1]
+    s += t[2]
+    s += t[3]
+    return np.negative(s, out=s)
 
 
 def _record_measures(c, lam, v):
@@ -640,21 +669,26 @@ def _record_measures(c, lam, v):
     tau = X^T (sy x sy) X with rho = X X^dagger, X = V diag(sqrt(lam)).
     That is accurate to round-off on pure and rank-deficient states, where
     the square roots of eigenvalues of rho rho_tilde are off by up to ~1e-8.
-    mutual_information, concurrence and linear_entropy are the per-state
-    reference.
+    The spectra of rho_A and rho_B, padded with two zeros, and of rho go
+    through one _spectral_entropy call. mutual_information, concurrence
+    and linear_entropy are the per-state reference.
     """
-    rs = np.array([c[:3, 0], c[3, 1:]])  # r/2 and s/2
-    sq = rs * rs
+    n = c.shape[-1]
+    q = c.reshape(16, n)[_PURITY_ORDER]
+    q *= q
+    sq = q[:6].reshape(2, 3, n)  # (r/2)^2 and (s/2)^2
     w = sq[:, 0] + sq[:, 1]
     w += sq[:, 2]
     np.sqrt(w, out=w)
-    s_ab = _spectral_entropy(0.5 + w[:, :, None] * _PM[:, 0])  # 1/2 +- |r|/2, |s|/2
-    mi = s_ab[0] + s_ab[1] - _spectral_entropy(lam)
+    ev = np.zeros((4, 3, n))
+    np.multiply(w, _PM[:, :, None], out=ev[:2, :2])
+    ev[:2, :2] += 0.5  # 1/2 +- |r|/2 and 1/2 +- |s|/2
+    ev[:, 2] = lam.T
+    ent = _spectral_entropy(ev)  # S(rho_A), S(rho_B), S(rho)
+    mi = ent[0] + ent[1] - ent[2]
     x = v * np.sqrt(np.maximum(lam, 0.0))[:, None, :]
     s = np.linalg.svd(np.swapaxes(x, 1, 2) @ SYSY @ x, compute_uv=False)
     conc = np.maximum(0.0, s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3])
-    q = c.reshape(16, c.shape[-1])[_PURITY_ORDER]
-    q *= q
     purity = np.add.accumulate(q, axis=0)[-1]  # row by row, as written out
     sl = np.minimum(np.maximum((4.0 / 3.0) * (0.75 - purity), 0.0), 1.0)
     return mi, conc, sl
@@ -697,7 +731,7 @@ def discord_batch(rhos):
         thetas,
         phis,
     ]
-    return [CorrelationRecord(*row) for row in np.stack(fields, axis=1).tolist()]
+    return list(map(CorrelationRecord, *(x.tolist() for x in fields)))
 
 
 def discord_numeric(rho):

@@ -86,7 +86,7 @@ def _hermitian_unit_trace(m):
     makes the Hermiticity deviation NaN or Inf, so such a state fails."""
     with np.errstate(invalid="ignore"):  # inf - inf in non-finite states
         herm = np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-        tr = np.trace(m, axis1=1, axis2=2)
+        tr = m.trace(axis1=1, axis2=2)
         tr = np.abs(tr.real - 1.0) + np.abs(tr.imag)
     return (herm <= HERM_TOL) & (tr <= TRACE_TOL), herm, tr
 

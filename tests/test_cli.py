@@ -413,6 +413,20 @@ class TestUsage:
         assert err == f"usage error: unrecognized arguments: {flag} 0.3\n"
         assert not dest.exists()
 
+    @pytest.mark.parametrize("flag", ["--param", "--param2"])
+    def test_sweep_takes_no_family_parameter(self, capsys, tmp_path, flag):
+        # a sweep spans its family's whole range; only point builds one
+        # member from flags
+        dest = tmp_path / "never.out"
+        code, out, err = run(
+            capsys, "sweep", "--family", "beta", flag, "0.3", "--n", "3",
+            "--out", str(dest),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: unrecognized arguments: {flag} 0.3\n"
+        assert not dest.exists()
+
     @pytest.mark.parametrize(
         "argv,fmt",
         [
