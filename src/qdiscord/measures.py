@@ -187,7 +187,7 @@ def _conditional_entropy(c, n):
     unnormalized state (p I + u.sigma)/2 with u = r/2 +- (T/2) n, whose
     eigenvalues (p +- |u|)/2 give p S(rho_A|k) = xlog(p) - sum xlog(eig).
     The rows (T n, s.n) and the two outcomes lie on leading axes, so the
-    objective takes 24 array operations whatever its shape. Every element
+    objective takes 22 array operations whatever its shape. Every element
     goes through the operations of the per-component form in the same
     order, so the values are the same to the bit. An outcome with p <= 0
     contributes 0 and one with p below P_FLOOR at most p bits; the
@@ -483,7 +483,7 @@ def _refine(c, ang, f, r0):
     converged flags. Every operation is elementwise over starts, so a
     start's result does not depend on the others.
     """
-    converged = np.zeros(len(f), dtype=bool)
+    converged = np.ones(len(f), dtype=bool)
     act = np.arange(len(f))
     tol = _REFINE_TOL
     # the active starts' coefficients, angles, frames, evaluations, radii
@@ -507,11 +507,9 @@ def _refine(c, ang, f, r0):
         done = stationary | (rk < _R_MIN)
         n_done = np.count_nonzero(done)
         if n_done == done.size:
-            converged[act] = True
             break
         if n_done:
             fin, go = act[done], ~done
-            converged[fin] = True
             ang[:, fin], f[fin] = at[:, done], ev[0, done]
             act, ck, at, frame = act[go], ck[..., go], at[:, go], frame[..., go]
             ev, rk, steps, cp, sp = ev[:, go], rk[go], steps[:, go], cp[go], sp[go]
@@ -524,6 +522,8 @@ def _refine(c, ang, f, r0):
         ev = np.where(better, en, ev)
         step = np.hypot(d[0], d[1])
         rk = np.where(better, np.maximum(rk, 2 * step), 0.25 * step)
+    else:
+        converged[act] = False
     ang[:, act], f[act] = at, ev[0]
     return converged
 
@@ -554,13 +554,19 @@ def _classical_correlation(rhos):
     four directions of _state_directions, and the best of them is refined
     by _refine, a trust-region Newton iteration on the closed-form value,
     gradient and Hessian of _objective_derivatives, with a first trust
-    radius of _R_START. The value is S(rho_A) - S(A|Pi_n), evaluated at the
-    returned angles. States go through in blocks of _BLOCK_STATES, whose
-    starts _refine takes at once; each block's coefficients and state
-    directions come from one _fano and one _state_directions call, and its
-    scan from objective calls of _SCAN_STATES states each. The SVDs run per
-    state and all other arithmetic is elementwise over states, so a state's
-    result does not depend on the batch or chunk it is in, bit for bit.
+    radius of _R_START. The value is S(rho_A) - S(A|Pi_n) at the returned
+    angles, bit for bit: S(A|Pi_n) is the value _refine ends on, which
+    _objective_derivatives computes as _conditional_entropy does, and it is
+    evaluated again only where the returned angles (2 theta, phi) differ
+    from the refined ones (pol, azi): phi = azi + 2 pi for a negative
+    azimuth, or a polar angle so small that halving it drops a bit.
+
+    States go through in blocks of _BLOCK_STATES, whose starts _refine
+    takes at once; each block's coefficients and state directions come from
+    one _fano and one _state_directions call, and its scan from objective
+    calls of _SCAN_STATES states each. The SVDs run per state and all other
+    arithmetic is elementwise over states, so a state's result does not
+    depend on the batch or chunk it is in, bit for bit.
 
     Returns the halved Fano coefficients (4, 4, N) of the states and float
     arrays (values, theta_opt, phi_opt) with theta in [0, pi/2] and phi in
@@ -598,9 +604,7 @@ def _classical_correlation(rhos):
 
     theta = 0.5 * ang[0]
     phi = np.mod(ang[1], 2 * np.pi)
-    # f holds S(A|Pi_n) at the refined angles, bit for bit; it is evaluated
-    # again only where the reported angles differ: a negative azimuth, or a
-    # polar angle so small that halving it drops a bit
+    # f holds S(A|Pi_n) at the refined angles
     moved = ((2 * theta != ang[0]) | (phi != ang[1])).nonzero()[0]
     if moved.size:
         n_opt = _frame(np.array([2 * theta[moved], phi[moved]]))[0]
