@@ -202,8 +202,8 @@ def _rows(c, n):
     """The rows (T n, s.n)/2 of the halved Fano coefficients c (see _fano)
     for the Bloch vectors n = (nx, ny, nz) (leading axis), each as
     ((c_x nx + c_y ny) + c_z nz), elementwise over the broadcast of c's
-    trailing shape against n's; shape (4, ...). The nine products come
-    from one multiplication."""
+    trailing shape against n's; shape (4, ...). All the products c_k n_k
+    come from one multiplication."""
     prod = c[:, 1:] * n
     rows = prod[:, 0] + prod[:, 1]
     rows += prod[:, 2]
@@ -528,6 +528,9 @@ def _refine(c, ang, f, r0):
     return converged
 
 
+_Z_AXIS = np.array([[0.0], [0.0], [1.0]])  # the direction of s where s = 0
+
+
 def _state_directions(c):
     """The four measurement directions read off each state with halved Fano
     coefficients c (see _fano): the three right singular vectors of T, from
@@ -540,9 +543,6 @@ def _state_directions(c):
     out[:, :, 3] = _Z_AXIS
     np.divide(s, w, out=out[:, :, 3], where=w > 0)
     return out
-
-
-_Z_AXIS = np.array([[0.0], [0.0], [1.0]])
 
 
 def _classical_correlation(rhos):
