@@ -34,6 +34,7 @@ from qdiscord.bounds import (
 )
 from qdiscord.measures import (
     alpha_discord,
+    beta_discord,
     discord_analytic,
     discord_batch,
     discord_numeric,
@@ -663,6 +664,28 @@ GRID_PINS = [
     (entropy_upper, SL_GRID,
      "4ab67c66245312e09e60d092ff92fb9dd75816466450298fb91ef5ff2bdaf43a"),
 ]
+# the same for the closed-form family discords the bounds are built from:
+# alpha (value and zeta stacked) and beta on [0, 1], Werner on [-1/3, 1], and
+# two_param_q on (a, b) = (a, t (1 - a)) with a, t on [0, 1] x [-1, 1], which
+# holds the edge |b| = 1 - a and the corners (0, -1), (0, 1) and (1, 0)
+UNIT_GRID = np.linspace(0, 1, 4001)
+XI_GRID = np.linspace(-1 / 3, 1, 4001)
+A_GRID = np.linspace(0, 1, 201)[:, None]
+B_GRID = np.linspace(-1, 1, 201) * (1 - A_GRID)
+CLOSED_FORM_PINS = [
+    ("alpha_discord", lambda: np.stack(alpha_discord(UNIT_GRID)),
+     "d0a0a50b2421f1b99b83d9115d7d10141d9cc71412ce4a46eb9d2bc8aa35b002"),
+    ("beta_discord", lambda: beta_discord(UNIT_GRID),
+     "07bb3f84f7ebb06a826f71983e77c83ba8661c19a6e2b0e17cd13b41c943be5c"),
+    ("werner_discord", lambda: werner_discord(XI_GRID),
+     "aad9d95210801f548cca9efc3f133423cec08422287188b89bf00bf6eb85b0ad"),
+    ("two_param_q", lambda: two_param_q(A_GRID, B_GRID),
+     "299a3747d5209b809886f2b9b3773164fb27cc995150c3d15aa326d04f82890d"),
+]
+
+
+def _sha256(values):
+    return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
 
 
 class TestBitPins:
@@ -710,8 +733,15 @@ class TestBitPins:
         "fn,grid,digest", GRID_PINS, ids=[pin[0].__name__ for pin in GRID_PINS]
     )
     def test_grid_digest(self, fn, grid, digest):
-        values = np.asarray(fn(grid), dtype="<f8")
-        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+        assert _sha256(fn(grid)) == digest
+
+    @pytest.mark.parametrize(
+        "evaluate,digest",
+        [pin[1:] for pin in CLOSED_FORM_PINS],
+        ids=[pin[0] for pin in CLOSED_FORM_PINS],
+    )
+    def test_closed_form_digest(self, evaluate, digest):
+        assert _sha256(evaluate()) == digest
 
 
 def test_pimple_state_measures():
