@@ -33,7 +33,7 @@ import numpy as np
 
 from .measures import (
     CorrelationRecord,
-    _xlog2,
+    _binary_entropy_pair,
     alpha_discord,
     beta_discord,
     discord_batch,
@@ -470,7 +470,7 @@ def sweep_family(kind, plane, resolution=512):
         ys = beta_discord(p)
         xs = eof_from_concurrence(np.abs(2 * p - 1))
     else:  # pure
-        ys = xs = -_xlog2(p) - _xlog2(1 - p)  # h(p)
+        ys = xs = _binary_entropy_pair(np.array([p, 1 - p]))  # h(p)
     return BoundaryCurve(plane=plane, family_tag=kind, params=p, xs=xs, ys=ys)
 
 

@@ -754,20 +754,16 @@ def alpha_discord(a):
     floats for a scalar a, arrays for an array."""
     a = np.asarray(a, dtype=float)
     zeta = np.maximum(np.abs(a), np.abs(2.0 * a - 1.0))
-    val = (
-        _xlog2(1.0 - a)
-        + _xlog2(a)
-        + (1.0 + a)
-        - _xlog2(1.0 - zeta) / 2.0
-        - _xlog2(1.0 + zeta) / 2.0
-    )
+    xl = _xlog2(np.array([1.0 - a, a, 1.0 - zeta, 1.0 + zeta]))
+    val = xl[0] + xl[1] + (1.0 + a) - xl[2] / 2.0 - xl[3] / 2.0
     return _float_or_array(np.maximum(val, 0.0)), _float_or_array(zeta)
 
 
 def beta_discord(b):
     """Closed-form discord of the beta family, 1 - h(beta), elementwise."""
     b = np.asarray(b, dtype=float)
-    return _float_or_array(np.maximum(1.0 + _xlog2(b) + _xlog2(1.0 - b), 0.0))
+    xl = _xlog2(np.array([b, 1.0 - b]))
+    return _float_or_array(np.maximum(1.0 + xl[0] + xl[1], 0.0))
 
 
 def werner_discord(xi):
@@ -780,13 +776,12 @@ def werner_discord(xi):
     """
     xi = np.asarray(xi, dtype=float)
     x = np.abs(xi)
-    val = (
-        1.0
-        + _xlog2(0.25 * (1.0 + 3.0 * xi))
-        + 3.0 * _xlog2(0.25 * (1.0 - xi))
-        - _xlog2(0.5 * (1.0 + x))
-        - _xlog2(0.5 * (1.0 - x))
+    xl = _xlog2(
+        np.array(
+            [0.25 * (1.0 + 3.0 * xi), 0.25 * (1.0 - xi), 0.5 * (1.0 + x), 0.5 * (1.0 - x)]
+        )
     )
+    val = 1.0 + xl[0] + 3.0 * xl[1] - xl[2] - xl[3]
     return _float_or_array(np.maximum(val, 0.0))
 
 
@@ -803,16 +798,19 @@ def two_param_q(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     s = np.sqrt(a * a + b * b)
     om = 1.0 - a
-    # one xlog call per term: stacking the seven arguments into one array
-    # saved no time on single values and took seven times the memory
-    q = 1.0 + a + _xlog2(a) + 0.5 * (
-        _xlog2(om - b)
-        + _xlog2(om + b)
-        - _xlog2(1.0 + b)
-        - _xlog2(1.0 - b)
-        - _xlog2(1.0 + s)
-        - _xlog2(1.0 - s)
-    )
+    # the seven arguments stacked for one _xlog2 call, written in place so
+    # that a and b may differ in shape (a sweep passes b = 0); [k, ...] is a
+    # view even for 0-d a and b, where [k] would be a numpy scalar
+    x = np.empty((7,) + s.shape)
+    x[0, ...] = a
+    np.subtract(om, b, out=x[1, ...])
+    np.add(om, b, out=x[2, ...])
+    np.add(1.0, b, out=x[3, ...])
+    np.subtract(1.0, b, out=x[4, ...])
+    np.add(1.0, s, out=x[5, ...])
+    np.subtract(1.0, s, out=x[6, ...])
+    xl = _xlog2(x)
+    q = 1.0 + a + xl[0] + 0.5 * (xl[1] + xl[2] - xl[3] - xl[4] - xl[5] - xl[6])
     return _float_or_array(q)
 
 
