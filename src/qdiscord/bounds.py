@@ -10,8 +10,10 @@ tested by np.count_nonzero and indexed by mask.nonzero(), float literals),
 and TestBitPins pins its outputs bit for bit, at chosen points and as
 digests on grids. The horn
 branches are the alpha, Werner (Luo, PRA 77, 042303 (2008)), pure and beta
-family discords in closed form; the EoF axis is mapped to concurrence by a
-Newton inversion of Wootters' E(C), and each point evaluates only its own
+family discords in closed form; the EoF axis is mapped to concurrence by
+inverting Wootters' E(C) = h(q), C = 2 sqrt(q (1 - q)), with Newton's method
+in q from a start left of the root, where h is concave and increasing, so
+the iterates rise monotonically onto it; each point evaluates only its own
 branch. The junctions of the branches (horn_crossovers) are constants of
 the closed forms, kept as float literals; a test re-derives them bit for
 bit (TestCrossovers.test_bisection_matches_scipy_bit_for_bit). The
@@ -111,52 +113,66 @@ def _like(out, x):
     return out.reshape(shape) if shape else float(out[0])
 
 
-_NEWTON_RTOL = 1e-9  # Newton stops once its step is below this times C
+_NEWTON_RTOL = 1e-9  # Newton stops once its step is below this times q
 _LN2 = np.log(2.0)
-_E_MIN = 1e-230  # smaller EoF maps to C = 0: the start's C^2 would underflow
+_LN4 = 2.0 * _LN2
+_E_MIN = 1e-230  # smaller EoF maps to C = 0: Topsoe's C^2 would underflow
+
+
+def _q_start(e, e_ln):
+    """A start left of the root of h(q) = e in (0, 1/2], elementwise over
+    EoFs e in [_E_MIN, 1) with e_ln = e ln 2: the larger of two lower bounds.
+
+    Topsoe's h(q) <= (4 q (1 - q))^(1/ln 4) (JIPAM 2(2), 2001), exact as
+    e -> 1, gives C^2 = 4 q (1 - q) >= e^(ln 4), mapped to q. For small e,
+    h(q) <= q log2(eu/q), eu Euler's number (since -(1 - q) ln(1 - q) <= q),
+    has the increasing map q <- e ln 2 / (1 - ln q), whose fixed point lies
+    left of the root; from Topsoe's q two steps of it never pass the larger
+    of that q and the fixed point.
+    """
+    c2 = e ** _LN4
+    # float literals: numpy converts an int operand at a further cost per call
+    qt = c2 / (2.0 * (1.0 + np.sqrt(1.0 - c2)))  # (1 - sqrt(1 - C^2))/2
+    return np.maximum(qt, e_ln / (1.0 - np.log(e_ln / (1.0 - np.log(qt)))))
 
 
 def eof_to_concurrence(e):
-    """Invert E(C) = h((1 + sqrt(1 - C^2))/2) elementwise by Newton's method.
+    """Invert E(C) = h((1 - sqrt(1 - C^2))/2) elementwise: Newton's method
+    on h(q) = e over q in (0, 1/2], then C = 2 sqrt(q (1 - q)).
 
-    The start C = e^(2/3) is h^-1(y) ~ (1 - sqrt(1 - y^(4/3)))/2 mapped to
-    concurrence. It lies close to the root, but left of it for e below
-    about 0.32. Wootters' E is convex and increasing on [0, 1], and
-    h(x) >= 4x(1-x) gives E(C) >= C^2, so sqrt(e) lies right of the root. A
-    Newton step from left of the root lands right of it; it is capped at
-    sqrt(e), since from far left (small e) the flat tangent overshoots by
-    orders of magnitude. So from the first step on the iterates lie right
-    of the root and fall monotonically onto it. An element stops once its
-    step is below _NEWTON_RTOL times C; the next step would be below
-    round-off. With s = sqrt(1 - C^2), p = (1 + s)/2 and
-    q = 1 - p = C^2 / (2 (1 + s)), E ln 2 = -p ln p - q ln q and
-    dE/dC ln 2 = C (ln p - ln q) / (2 s). E < _E_MIN maps to 0, E >= 1 to 1.
+    h is concave and increasing on (0, 1/2], so from a start left of the
+    root (_q_start) every Newton step lands left of it again: the iterates
+    rise monotonically onto the root. An element stops once its step is
+    below _NEWTON_RTOL times q; the next step would be below round-off. A
+    step that does not rise, a round-off where h is flat near q = 1/2, stops
+    it too; C, whose E has a finite slope at C = 1, does not feel it. With
+    e ln 2 = -q ln q - (1 - q) ln(1 - q) and d = ln(1 - q) - ln q, the
+    derivative of the right side, the step is (ln(1 - q) + e ln 2 - q d)/d.
+    E < _E_MIN maps to 0, E >= 1 to 1.
     """
     ev = np.asarray(e, dtype=float).reshape(-1)
     # not np.clip, which takes twice as long on one value; this turns
     # -0.0 into +0.0, and E < _E_MIN maps to 0 anyway
-    e_cl = np.minimum(np.maximum(ev, 0.0), 1.0)
-    cap = np.sqrt(e_cl)
-    c = e_cl ** (2 / 3)
+    c = np.minimum(np.maximum(ev, 0.0), 1.0)
     c[ev < _E_MIN] = 0.0
-    e_ln = ev * _LN2
     act = ((c > 0) & (c < 1)).nonzero()[0]
     # while every element iterates, index with a slice: no gather or scatter
     at = slice(None) if act.size == c.size else act
-    # float literals: numpy converts an int operand at a further cost per call
+    # C = 0 and C = 1 are q = 0 and q = 1/2, which the closing map returns
+    q = 0.5 * c
+    e_ln = c * _LN2
+    q[at] = _q_start(c[at], e_ln[at])
     while act.size:
-        ca = c[at]
-        s = np.sqrt((1.0 - ca) * (1.0 + ca))
-        sp = 1.0 + s
-        p, q = 0.5 * sp, ca * ca / (2.0 * sp)
-        lp, lq = np.log1p(-q), np.log(q)
-        step = (p * lp + q * lq + e_ln[at]) * (2.0 * s) / (ca * (lq - lp))
-        go = np.abs(step) > _NEWTON_RTOL * ca
-        c[at] = np.minimum(ca - step, cap[at])
+        qa = q[at]
+        lp = np.log1p(-qa)
+        d = lp - np.log(qa)
+        step = (lp + e_ln[at] - qa * d) / d
+        go = step > _NEWTON_RTOL * qa
+        q[at] = qa + step
         # the first element to stop switches the slice to the index array
         if at is act or np.count_nonzero(go) < act.size:
             act = at = act[go]
-    return _like(c, e)
+    return _like(2.0 * np.sqrt(q * (1.0 - q)), e)
 
 
 def _alpha_q(c):

@@ -1,5 +1,6 @@
 import hashlib
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
@@ -551,6 +552,49 @@ def test_eof_to_concurrence_round_trip():
         assert abs(eof_from_concurrence(eof_to_concurrence(e)) - e) <= 1e-13
 
 
+def _root_concurrence(e):
+    """The concurrence of the root of h(q) = e in (0, 1/2], in 60 digits.
+
+    Newton's method in nats from q = e^2/4, left of the root since
+    h(q) <= 2 sqrt(q (1 - q)); h is concave and increasing, so the iterates
+    rise onto the root. ln(1 - q) is log1p(-q): a plain log(1 - q) loses
+    the digits of q that 1 - q cannot hold, and reads the root some 1e4 ulp
+    off at e = 1e-50 and 1e13 ulp off from e = 1e-60 on, where 1 - q is 1.
+    """
+    with mpmath.workdps(60):
+        t = mpmath.mpf(e) * mpmath.ln2
+        q = mpmath.mpf(e) ** 2 / 4
+        for _ in range(200):
+            lp = mpmath.log1p(-q)
+            step = (q * mpmath.log(q) + (1 - q) * lp + t) / (lp - mpmath.log(q))
+            q += step
+            # near q = 1/2, where h is flat, q is good to about 40 digits
+            if step <= q * mpmath.mpf(10) ** -40:
+                break
+        residual = -(q * mpmath.log(q) + (1 - q) * mpmath.log1p(-q)) - t
+        assert abs(residual) <= t * mpmath.mpf(10) ** -50
+        return 2 * mpmath.sqrt(q * (1 - q))
+
+
+def test_eof_to_concurrence_within_3_ulp_of_a_60_digit_root():
+    rng = np.random.default_rng(8)
+    e_aw, _, e_wp = horn_crossovers()
+    junctions = [f(e, d) for e in (e_aw, e_wp) for f, d in ((np.nextafter, 0), (max, 0), (np.nextafter, 1))]
+    es = np.concatenate(
+        [
+            rng.uniform(0, 1, 1000),
+            10.0 ** rng.uniform(-200, 0, 1000),
+            junctions,
+            [1e-200, 1 - 2.0**-53],
+        ]
+    )
+    for e, c in zip(es, eof_to_concurrence(es)):
+        ref = _root_concurrence(e)
+        with mpmath.workdps(60):
+            ulp = mpmath.mpf(2) ** (mpmath.floor(mpmath.log(ref, 2)) - 52)
+            assert abs(c - ref) <= 3 * ulp, e
+
+
 class TestElementwiseBounds:
     EOFS = np.concatenate(
         [
@@ -600,12 +644,25 @@ class TestElementwiseBounds:
         scalar = [_envelope_two_param(float(x)) for x in xs]
         assert np.array_equal(_envelope_two_param(xs), scalar)
 
-    def test_newton_is_monotone_from_the_right(self):
-        # the start sqrt(e) is never left of the root: E(sqrt(e)) >= e
-        es = np.concatenate([np.logspace(-12, 0, 200), np.linspace(0, 1, 201)])
-        c = eof_to_concurrence(es)
-        assert np.all(c <= np.sqrt(es) + 1e-15)
-        assert all(eof_from_concurrence(np.sqrt(e)) >= e - 1e-15 for e in es)
+    def test_newton_starts_left_of_the_root(self):
+        # h(q0) <= e, in 40 digits, so the Newton iterates rise onto the
+        # root; as e -> 1 Topsoe's bound is exact, and the computed start
+        # may pass the root by the round-off of one double, half an ulp of e
+        es = np.concatenate(
+            [
+                np.logspace(np.log10(bounds._E_MIN), 0, 2000)[:-1],
+                np.linspace(0, 1, 2001)[1:-1],
+                1 - np.arange(1, 1000) * 2.0**-53,
+            ]
+        )
+        q0 = bounds._q_start(es, es * bounds._LN2)
+        with mpmath.workdps(40):
+            for e, q in zip(es, q0):
+                q = mpmath.mpf(q)
+                h = -(q * mpmath.log(q) + (1 - q) * mpmath.log1p(-q)) / mpmath.ln2
+                assert h <= e * (1 + mpmath.mpf(2) ** -53)
+        # the result stays below sqrt(e): E(C) >= C^2, from h(x) >= 4 x (1 - x)
+        assert np.all(eof_to_concurrence(es) <= np.sqrt(es))
 
 
 # (EoF, eof_to_concurrence, horn_upper, horn_lower), all as float.hex
@@ -616,23 +673,23 @@ HORN_PINS = [
     # EoF 0.3, 0.7 and 0.9: the alpha, Werner and pure branch
     ("0x1.3333333333333p-2", "0x1.cbcbc9c7d0a90p-2", "0x1.d0773523163c8p-2",
      "0x1.34c5627a8c4d0p-3"),
-    ("0x1.6666666666666p-1", "0x1.912594b5d34f8p-1", "0x1.6a5f7b89f16eep-1",
+    ("0x1.6666666666666p-1", "0x1.912594b5d34f7p-1", "0x1.6a5f7b89f16eep-1",
      "0x1.02bfd45c32ab1p-1"),
     ("0x1.ccccccccccccdp-1", "0x1.dc14220d3e1a4p-1", "0x1.ccccccccccccdp-1",
      "0x1.8fbd72582dbe2p-1"),
     # the double below the alpha-Werner junction _E_AW, _E_AW, the double above
-    ("0x1.3daa64f55d8d1p-1", "0x1.71e215a6ac732p-1", "0x1.49a27b4307edcp-1",
-     "0x1.ad01133dcc2fbp-2"),
+    ("0x1.3daa64f55d8d1p-1", "0x1.71e215a6ac731p-1", "0x1.49a27b4307edcp-1",
+     "0x1.ad01133dcc2f6p-2"),
     ("0x1.3daa64f55d8d2p-1", "0x1.71e215a6ac733p-1", "0x1.49a27b4307edep-1",
      "0x1.ad01133dcc300p-2"),
-    ("0x1.3daa64f55d8d3p-1", "0x1.71e215a6ac733p-1", "0x1.49a27b4307ea2p-1",
+    ("0x1.3daa64f55d8d3p-1", "0x1.71e215a6ac734p-1", "0x1.49a27b4307ea2p-1",
      "0x1.ad01133dcc300p-2"),
     # the same around the Werner-pure junction _E_WP
     ("0x1.7e0e3b7a4abf6p-1", "0x1.a2e1e319f6c00p-1", "0x1.7e0e3b7a4abf8p-1",
      "0x1.1eeee3f4b87b0p-1"),
-    ("0x1.7e0e3b7a4abf7p-1", "0x1.a2e1e319f6c00p-1", "0x1.7e0e3b7a4abf8p-1",
+    ("0x1.7e0e3b7a4abf7p-1", "0x1.a2e1e319f6bffp-1", "0x1.7e0e3b7a4abf8p-1",
      "0x1.1eeee3f4b87b0p-1"),
-    ("0x1.7e0e3b7a4abf8p-1", "0x1.a2e1e319f6c01p-1", "0x1.7e0e3b7a4abf8p-1",
+    ("0x1.7e0e3b7a4abf8p-1", "0x1.a2e1e319f6c00p-1", "0x1.7e0e3b7a4abf8p-1",
      "0x1.1eeee3f4b87b0p-1"),
 ]
 # S_L -> (entropy_upper as float.hex, the contour solve it runs): the ends,
@@ -656,11 +713,11 @@ EOF_GRID = np.linspace(0, 1, 4001)
 SL_GRID = np.linspace(0, 1, 3001)
 GRID_PINS = [
     (eof_to_concurrence, EOF_GRID,
-     "f9e9927458fb31a9ff2adf039cd072ccbce873da6200402b990335bed71d1fa1"),
+     "f9baa3b0b5d175138ba921f6f8c7dd6a1a1a0bc7173ba903785f2cb7384d2f64"),
     (horn_upper, EOF_GRID,
-     "ae5dea23ed78fe55afaa570f6ca9ea9c2ba37fbf8af359c299dcd160bb8e47b0"),
+     "c4e4097ed6869c12555c0e4a8ff110d741904534a0420cf15fafb22a8955d070"),
     (horn_lower, EOF_GRID,
-     "7db31db67fd39581f7898812a28249aea88e806dbfd824caa4cc07d578b5968e"),
+     "8f23651895b06b58ee2e5fd08649b7eb56d381fe29f15584a6a100b12431d5bc"),
     (entropy_upper, SL_GRID,
      "4ab67c66245312e09e60d092ff92fb9dd75816466450298fb91ef5ff2bdaf43a"),
 ]
