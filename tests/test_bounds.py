@@ -579,7 +579,7 @@ def _root_concurrence(e):
 def test_eof_to_concurrence_within_3_ulp_of_a_60_digit_root():
     rng = np.random.default_rng(8)
     e_aw, _, e_wp = horn_crossovers()
-    junctions = [f(e, d) for e in (e_aw, e_wp) for f, d in ((np.nextafter, 0), (max, 0), (np.nextafter, 1))]
+    junctions = [x for e in (e_aw, e_wp) for x in (np.nextafter(e, 0), e, np.nextafter(e, 1))]
     es = np.concatenate(
         [
             rng.uniform(0, 1, 1000),
