@@ -21,9 +21,18 @@ S_L <= 8/9 ceiling is the two-parameter envelope, the largest min{a, q} on
 the contour Tr rho^2 = 1 - 3 S_L / 4, taken over its candidate points
 (_envelope_two_param): closed forms at the window ends and the edge
 points, and 1-D Newton solves only where a sign test finds the maximum
-inside, at an interior peak of q (S_L in about (0.665, 0.709)) or at the
-kink a = q (about (0.833, 8/9)). verify_bounds evaluates each bound once
-per batch, and on eof-q inverts E(C) once for both horns: the private
+inside, at an interior peak of q or at the kink a = q. S_L alone decides
+which candidate wins, so entropy_upper splits [0, 1] into five bands at
+the float literals of _SL_JUNCTIONS (0.6654, 0.7090 and 0.8326, found by
+bisecting the winner of all candidates, and the double after 8/9), and
+each S_L runs only the candidates of its band: the upper edge point, the
+interior peak, the b = 0 window end, the kink, then the Werner curve; a
+scalar call finds its band with one lookup in that table. A test
+re-derives the literals bit for bit
+(TestSlJunctions.test_bisection_matches_the_literals), and another holds
+every band to the evaluation of all candidates, bit for bit.
+verify_bounds evaluates each bound once per batch, and on eof-q inverts
+E(C) once for both horns: the private
 _horn_upper(x, c) and _horn_lower(c) read the same concurrences, which
 horn_upper and horn_lower compute for themselves.
 """
@@ -322,54 +331,55 @@ def _newton_root(evaluate, rows, lo, hi, x):
     return x, f_end
 
 
-def _envelope_two_param(sl):
-    """Max over the two-parameter family of min{a, q} at fixed linear
-    entropy, elementwise over a float or an array.
+# The junctions of the sl-q ceiling, each the first double of a band of
+# entropy_upper, with their bits in hex: the interior peak of q beats the
+# upper edge point from _S_EP on, the peak's sign test fails from _S_PB on
+# (just below it the peak and a_hi still trade wins by an ulp), the a = q
+# kink beats a_hi from _S_K on, and the Werner curve takes over after 8/9.
+# TestSlJunctions.test_bisection_matches_the_literals re-derives the three.
+_S_EP = 0.6653728763418243  # 0x1.54abc0ef11326p-1
+_S_PB = 0.7089714144115624  # 0x1.6afe4d1d649ecp-1
+_S_K = 0.8326179644392964  # 0x1.aa4ce6dea8618p-1
+_WERNER_SL = 0.888888888888889  # 0x1.c71c71c71c71dp-1, the double after 8/9
+_SL_JUNCTIONS = np.array([_S_EP, _S_PB, _S_K, _WERNER_SL])
+_TOP = 1 / 3  # the a of the top of the contour, where its two arcs meet
+# b = 1 - a on the edge point's row, b = 0 on a_hi's (see _edge_point_band)
+_EDGE_B = np.array([[1.0], [0.0]])
 
-    The constraint Tr rho^2 = 1 - 3 sl / 4 is the ellipse
-    3 (a - 1/3)^2 + b^2 = 4/3 - c with c = 3 sl / 2, that is the contour
-    b(a) of _contour_b on the window a_lo <= a <= a_hi (the family discord
-    is even in b, so b >= 0). Its top a = 1/3 splits it into an upper and
-    a lower arc. The envelope is the largest of these candidates:
-    - the window ends; the b = 0 end a_hi is the maximum for sl in about
-      (0.709, 0.833);
-    - for c <= 1, the points a = (1 +- sqrt(1 - c))/2 where the contour
-      meets the edge |b| = 1 - a, with b = 1 - a exactly (NaN, and
-      skipped, for c > 1); the upper one is the maximum for sl <= about
-      0.665;
-    - the interior maximum of q on the upper arc, bracketed by a_hi and
-      the top (c > 1) or a point _PEAK_START of the upper arc inside the
-      edge point (c <= 1), solved where q rises along the contour at the
-      lower end and falls at a_hi. It is the maximum for sl in about
-      (0.665, 0.709). Near the edge q has a u log u term (u = 1 - a - |b|),
-      so q falls steeply from the edge point into a thin layer with a
-      minimum before it can rise to that peak; the bracket starts past
-      that layer (measured, as fractions of a_hi - a_edge: the layer's
-      minimum lies within 1.8 % of the edge point and the peak 10 % or
-      more from it, wherever the peak is the largest candidate);
-    - the kink a = q on the lower arc, bracketed by a_lo and the top (or
-      the lower edge point, if lower), the maximum for sl in about
-      (0.833, 8/9). Since min{a, q} <= a, a kink beats the best other
-      candidate only at a > best, so it is solved where a - q < 0 at
-      max(best, a_lo) and > 0 at the upper end.
-    Those sl ranges are measured, not used: each solve runs where a sign
-    test at its bracket ends finds a root, and each bracket holds at most
-    one. Each solve is a _newton_root from the secant point of its bracket,
-    with the slope of q from _contour_slope and its curvature from a
-    backward difference of that slope; it stops once the value error is
-    below _VALUE_TOL. Every candidate is a point of the family, so the
-    envelope never lies above the true one, and every operation is
-    elementwise, so a value does not depend on its batch.
-    """
-    x = np.asarray(sl, dtype=float).reshape(-1)
+
+def _start(f, lo, hi):
+    """The secant point of the brackets [lo, hi], where f takes f[0], f[1]."""
+    return lo - f[0] * (hi - lo) / (f[1] - f[0])
+
+
+def _a_hi(c):
+    """The b = 0 end a_hi of the contour's window, at c = 3 S_L / 2."""
+    return (1.0 + np.sqrt(np.maximum(4.0 - 3.0 * c, 0.0))) / 3.0
+
+
+def _edge_point_band(x):
+    """The envelope for S_L below _S_EP: the upper edge point, where the
+    contour meets the edge b = 1 - a at a = (1 + sqrt(1 - c))/2, or the
+    b = 0 end a_hi if larger. The two agree to first order in S_L, and for
+    S_L below about 1e-14 they round to within an ulp of each other, where
+    either may be the larger."""
     c = 1.5 * x
-    rad = 4.0 - 3.0 * c
-    if np.count_nonzero(rad < -1e-12):
-        raise ValueError(f"linear entropy {x.max()} exceeds the family maximum 8/9")
-    root = np.sqrt(np.maximum(rad, 0.0))
-    a_lo = np.maximum(0.0, (1.0 - root) / 3.0)
-    a_hi = np.minimum(1.0, (1.0 + root) / 3.0)
-    top = 1 / 3
+    ends = np.array([(1.0 + np.sqrt(1.0 - c)) / 2.0, _a_hi(c)])
+    q = two_param_q(ends, (1.0 - ends) * _EDGE_B)
+    return np.fmax.reduce(np.minimum(ends, q))
+
+
+def _peak_band(x):
+    """The envelope for S_L in [_S_EP, _S_PB): the larger of the b = 0 end
+    and the interior maximum of q on the upper arc.
+
+    The peak is bracketed by a_hi and the top (c > 1) or a point _PEAK_START
+    of the upper arc inside the edge point (c <= 1), and solved where q
+    rises along the contour at the lower end and falls at a_hi.
+    """
+    c = 1.5 * x
+    a_hi = _a_hi(c)
+    best = np.minimum(a_hi, two_param_q(a_hi, 0.0))
 
     def peak_step(a, rows):
         a = a - _CURVATURE_OFFSETS
@@ -379,6 +389,42 @@ def _envelope_two_param(sl):
         err = np.where(curv < 0, -0.5 * s[1] ** 2 / curv, np.inf)
         return -s[1], -curv, err
 
+    # e_hi is NaN where the contour does not meet the edge (c > 1), and
+    # fmax then takes the top; the slope is infinite on the edge, and Newton
+    # steps off the bracket are expected
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_hi = (1.0 + np.sqrt(1.0 - c)) / 2.0
+        ends = np.array([np.fmax(e_hi + _PEAK_START * (a_hi - e_hi), _TOP), a_hi])
+        s = _contour_slope(ends, _contour_b(ends, c))
+        sel = (s[0] > 0) & (s[1] < 0)
+        if np.count_nonzero(sel):
+            rows = sel.nonzero()[0]
+            lo, hi = ends[0][rows], ends[1][rows]
+            a = _newton_root(peak_step, rows, lo, hi, _start(-s[:, sel], lo, hi))[0]
+            q = two_param_q(a, _contour_b(a, c[rows]))
+            best[rows] = np.maximum(best[rows], np.minimum(a, q))
+    return best
+
+
+def _b0_end_band(x):
+    """The envelope for S_L in [_S_PB, _S_K): the b = 0 end a_hi."""
+    a_hi = _a_hi(1.5 * x)
+    return np.minimum(a_hi, two_param_q(a_hi, 0.0))
+
+
+def _kink_band(x):
+    """The envelope for S_L in [_S_K, 8/9]: the larger of the two window
+    ends, both at b = 0 here (c > 1), and the kink a = q on the lower arc.
+
+    Since min{a, q} <= a, a kink beats the window ends only at a > best, so
+    it is bracketed by max(best, a_lo) and the top and solved where a - q
+    < 0 at the lower end and > 0 at the top.
+    """
+    c = 1.5 * x
+    root = np.sqrt(np.maximum(4.0 - 3.0 * c, 0.0))
+    ends = np.array([(1.0 + root) / 3.0, (1.0 - root) / 3.0])
+    best = np.fmax.reduce(np.minimum(ends, two_param_q(ends, 0.0)))
+
     def kink_step(a, rows):
         b = _contour_b(a, c[rows])
         d = a - two_param_q(a, b)
@@ -387,62 +433,102 @@ def _envelope_two_param(sl):
         # min{a, q} changes with slope 1 left of it and s right of it
         return d, 1.0 - s, np.abs(d / (1.0 - s)) * np.maximum(1.0, np.abs(s))
 
-    def start(f, lo, hi):  # the secant point of the bracket
-        return lo - f[0] * (hi - lo) / (f[1] - f[0])
-
-    # the slope is infinite on the edge, and NaN points and Newton steps off
-    # the bracket are expected
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # w, and with it the edge points, is NaN where the contour does not
-        # meet the edge (c > 1); b(a_lo) is w for c <= 1 (a_lo = 0), else 0
-        w = np.sqrt(1.0 - c)
-        e_lo, e_hi = (1.0 - w) / 2.0, (1.0 + w) / 2.0
-        pa = np.array([a_hi, a_lo, e_lo, e_hi])
-        pb = np.array([np.zeros_like(x), np.fmax(w, 0.0), 1.0 - e_lo, 1.0 - e_hi])
-        best = np.fmax.reduce(np.minimum(pa, two_param_q(pa, pb)))
-
-        ends = np.array([np.fmax(e_hi + _PEAK_START * (a_hi - e_hi), top), a_hi])
-        s = _contour_slope(ends, _contour_b(ends, c))
-        sel = (s[0] > 0) & (s[1] < 0)
-        if np.count_nonzero(sel):
-            rows = sel.nonzero()[0]
-            lo, hi = ends[0][rows], ends[1][rows]
-            a = _newton_root(peak_step, rows, lo, hi, start(-s[:, sel], lo, hi))[0]
-            q = two_param_q(a, _contour_b(a, c[rows]))
-            best[rows] = np.maximum(best[rows], np.minimum(a, q))
-
-        lo, hi = np.maximum(best, a_lo), np.fmin(e_lo, top)
-        rows = (lo < hi).nonzero()[0]
-        if rows.size:
-            ends = np.array([lo[rows], hi[rows]])
+    lo = np.maximum(best, ends[1])
+    rows = (lo < _TOP).nonzero()[0]
+    if rows.size:
+        ends = np.array([lo[rows], np.full(rows.size, _TOP)])
+        with np.errstate(divide="ignore", invalid="ignore"):
             d = ends - two_param_q(ends, _contour_b(ends, c[rows]))
             sel = (d[0] < 0) & (d[1] > 0)
             if np.count_nonzero(sel):
                 rows = rows[sel]
-                lo, hi = lo[rows], hi[rows]
-                a, d = _newton_root(kink_step, rows, lo, hi, start(d[:, sel], lo, hi))
+                lo, hi = ends[:, sel]
+                a, d = _newton_root(kink_step, rows, lo, hi, _start(d[:, sel], lo, hi))
                 best[rows] = np.maximum(best[rows], a - np.maximum(d, 0.0))
-        return _like(best, sl)
+    return best
+
+
+def _werner_band(x):
+    """The ceiling above 8/9: the Werner discord at xi = sqrt(1 - S_L)."""
+    return werner_discord(np.sqrt(1.0 - x))
+
+
+# the evaluation of each band of _SL_JUNCTIONS, in order
+_SL_BANDS = (_edge_point_band, _peak_band, _b0_end_band, _kink_band, _werner_band)
+
+
+def _sl_ceiling(x):
+    """entropy_upper on checked linear entropies x (a flat array): each
+    element evaluated by the band of _SL_JUNCTIONS it lies in."""
+    band = _SL_JUNCTIONS.searchsorted(x, side="right")
+    if band.size == 1:  # a scalar: one lookup, no mask
+        return _SL_BANDS[band[0]](x)
+    out = np.empty_like(x)
+    for k in np.unique(band):
+        rows = (band == k).nonzero()[0]
+        out[rows] = _SL_BANDS[k](x[rows])
+    return out
+
+
+def _envelope_two_param(sl):
+    """Max over the two-parameter family of min{a, q} at fixed linear
+    entropy, elementwise over a float or an array of S_L <= 8/9.
+
+    The constraint Tr rho^2 = 1 - 3 sl / 4 is the ellipse
+    3 (a - 1/3)^2 + b^2 = 4/3 - c with c = 3 sl / 2, that is the contour
+    b(a) of _contour_b on the window a_lo <= a <= a_hi (the family discord
+    is even in b, so b >= 0). Its top a = 1/3 splits it into an upper and
+    a lower arc. The envelope is the largest of these candidates: the
+    window ends; for c <= 1, the points a = (1 +- sqrt(1 - c))/2 where the
+    contour meets the edge |b| = 1 - a, with b = 1 - a exactly; the
+    interior maximum of q on the upper arc; and the kink a = q on the lower
+    arc. S_L alone decides which candidate is the largest, so [0, 8/9] is
+    split at the float literals of _SL_JUNCTIONS into four bands, and each
+    element runs only the candidates of its band:
+    - below _S_EP (0.6654): the upper edge point, in closed form;
+    - from _S_EP to _S_PB (0.7090): the b = 0 end a_hi and the interior
+      peak (_peak_band), the larger of the two;
+    - from _S_PB to _S_K (0.8326): a_hi, in closed form;
+    - from _S_K to 8/9: the two window ends and the kink (_kink_band).
+    The junctions were found by bisecting, over the doubles, which
+    candidate wins when all of them are evaluated, as this function did
+    before the bands; the test TestSlJunctions.test_bisection_matches_the_literals
+    re-derives them, and TestSlJunctions.test_bands_match_all_candidates
+    holds the banded envelope to that evaluation (conftest's
+    all_candidates_envelope) bit for bit, on random S_L and on the 500
+    doubles either side of each junction.
+
+    Near the edge q has a u log u term (u = 1 - a - |b|), so q falls
+    steeply from the edge point into a thin layer with a minimum before it
+    can rise to the interior peak; the peak bracket starts past that layer
+    (measured, as fractions of a_hi - a_edge: the layer's minimum lies
+    within 1.8 % of the edge point and the peak 10 % or more from it,
+    wherever the peak is the largest candidate). Each solve runs where a
+    sign test at its bracket ends finds a root, and each bracket holds at
+    most one. It is a _newton_root from the secant point of its bracket,
+    with the slope of q from _contour_slope and its curvature from a
+    backward difference of that slope, and stops once the value error is
+    below _VALUE_TOL. Every candidate is a point of the family, so the
+    envelope never lies above the true one, and every operation is
+    elementwise, so a value does not depend on its batch.
+    """
+    x = np.asarray(sl, dtype=float).reshape(-1)
+    if np.count_nonzero(x > PIMPLE_SL):
+        raise ValueError(f"linear entropy {x.max()} exceeds the family maximum 8/9")
+    return _like(_sl_ceiling(x), sl)
 
 
 def entropy_upper(sl):
     """Upper discord bound at a given linear entropy, elementwise over a
     float or an array.
 
-    Two-parameter envelope for S_L <= 8/9; the closed-form Werner discord at
-    xi = sqrt(1 - S_L) beyond that. The 8/9 junction is not forced
-    continuous; each side reports its own value.
+    Two-parameter envelope for S_L <= 8/9 (_envelope_two_param); the
+    closed-form Werner discord at xi = sqrt(1 - S_L) beyond that. Each
+    element is evaluated only by its band of _SL_JUNCTIONS, found by one
+    lookup in that table; the Werner band is the fifth. The 8/9 junction
+    is not forced continuous; each side reports its own value.
     """
-    x = _batch_of(sl, "linear entropy")
-    low = x <= PIMPLE_SL
-    out = np.empty_like(x)
-    n_low = np.count_nonzero(low)
-    if n_low:
-        out[low] = _envelope_two_param(x[low])
-    if n_low < low.size:
-        high = ~low
-        out[high] = werner_discord(np.sqrt(1.0 - x[high]))
-    return _like(out, sl)
+    return _like(_sl_ceiling(_batch_of(sl, "linear entropy")), sl)
 
 
 _SWEEP_RANGES = {

@@ -235,3 +235,72 @@ def reference_csv_text(obj):
     for row in rows:
         w.writerow([fmt(v) for v in row])
     return buf.getvalue()
+
+
+def all_candidates_ceiling(sl):
+    """Oracle for bounds.entropy_upper, bit for bit: the two-parameter
+    envelope as it was evaluated before it was split into bands, with every
+    candidate at every S_L <= 8/9, and the Werner curve above 8/9.
+
+    The candidates are the window ends, the edge points, the interior peak
+    of q on the upper arc and the a = q kink on the lower arc, each solve
+    run wherever its sign test finds a root; the largest is kept. It uses
+    the bounds module's contour helpers and solver, so wherever the band of
+    an S_L holds that S_L's winning candidate, the two read the same bits.
+    """
+    b = bounds
+    x = np.asarray(sl, dtype=float).reshape(-1)
+    c = 1.5 * x
+    rad = 4.0 - 3.0 * c
+    root = np.sqrt(np.maximum(rad, 0.0))
+    a_lo = np.maximum(0.0, (1.0 - root) / 3.0)
+    a_hi = np.minimum(1.0, (1.0 + root) / 3.0)
+    top = 1 / 3
+
+    def peak_step(a, rows):
+        a = a - b._CURVATURE_OFFSETS
+        s = b._contour_slope(a, b._contour_b(a, c[rows]))
+        curv = (s[1] - s[0]) / b._CURVATURE_OFFSETS[0]
+        err = np.where(curv < 0, -0.5 * s[1] ** 2 / curv, np.inf)
+        return -s[1], -curv, err
+
+    def kink_step(a, rows):
+        bb = b._contour_b(a, c[rows])
+        d = a - measures.two_param_q(a, bb)
+        s = b._contour_slope(a, bb)
+        return d, 1.0 - s, np.abs(d / (1.0 - s)) * np.maximum(1.0, np.abs(s))
+
+    def start(f, lo, hi):
+        return lo - f[0] * (hi - lo) / (f[1] - f[0])
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.sqrt(1.0 - c)
+        e_lo, e_hi = (1.0 - w) / 2.0, (1.0 + w) / 2.0
+        pa = np.array([a_hi, a_lo, e_lo, e_hi])
+        pb = np.array([np.zeros_like(x), np.fmax(w, 0.0), 1.0 - e_lo, 1.0 - e_hi])
+        best = np.fmax.reduce(np.minimum(pa, measures.two_param_q(pa, pb)))
+
+        ends = np.array([np.fmax(e_hi + b._PEAK_START * (a_hi - e_hi), top), a_hi])
+        s = b._contour_slope(ends, b._contour_b(ends, c))
+        sel = (s[0] > 0) & (s[1] < 0)
+        if np.count_nonzero(sel):
+            rows = sel.nonzero()[0]
+            lo, hi = ends[0][rows], ends[1][rows]
+            a = b._newton_root(peak_step, rows, lo, hi, start(-s[:, sel], lo, hi))[0]
+            q = measures.two_param_q(a, b._contour_b(a, c[rows]))
+            best[rows] = np.maximum(best[rows], np.minimum(a, q))
+
+        lo, hi = np.maximum(best, a_lo), np.fmin(e_lo, top)
+        rows = (lo < hi).nonzero()[0]
+        if rows.size:
+            ends = np.array([lo[rows], hi[rows]])
+            d = ends - measures.two_param_q(ends, b._contour_b(ends, c[rows]))
+            sel = (d[0] < 0) & (d[1] > 0)
+            if np.count_nonzero(sel):
+                rows = rows[sel]
+                lo, hi = lo[rows], hi[rows]
+                a, d = b._newton_root(kink_step, rows, lo, hi, start(d[:, sel], lo, hi))
+                best[rows] = np.maximum(best[rows], a - np.maximum(d, 0.0))
+    high = x > b.PIMPLE_SL
+    best[high] = measures.werner_discord(np.sqrt(1.0 - x[high]))
+    return best

@@ -6,6 +6,7 @@ import pytest
 import scipy.optimize
 from conftest import (
     NoSignChange,
+    all_candidates_ceiling,
     alpha_werner_gap,
     binary_entropy,
     find_crossover,
@@ -350,12 +351,113 @@ class TestEntropyUpper:
         assert np.array_equal(entropy_upper(xs), werner_discord(np.sqrt(1 - xs)))
 
     def test_envelope_beyond_pimple_raises(self):
-        with pytest.raises(ValueError):
-            _envelope_two_param(0.95)
+        for sl in (0.95, np.nextafter(PIMPLE_SL, 1), [0.5, 0.95]):
+            with pytest.raises(ValueError):
+                _envelope_two_param(sl)
+        assert _envelope_two_param(PIMPLE_SL) == entropy_upper(PIMPLE_SL)
 
     def test_domain(self):
         with pytest.raises(ValueError):
             entropy_upper(1.5)
+
+
+def _doubles_around(x, n):
+    """The n doubles either side of the positive double x, and x."""
+    return (np.float64(x).view(np.int64) + np.arange(-n, n + 1)).view(np.float64)
+
+
+def _first_double(holds, lo, hi):
+    """The first double in (lo, hi] at which holds(x) is true, by bisection
+    over the doubles between lo, where it is false, and hi, where it is true.
+    """
+    assert not holds(lo) and holds(hi)
+    i, j = np.float64(lo).view(np.int64), np.float64(hi).view(np.int64)
+    while j - i > 1:
+        m = (i + j) // 2
+        if holds(float(m.view(np.float64))):
+            j = m
+        else:
+            i = m
+    return float(j.view(np.float64))
+
+
+def _edge_point_value(sl):
+    """min{a, q} at the upper edge point of the contour at sl <= 2/3."""
+    e_hi = (1.0 + np.sqrt(1.0 - 1.5 * sl)) / 2.0
+    return min(e_hi, two_param_q(e_hi, 1.0 - e_hi))
+
+
+def _a_hi(sl):
+    """The b = 0 end of the contour's window at sl."""
+    return (1.0 + np.sqrt(4.0 - 3.0 * (1.5 * sl))) / 3.0
+
+
+def _b0_end_value(sl):
+    """min{a, q} at the b = 0 end of the contour at sl."""
+    a = _a_hi(sl)
+    return min(a, two_param_q(a, 0.0))
+
+
+def _ceiling(sl):
+    return float(all_candidates_ceiling(sl)[0])
+
+
+class TestSlJunctions:
+    """The bands of entropy_upper and the float literals that split them."""
+
+    @pytest.mark.parametrize(
+        "junction,holds,lo,hi",
+        [
+            # the interior peak beats the upper edge point
+            ("_S_EP", lambda x: _ceiling(x) > _edge_point_value(x), 0.66, 0.666),
+            # the peak's sign test fails: dq/da >= 0 at a_hi, where b = 0 up
+            # to round-off, so q does not fall towards a_hi
+            (
+                "_S_PB",
+                lambda x: bounds._contour_slope(
+                    _a_hi(x), bounds._contour_b(_a_hi(x), 1.5 * x)
+                ) >= 0,
+                0.70,
+                0.72,
+            ),
+            # the a = q kink beats the b = 0 end
+            ("_S_K", lambda x: _ceiling(x) > _b0_end_value(x), 0.82, 0.84),
+        ],
+    )
+    def test_bisection_matches_the_literals(self, junction, holds, lo, hi):
+        # the junctions are float literals; bisecting, over the doubles,
+        # where all the candidates change their winner gives the same bits
+        assert _first_double(holds, lo, hi).hex() == getattr(bounds, junction).hex()
+
+    def test_junction_table(self):
+        # the three literals, then the double after 8/9, where Werner starts
+        assert bounds._SL_JUNCTIONS.tolist() == [
+            bounds._S_EP, bounds._S_PB, bounds._S_K, np.nextafter(PIMPLE_SL, 1)
+        ]
+        assert [x.hex() for x in bounds._SL_JUNCTIONS] == [
+            "0x1.54abc0ef11326p-1",
+            "0x1.6afe4d1d649ecp-1",
+            "0x1.aa4ce6dea8618p-1",
+            "0x1.c71c71c71c71dp-1",
+        ]
+
+    def test_bands_match_all_candidates(self):
+        # every S_L reads the bits of the evaluation of all candidates: on a
+        # seeded uniform set, on log-uniform S_L down to subnormals (below
+        # about 1e-14 the edge point and a_hi tie to an ulp), and on the 500
+        # doubles either side of each junction and of 8/9
+        rng = np.random.default_rng(2210)
+        junctions = [*bounds._SL_JUNCTIONS, PIMPLE_SL]
+        near = np.concatenate([_doubles_around(j, 500) for j in junctions])
+        sls = np.concatenate(
+            [rng.uniform(0, 1, 20000), 10.0 ** rng.uniform(-320, 0, 2000), [0.0, 1.0], near]
+        )
+        ref = all_candidates_ceiling(sls)
+        assert np.array_equal(entropy_upper(sls), ref)
+        # scalar calls, on the junction doubles and a share of the rest
+        some = np.concatenate([sls[:1000], sls[20000:20200], near])
+        scalar = np.array([entropy_upper(float(x)) for x in some])
+        assert np.array_equal(scalar, all_candidates_ceiling(some))
 
 
 class TestSampling:
@@ -612,6 +714,16 @@ class TestElementwiseBounds:
     ALPHA_EOFS = np.concatenate([[5e-324, 1e-300], np.linspace(0, E_AW, 41)[1:]])
     WERNER_EOFS = np.concatenate([[np.nextafter(E_AW, 1)], np.linspace(E_AW, E_WP, 41)[1:]])
     PURE_EOFS = np.concatenate([[np.nextafter(E_WP, 1)], np.linspace(E_WP, 1, 41)[1:]])
+    # batches that lie wholly in one band of entropy_upper, from the first
+    # double of a band (a junction) up to the double below the next one; the
+    # kink band ends at 8/9 and the Werner band starts after it
+    SL_BANDS = [
+        np.concatenate([np.linspace(lo, hi, 41)[:-1], [np.nextafter(hi, 0)]])
+        for lo, hi in zip([0.0, *bounds._SL_JUNCTIONS[:2]], bounds._SL_JUNCTIONS[:3])
+    ] + [
+        np.linspace(bounds._S_K, PIMPLE_SL, 41),
+        np.concatenate([[bounds._SL_JUNCTIONS[3]], np.linspace(PIMPLE_SL, 1, 41)[1:]]),
+    ]
 
     @pytest.mark.parametrize(
         "fn,xs",
@@ -623,6 +735,10 @@ class TestElementwiseBounds:
             pytest.param(horn_upper, ALPHA_EOFS, id="horn_upper-all-alpha"),
             pytest.param(horn_upper, WERNER_EOFS, id="horn_upper-all-werner"),
             pytest.param(horn_upper, PURE_EOFS, id="horn_upper-all-pure"),
+            *[
+                pytest.param(entropy_upper, xs, id=f"entropy_upper-all-{name}")
+                for name, xs in zip(["edge", "peak", "b0-end", "kink", "werner"], SL_BANDS)
+            ],
         ],
     )
     def test_array_equals_scalar_calls(self, fn, xs):
@@ -637,6 +753,11 @@ class TestElementwiseBounds:
         assert np.array_equal(fn(xs[perm]), batch[perm])
         grid = xs[: len(xs) // 4 * 4].reshape(4, -1)
         assert np.array_equal(fn(grid), batch[: grid.size].reshape(grid.shape))
+
+    def test_band_batches_lie_in_one_band(self):
+        for k, xs in enumerate(self.SL_BANDS):
+            band = bounds._SL_JUNCTIONS.searchsorted(xs, side="right")
+            assert np.all(band == k), k
 
     def test_envelope_chunks(self):
         # a batch that mixes every candidate kind gives the scalar values
@@ -701,6 +822,17 @@ ENTROPY_PINS = {
     0.86: ("0x1.49d64b7c27b6cp-2", "kink_step"),
     0.95: ("0x1.ee4f8a2d9ae88p-5", None),
     1.0: ("0x0.0p+0", None),
+    # the double below and the first double of each band of _SL_JUNCTIONS:
+    # edge point | peak, peak | b = 0 end, b = 0 end | kink, then 8/9 (the
+    # kink band, where the kink does not beat the window ends) | Werner
+    float.fromhex("0x1.54abc0ef11325p-1"): ("0x1.b7fccd25f87fep-2", None),
+    float.fromhex("0x1.54abc0ef11326p-1"): ("0x1.b7fccd25f87fep-2", "peak_step"),
+    float.fromhex("0x1.6afe4d1d649ebp-1"): ("0x1.7d7639389f3b0p-2", "peak_step"),
+    float.fromhex("0x1.6afe4d1d649ecp-1"): ("0x1.7d7639389f3acp-2", None),
+    float.fromhex("0x1.aa4ce6dea8617p-1"): ("0x1.3efa74e418e84p-2", None),
+    float.fromhex("0x1.aa4ce6dea8618p-1"): ("0x1.3efa74e418e81p-2", "kink_step"),
+    float.fromhex("0x1.c71c71c71c71cp-1"): ("0x1.5555555555555p-2", None),
+    float.fromhex("0x1.c71c71c71c71dp-1"): ("0x1.01ab13929a050p-3", None),
 }
 
 
