@@ -697,6 +697,29 @@ def test_eof_to_concurrence_within_3_ulp_of_a_60_digit_root():
             assert abs(c - ref) <= 3 * ulp, e
 
 
+def test_horn_lower_within_8_ulp_of_a_400_digit_value():
+    # horn_lower is 1 - h((1 + c)/2) at the concurrence c that
+    # eof_to_concurrence returns; against that value in 400 digits (which
+    # hold it through the cancellation of 1 against h, some 200 digits at
+    # EoF 1e-200) it keeps its relative accuracy down to the smallest EoF
+    rng = np.random.default_rng(21)
+    es = np.concatenate(
+        [
+            rng.uniform(0, 1, 500),
+            10.0 ** rng.uniform(-200, 0, 1000),
+            1 - np.arange(1, 50) * 2.0**-53,
+            [1e-200, 0.5, 1 - 2.0**-53],
+        ]
+    )
+    for e, c, value in zip(es, eof_to_concurrence(es), horn_lower(es)):
+        with mpmath.workdps(400):
+            beta = (1 + mpmath.mpf(c)) / 2
+            ref = 1 + (beta * mpmath.log(beta) + (1 - beta) * mpmath.log(1 - beta)) / mpmath.ln2
+            ulp = mpmath.mpf(2) ** (mpmath.floor(mpmath.log(ref, 2)) - 52)
+            assert abs(value - ref) <= 8 * ulp, e
+    assert horn_lower(0.0) == 0.0 and horn_lower(1.0) == 1.0
+
+
 class TestElementwiseBounds:
     EOFS = np.concatenate(
         [
@@ -793,18 +816,18 @@ HORN_PINS = [
      "0x1.0000000000000p+0"),
     # EoF 0.3, 0.7 and 0.9: the alpha, Werner and pure branch
     ("0x1.3333333333333p-2", "0x1.cbcbc9c7d0a90p-2", "0x1.d0773523163c8p-2",
-     "0x1.34c5627a8c4d0p-3"),
+     "0x1.34c5627a8c4d2p-3"),
     ("0x1.6666666666666p-1", "0x1.912594b5d34f7p-1", "0x1.6a5f7b89f16eep-1",
-     "0x1.02bfd45c32ab1p-1"),
+     "0x1.02bfd45c32aafp-1"),
     ("0x1.ccccccccccccdp-1", "0x1.dc14220d3e1a4p-1", "0x1.ccccccccccccdp-1",
      "0x1.8fbd72582dbe2p-1"),
     # the double below the alpha-Werner junction _E_AW, _E_AW, the double above
     ("0x1.3daa64f55d8d1p-1", "0x1.71e215a6ac731p-1", "0x1.49a27b4307edcp-1",
-     "0x1.ad01133dcc2f6p-2"),
+     "0x1.ad01133dcc2f9p-2"),
     ("0x1.3daa64f55d8d2p-1", "0x1.71e215a6ac733p-1", "0x1.49a27b4307edep-1",
-     "0x1.ad01133dcc300p-2"),
+     "0x1.ad01133dcc2ffp-2"),
     ("0x1.3daa64f55d8d3p-1", "0x1.71e215a6ac734p-1", "0x1.49a27b4307ea2p-1",
-     "0x1.ad01133dcc300p-2"),
+     "0x1.ad01133dcc2ffp-2"),
     # the same around the Werner-pure junction _E_WP
     ("0x1.7e0e3b7a4abf6p-1", "0x1.a2e1e319f6c00p-1", "0x1.7e0e3b7a4abf8p-1",
      "0x1.1eeee3f4b87b0p-1"),
@@ -849,7 +872,7 @@ GRID_PINS = [
     (horn_upper, EOF_GRID,
      "c4e4097ed6869c12555c0e4a8ff110d741904534a0420cf15fafb22a8955d070"),
     (horn_lower, EOF_GRID,
-     "8f23651895b06b58ee2e5fd08649b7eb56d381fe29f15584a6a100b12431d5bc"),
+     "95ccfcfdd0c662ebc1cc53068748233b0aa6499471f5a9db19c4263d5314b48a"),
     (entropy_upper, SL_GRID,
      "4ab67c66245312e09e60d092ff92fb9dd75816466450298fb91ef5ff2bdaf43a"),
 ]
