@@ -516,18 +516,18 @@ def _envelope_two_param(sl):
     arc. S_L alone decides which candidate is the largest, so [0, 8/9] is
     split at the float literals of _SL_JUNCTIONS into four bands, and each
     element runs only the candidates of its band:
-    - below _S_EP (0.6654): the upper edge point, in closed form;
-    - from _S_EP to _S_PB (0.7090): the b = 0 end a_hi and the interior
-      peak (_peak_band), the larger of the two;
+    - below _S_EP (0.6654): the upper edge point, in closed form, with
+      the b = 0 end a_hi, which ties it to an ulp below S_L ~ 1e-14;
+    - from _S_EP to _S_PB (0.7090): a_hi and the interior peak
+      (_peak_band), the larger of the two;
     - from _S_PB to _S_K (0.8326): a_hi, in closed form;
     - from _S_K to 8/9: the two window ends and the kink (_kink_band).
     The junctions were found by bisecting, over the doubles, which
-    candidate wins when all of them are evaluated, as this function did
-    before the bands; the test TestSlJunctions.test_bisection_matches_the_literals
-    re-derives them, and TestSlJunctions.test_bands_match_all_candidates
-    holds the banded envelope to that evaluation (conftest's
-    all_candidates_envelope) bit for bit, on random S_L and on the 500
-    doubles either side of each junction.
+    candidate wins when all of them are evaluated at every S_L; the test
+    TestSlJunctions.test_bisection_matches_the_literals re-derives them,
+    and TestSlJunctions.test_bands_match_all_candidates holds the bands to
+    that evaluation (all_candidates_ceiling in tests/conftest.py) bit for
+    bit, on random S_L and on the 500 doubles either side of each junction.
 
     Near the edge q has a u log u term (u = 1 - a - |b|), so q falls
     steeply from the edge point into a thin layer with a minimum before it
