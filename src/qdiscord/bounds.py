@@ -30,11 +30,13 @@ interior peak, the b = 0 window end, the kink, then the Werner curve; a
 scalar call finds its band with one lookup in that table. A test
 re-derives the literals bit for bit
 (TestSlJunctions.test_bisection_matches_the_literals), and another holds
-every band to the evaluation of all candidates, bit for bit.
-verify_bounds evaluates each bound once per batch, and on eof-q inverts
-E(C) once for both horns: the private
-_horn_upper(x, c) and _horn_lower(c) read the same concurrences, which
-horn_upper and horn_lower compute for themselves.
+every band to the evaluation of all candidates, bit for bit. horn_lower
+is 1 - h((1 + C)/2) computed from C, in a form for each side of C = 1/2
+that keeps its relative accuracy down to the smallest EoF. verify_bounds
+evaluates each bound once per batch, and on eof-q inverts E(C) once for
+both horns: the private _horn_upper(x, c) and _horn_lower(c) read the
+same concurrences, which horn_upper and horn_lower compute for
+themselves.
 """
 from __future__ import annotations
 

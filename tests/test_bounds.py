@@ -107,9 +107,10 @@ def reference_envelope(sl):
     return best
 
 
-# where the largest candidate changes: edge point -> interior peak of q,
-# peak -> b = 0 end, b = 0 end -> a = q kink, and the 8/9 end of the kink
-BAND_EDGES = (0.66537288, 0.70897141, 0.83261796, PIMPLE_SL)
+# where the largest candidate changes (the junctions of entropy_upper's
+# bands): edge point -> interior peak of q, peak -> b = 0 end, b = 0 end ->
+# a = q kink, and the 8/9 end of the kink
+BAND_EDGES = (bounds._S_EP, bounds._S_PB, bounds._S_K, PIMPLE_SL)
 # the edge point of S_L = 0.6595, a fine grid over the near tie of the
 # a = q kink and the b = 0 end, dense grids over the two bands where the
 # maximum is solved for (interior peak, kink), and points within 1e-6 of
