@@ -435,12 +435,6 @@ class TestSlJunctions:
         assert bounds._SL_JUNCTIONS.tolist() == [
             bounds._S_EP, bounds._S_PB, bounds._S_K, np.nextafter(PIMPLE_SL, 1)
         ]
-        assert [x.hex() for x in bounds._SL_JUNCTIONS] == [
-            "0x1.54abc0ef11326p-1",
-            "0x1.6afe4d1d649ecp-1",
-            "0x1.aa4ce6dea8618p-1",
-            "0x1.c71c71c71c71dp-1",
-        ]
 
     def test_bands_match_all_candidates(self):
         # every S_L reads the bits of the evaluation of all candidates: on a
@@ -718,7 +712,6 @@ def test_horn_lower_within_8_ulp_of_a_400_digit_value():
             ref = 1 + (beta * mpmath.log(beta) + (1 - beta) * mpmath.log(1 - beta)) / mpmath.ln2
             ulp = mpmath.mpf(2) ** (mpmath.floor(mpmath.log(ref, 2)) - 52)
             assert abs(value - ref) <= 8 * ulp, e
-    assert horn_lower(0.0) == 0.0 and horn_lower(1.0) == 1.0
 
 
 class TestElementwiseBounds:
