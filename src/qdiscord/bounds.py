@@ -16,21 +16,13 @@ in q from a start left of the root, where h is concave and increasing, so
 the iterates rise monotonically onto it; each point evaluates only its own
 branch. The junctions of the branches (horn_crossovers) are constants of
 the closed forms, kept as float literals; a test re-derives them bit for
-bit (TestCrossovers.test_bisection_matches_scipy_bit_for_bit). The
-S_L <= 8/9 ceiling is the two-parameter envelope, the largest min{a, q} on
-the contour Tr rho^2 = 1 - 3 S_L / 4, taken over its candidate points
-(_envelope_two_param): closed forms at the window ends and the edge
-points, and 1-D Newton solves only where a sign test finds the maximum
-inside, at an interior peak of q or at the kink a = q. S_L alone decides
-which candidate wins, so entropy_upper splits [0, 1] into five bands at
-the float literals of _SL_JUNCTIONS (0.6654, 0.7090 and 0.8326, found by
-bisecting the winner of all candidates, and the double after 8/9), and
-each S_L runs only the candidates of its band: the upper edge point, the
-interior peak, the b = 0 window end, the kink, then the Werner curve; a
-scalar call finds its band with one lookup in that table. A test
-re-derives the literals bit for bit
-(TestSlJunctions.test_bisection_matches_the_literals), and another holds
-every band to the evaluation of all candidates, bit for bit. horn_lower
+bit (TestCrossovers.test_bisection_matches_scipy_bit_for_bit).
+entropy_upper is the one entry to the sl-q ceiling. Up to S_L = 8/9 it is
+the two-parameter envelope, the largest min{a, q} on the contour
+Tr rho^2 = 1 - 3 S_L / 4, and above 8/9 the Werner curve. S_L alone decides
+which candidate point of the contour wins, so entropy_upper splits [0, 1]
+into five bands at the float literals of _SL_JUNCTIONS, and each S_L runs
+only its band's candidates (see _sl_ceiling). horn_lower
 is 1 - h((1 + C)/2) computed from C, in a form for each side of C = 1/2
 that keeps its relative accuracy down to the smallest EoF. verify_bounds
 evaluates each bound once per batch, and on eof-q inverts E(C) once for
@@ -306,8 +298,9 @@ def _contour_b(a, c):
 _VALUE_TOL = 1e-12  # a contour solve stops once its value is this close
 # backward difference of the slope, for the curvature of q
 _CURVATURE_OFFSETS = np.array([[1e-7], [0.0]])
-# the peak bracket starts this fraction of the upper arc inside the edge point
-# (see _envelope_two_param)
+# the peak bracket starts this fraction of the upper arc inside the edge point,
+# past the thin layer next to the edge where q falls before it rises to the
+# peak (see _peak_band)
 _PEAK_START = 1 / 16
 _TINY = 1e-300  # stands in for 0 in atanh(x) / x, whose limit there is 1
 
@@ -390,14 +383,25 @@ def _a_hi(c):
     return (1.0 + np.sqrt(np.maximum(4.0 - 3.0 * c, 0.0))) / 3.0
 
 
+def _b0_end(a_hi):
+    """min{a, q} at the b = 0 end a_hi of the contour's window."""
+    return np.minimum(a_hi, two_param_q(a_hi, 0.0))
+
+
+def _e_hi(c):
+    """The a = (1 + sqrt(1 - c))/2 of the upper edge point, where the
+    contour at c = 3 S_L / 2 meets the edge b = 1 - a; NaN for c > 1, where
+    the contour does not meet it."""
+    return (1.0 + np.sqrt(1.0 - c)) / 2.0
+
+
 def _edge_point_band(x):
-    """The envelope for S_L below _S_EP: the upper edge point, where the
-    contour meets the edge b = 1 - a at a = (1 + sqrt(1 - c))/2, or the
-    b = 0 end a_hi if larger. The two agree to first order in S_L, and for
-    S_L below about 1e-14 they round to within an ulp of each other, where
+    """The envelope for S_L below _S_EP: the upper edge point, or the b = 0
+    end a_hi if larger. The two agree to first order in S_L, and for S_L
+    below about 1e-14 they round to within an ulp of each other, where
     either may be the larger."""
     c = 1.5 * x
-    ends = np.array([(1.0 + np.sqrt(1.0 - c)) / 2.0, _a_hi(c)])
+    ends = np.array([_e_hi(c), _a_hi(c)])
     q = two_param_q(ends, (1.0 - ends) * _EDGE_B)
     return np.fmax.reduce(np.minimum(ends, q))
 
@@ -412,7 +416,7 @@ def _peak_band(x):
     """
     c = 1.5 * x
     a_hi = _a_hi(c)
-    best = np.minimum(a_hi, two_param_q(a_hi, 0.0))
+    best = _b0_end(a_hi)
 
     def peak_step(a, rows):
         a = a - _CURVATURE_OFFSETS
@@ -426,7 +430,7 @@ def _peak_band(x):
     # fmax then takes the top; the slope is infinite on the edge, and Newton
     # steps off the bracket are expected
     with np.errstate(divide="ignore", invalid="ignore"):
-        e_hi = (1.0 + np.sqrt(1.0 - c)) / 2.0
+        e_hi = _e_hi(c)
         ends = np.array([np.fmax(e_hi + _PEAK_START * (a_hi - e_hi), _TOP), a_hi])
         s = _contour_slope(ends, _contour_b(ends, c))
         sel = (s[0] > 0) & (s[1] < 0)
@@ -441,22 +445,22 @@ def _peak_band(x):
 
 def _b0_end_band(x):
     """The envelope for S_L in [_S_PB, _S_K): the b = 0 end a_hi."""
-    a_hi = _a_hi(1.5 * x)
-    return np.minimum(a_hi, two_param_q(a_hi, 0.0))
+    return _b0_end(_a_hi(1.5 * x))
 
 
 def _kink_band(x):
-    """The envelope for S_L in [_S_K, 8/9]: the larger of the two window
-    ends, both at b = 0 here (c > 1), and the kink a = q on the lower arc.
+    """The envelope for S_L in [_S_K, 8/9]: the larger of the b = 0 end
+    a_hi and the kink a = q on the lower arc.
 
-    Since min{a, q} <= a, a kink beats the window ends only at a > best, so
-    it is bracketed by max(best, a_lo) and the top and solved where a - q
-    < 0 at the lower end and > 0 at the top.
+    The other window end, a_lo = (1 - sqrt(4 - 3c))/3, is at b = 0 here
+    (c > 1) too, but its min{a, q} never beats a_hi's (a test checks this
+    on the doubles of the band). Since min{a, q} <= a, a kink beats a_hi
+    only at a > best, so it is bracketed by max(best, a_lo) and the top and
+    solved where a - q < 0 at the lower end and > 0 at the top.
     """
     c = 1.5 * x
     root = np.sqrt(np.maximum(4.0 - 3.0 * c, 0.0))
-    ends = np.array([(1.0 + root) / 3.0, (1.0 - root) / 3.0])
-    best = np.fmax.reduce(np.minimum(ends, two_param_q(ends, 0.0)))
+    best = _b0_end((1.0 + root) / 3.0)
 
     def kink_step(a, rows):
         b = _contour_b(a, c[rows])
@@ -466,7 +470,7 @@ def _kink_band(x):
         # min{a, q} changes with slope 1 left of it and s right of it
         return d, 1.0 - s, np.abs(d / (1.0 - s)) * np.maximum(1.0, np.abs(s))
 
-    lo = np.maximum(best, ends[1])
+    lo = np.maximum(best, (1.0 - root) / 3.0)
     rows = (lo < _TOP).nonzero()[0]
     if rows.size:
         ends = np.array([lo[rows], np.full(rows.size, _TOP)])
@@ -492,40 +496,19 @@ _SL_BANDS = (_edge_point_band, _peak_band, _b0_end_band, _kink_band, _werner_ban
 
 def _sl_ceiling(x):
     """entropy_upper on checked linear entropies x (a flat array): each
-    element evaluated by the band of _SL_JUNCTIONS it lies in."""
-    band = _SL_JUNCTIONS.searchsorted(x, side="right")
-    if band.size == 1:  # a scalar: one lookup, no mask
-        return _SL_BANDS[band[0]](x)
-    # not np.unique, whose sort pages in some 0.8 MB of numpy's sort kernels
-    out = np.empty_like(x)
-    for k, evaluate in enumerate(_SL_BANDS):
-        rows = (band == k).nonzero()[0]
-        if rows.size:
-            out[rows] = evaluate(x[rows])
-    return out
+    element evaluated by the band of _SL_JUNCTIONS it lies in.
 
-
-def _envelope_two_param(sl):
-    """Max over the two-parameter family of min{a, q} at fixed linear
-    entropy, elementwise over a float or an array of S_L <= 8/9.
-
-    The constraint Tr rho^2 = 1 - 3 sl / 4 is the ellipse
-    3 (a - 1/3)^2 + b^2 = 4/3 - c with c = 3 sl / 2, that is the contour
-    b(a) of _contour_b on the window a_lo <= a <= a_hi (the family discord
-    is even in b, so b >= 0). Its top a = 1/3 splits it into an upper and
-    a lower arc. The envelope is the largest of these candidates: the
-    window ends; for c <= 1, the points a = (1 +- sqrt(1 - c))/2 where the
-    contour meets the edge |b| = 1 - a, with b = 1 - a exactly; the
-    interior maximum of q on the upper arc; and the kink a = q on the lower
-    arc. S_L alone decides which candidate is the largest, so [0, 8/9] is
-    split at the float literals of _SL_JUNCTIONS into four bands, and each
-    element runs only the candidates of its band:
-    - below _S_EP (0.6654): the upper edge point, in closed form, with
-      the b = 0 end a_hi, which ties it to an ulp below S_L ~ 1e-14;
-    - from _S_EP to _S_PB (0.7090): a_hi and the interior peak
-      (_peak_band), the larger of the two;
-    - from _S_PB to _S_K (0.8326): a_hi, in closed form;
-    - from _S_K to 8/9: the two window ends and the kink (_kink_band).
+    Up to S_L = 8/9 the ceiling is the largest min{a, q} over the
+    two-parameter family at fixed linear entropy. The constraint
+    Tr rho^2 = 1 - 3 S_L / 4 is the ellipse 3 (a - 1/3)^2 + b^2 = 4/3 - c
+    with c = 3 S_L / 2, that is the contour b(a) of _contour_b on the
+    window a_lo <= a <= a_hi (the family discord is even in b, so b >= 0).
+    Its top a = 1/3 splits it into an upper and a lower arc. The candidate
+    points are the window ends; for c <= 1, the points a = (1 +- sqrt(1 -
+    c))/2 where the contour meets the edge |b| = 1 - a, with b = 1 - a
+    exactly; the interior maximum of q on the upper arc; and the kink a = q
+    on the lower arc. Each band, a function of _SL_BANDS, runs only the
+    candidates that can win in it, and the fifth is the Werner curve.
     The junctions were found by bisecting, over the doubles, which
     candidate wins when all of them are evaluated at every S_L; the test
     TestSlJunctions.test_bisection_matches_the_literals re-derives them,
@@ -547,21 +530,26 @@ def _envelope_two_param(sl):
     envelope never lies above the true one, and every operation is
     elementwise, so a value does not depend on its batch.
     """
-    x = np.asarray(sl, dtype=float).reshape(-1)
-    if np.count_nonzero(x > PIMPLE_SL):
-        raise ValueError(f"linear entropy {x.max()} exceeds the family maximum 8/9")
-    return _like(_sl_ceiling(x), sl)
+    band = _SL_JUNCTIONS.searchsorted(x, side="right")
+    if band.size == 1:  # a scalar: one lookup, no mask
+        return _SL_BANDS[band[0]](x)
+    # not np.unique, whose sort pages in some 0.8 MB of numpy's sort kernels
+    out = np.empty_like(x)
+    for k, evaluate in enumerate(_SL_BANDS):
+        rows = (band == k).nonzero()[0]
+        if rows.size:
+            out[rows] = evaluate(x[rows])
+    return out
 
 
 def entropy_upper(sl):
     """Upper discord bound at a given linear entropy, elementwise over a
-    float or an array.
+    float or an array: the two-parameter envelope for S_L <= 8/9 and the
+    closed-form Werner discord at xi = sqrt(1 - S_L) beyond that.
 
-    Two-parameter envelope for S_L <= 8/9 (_envelope_two_param); the
-    closed-form Werner discord at xi = sqrt(1 - S_L) beyond that. Each
-    element is evaluated only by its band of _SL_JUNCTIONS, found by one
-    lookup in that table; the Werner band is the fifth. The 8/9 junction
-    is not forced continuous; each side reports its own value.
+    Each element is evaluated only by its band of _SL_JUNCTIONS, found by
+    one lookup in that table (see _sl_ceiling). The 8/9 junction is not
+    forced continuous; each side reports its own value.
     """
     return _like(_sl_ceiling(_batch_of(sl, "linear entropy")), sl)
 

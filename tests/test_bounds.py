@@ -21,7 +21,6 @@ from qdiscord.bounds import (
     _ZERO_EOF_BOUND,
     SampleBatch,
     _alpha_q,
-    _envelope_two_param,
     entropy_upper,
     eof_to_concurrence,
     horn_crossovers,
@@ -351,12 +350,6 @@ class TestEntropyUpper:
         xs = np.linspace(PIMPLE_SL, 1, 101)[1:]
         assert np.array_equal(entropy_upper(xs), werner_discord(np.sqrt(1 - xs)))
 
-    def test_envelope_beyond_pimple_raises(self):
-        for sl in (0.95, np.nextafter(PIMPLE_SL, 1), [0.5, 0.95]):
-            with pytest.raises(ValueError):
-                _envelope_two_param(sl)
-        assert _envelope_two_param(PIMPLE_SL) == entropy_upper(PIMPLE_SL)
-
     def test_domain(self):
         with pytest.raises(ValueError):
             entropy_upper(1.5)
@@ -453,6 +446,23 @@ class TestSlJunctions:
         some = np.concatenate([sls[:1000], sls[20000:20200], near])
         scalar = np.array([entropy_upper(float(x)) for x in some])
         assert np.array_equal(scalar, all_candidates_ceiling(some))
+
+    def test_kink_band_lower_window_end_never_wins(self):
+        # in the kink band both window ends lie at b = 0, and min{a, q} at
+        # the lower end a_lo never beats it at a_hi, so the band does not
+        # evaluate a_lo: on a dense grid, the 10 000 doubles below 8/9 and
+        # the doubles either side of _S_K
+        sls = np.concatenate(
+            [
+                np.linspace(bounds._S_K, PIMPLE_SL, 200001),
+                (np.float64(PIMPLE_SL).view(np.int64) - np.arange(10000)).view(np.float64),
+                _doubles_around(bounds._S_K, 500),
+            ]
+        )
+        root = np.sqrt(np.maximum(4.0 - 3.0 * (1.5 * sls), 0.0))
+        a_lo, a_hi = (1.0 - root) / 3.0, (1.0 + root) / 3.0
+        lower = np.minimum(a_lo, two_param_q(a_lo, 0.0))
+        assert np.all(lower <= np.minimum(a_hi, two_param_q(a_hi, 0.0)))
 
 
 class TestSampling:
@@ -741,6 +751,8 @@ class TestElementwiseBounds:
         np.linspace(bounds._S_K, PIMPLE_SL, 41),
         np.concatenate([[bounds._SL_JUNCTIONS[3]], np.linspace(PIMPLE_SL, 1, 41)[1:]]),
     ]
+    # a batch that mixes every band, the kink junction _S_K inside it
+    MIXED_SLS = np.concatenate([np.linspace(0, PIMPLE_SL, 45), np.linspace(0.832, 0.834, 81)])
 
     @pytest.mark.parametrize(
         "fn,xs",
@@ -756,6 +768,7 @@ class TestElementwiseBounds:
                 pytest.param(entropy_upper, xs, id=f"entropy_upper-all-{name}")
                 for name, xs in zip(["edge", "peak", "b0-end", "kink", "werner"], SL_BANDS)
             ],
+            pytest.param(entropy_upper, MIXED_SLS, id="entropy_upper-mixed-bands"),
         ],
     )
     def test_array_equals_scalar_calls(self, fn, xs):
@@ -775,12 +788,6 @@ class TestElementwiseBounds:
         for k, xs in enumerate(self.SL_BANDS):
             band = bounds._SL_JUNCTIONS.searchsorted(xs, side="right")
             assert np.all(band == k), k
-
-    def test_envelope_chunks(self):
-        # a batch that mixes every candidate kind gives the scalar values
-        xs = np.concatenate([np.linspace(0, PIMPLE_SL, 45), np.linspace(0.832, 0.834, 81)])
-        scalar = [_envelope_two_param(float(x)) for x in xs]
-        assert np.array_equal(_envelope_two_param(xs), scalar)
 
     def test_newton_starts_left_of_the_root(self):
         # h(q0) <= e, in 40 digits, so the Newton iterates rise onto the
