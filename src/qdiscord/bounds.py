@@ -22,13 +22,13 @@ the two-parameter envelope, the largest min{a, q} on the contour
 Tr rho^2 = 1 - 3 S_L / 4, and above 8/9 the Werner curve. S_L alone decides
 which candidate point of the contour wins, so entropy_upper splits [0, 1]
 into five bands at the float literals of _SL_JUNCTIONS, and each S_L runs
-only its band's candidates (see _sl_ceiling). horn_lower
-is 1 - h((1 + C)/2) computed from C, in a form for each side of C = 1/2
-that keeps its relative accuracy down to the smallest EoF. verify_bounds
-evaluates each bound once per batch, and on eof-q inverts E(C) once for
-both horns: the private _horn_upper(x, c) and _horn_lower(c) read the
-same concurrences, which horn_upper and horn_lower compute for
-themselves.
+only its band's candidates (see _sl_ceiling). horn_lower is the
+beta-family discord 1 - h((1 + C)/2) computed from C (measures._beta_q),
+in a form for each side of C = 1/2 that keeps its relative accuracy down
+to the smallest EoF. verify_bounds evaluates each bound once per batch,
+and on eof-q inverts E(C) once for both horns: the private
+_horn_upper(x, c) and _beta_q(c) read the same concurrences, which
+horn_upper and horn_lower compute for themselves.
 """
 from __future__ import annotations
 
@@ -37,7 +37,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .measures import (
+    _LN2,
+    _LN4,
     CorrelationRecord,
+    _beta_q,
     _binary_entropy_pair,
     alpha_discord,
     beta_discord,
@@ -117,8 +120,6 @@ def _like(out, x):
 
 
 _NEWTON_RTOL = 1e-9  # Newton stops once its step is below this times q
-_LN2 = np.log(2.0)
-_LN4 = 2.0 * _LN2
 _E_MIN = 1e-230  # smaller EoF maps to C = 0: Topsoe's C^2 would underflow
 
 
@@ -236,42 +237,6 @@ def _horn_upper(x, c):
     return out
 
 
-def _beta_q_near_half(c):
-    """1 - h((1 + c)/2) for c <= 1/2, in bits, as c atanh(c) + log1p(-c^2)/2
-    in nats: it keeps its relative accuracy as c -> 0, where it is c^2/2."""
-    return (c * np.arctanh(c) + 0.5 * np.log1p(-c * c)) / _LN2
-
-
-def _beta_q_near_one(c):
-    """1 - h((1 + c)/2) for c > 1/2, in bits, as [(1 + c) log1p(c)
-    + (1 - c) ln(1 - c)]/2 in nats, with 1 - c exact; the second term is 0
-    at c = 1."""
-    u = 1.0 - c
-    return ((1.0 + c) * np.log1p(c) + u * np.log(np.maximum(u, _TINY))) / _LN4
-
-
-def _horn_lower(c):
-    """horn_lower at concurrences c: the discord 1 - h(beta) of the beta
-    state with beta = (1 + c)/2, computed from c itself.
-
-    1 + xlog(beta) + xlog(1 - beta) (beta_discord) cancels as c -> 0: its
-    relative error grows like 1e-16 / c^2, and below c = 2^-53 beta rounds
-    to 1/2 and the value to 0. Each side of c = 1/2 has a form without that
-    cancellation, exact at c = 0 and c = 1.
-    """
-    far = c > 0.5
-    n_far = np.count_nonzero(far)
-    # a scalar, or a batch on one side of c = 1/2, needs no mask
-    if n_far == 0:
-        return _beta_q_near_half(c)
-    if n_far == c.size:
-        return _beta_q_near_one(c)
-    out = np.empty_like(c)
-    out[~far] = _beta_q_near_half(c[~far])
-    out[far] = _beta_q_near_one(c[far])
-    return out
-
-
 def horn_upper(e):
     """Upper discord bound at a given EoF: alpha, Werner, then pure branch.
 
@@ -285,7 +250,7 @@ def horn_upper(e):
 def horn_lower(e):
     """Lower discord bound at a given EoF, generated by the beta states;
     elementwise over a float or an array."""
-    return _like(_horn_lower(eof_to_concurrence(_batch_of(e, "EoF"))), e)
+    return _like(_beta_q(eof_to_concurrence(_batch_of(e, "EoF"))), e)
 
 
 def _contour_b(a, c):
@@ -695,7 +660,7 @@ def verify_bounds(batch, plane, slack=DEFAULT_SLACK):
         x = _batch_of([r.eof for r in batch.records], "EoF")
         # one inversion of E(C) serves both horns
         c = eof_to_concurrence(x)
-        up, lo = _horn_upper(x, c), _horn_lower(c)
+        up, lo = _horn_upper(x, c), _beta_q(c)
         checks = [("upper", y - up, up), ("lower", lo - y, lo)]
     elif plane == "sl-q":
         x = np.array([r.linear_entropy for r in batch.records])

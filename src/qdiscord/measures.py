@@ -759,11 +759,50 @@ def alpha_discord(a):
     return _float_or_array(np.maximum(val, 0.0)), _float_or_array(zeta)
 
 
+_LN2 = np.log(2.0)
+_LN4 = 2.0 * _LN2
+
+
+def _beta_q_near_half(c):
+    """1 - h((1 + c)/2) for c <= 1/2, in bits, as c atanh(c) + log1p(-c^2)/2
+    in nats: it keeps its relative accuracy as c -> 0, where it is c^2/2."""
+    return (c * np.arctanh(c) + 0.5 * np.log1p(-c * c)) / _LN2
+
+
+def _beta_q_near_one(c):
+    """1 - h((1 + c)/2) for c > 1/2, in bits, as [(1 + c) log1p(c)
+    + (1 - c) ln(1 - c)]/2 in nats, with 1 - c exact; the second term is 0
+    at c = 1."""
+    u = 1.0 - c
+    return ((1.0 + c) * np.log1p(c) + u * np.log(np.maximum(u, 1e-300))) / _LN4
+
+
+def _beta_q(c):
+    """Beta-family discord 1 - h(beta) at concurrence c, an array in [0, 1]:
+    beta = (1 + c)/2, computed from c itself.
+
+    1 + xlog(beta) + xlog(1 - beta) cancels as c -> 0: its relative error
+    grows like 1e-16 / c^2, and below c = 2^-53 beta rounds to 1/2 and the
+    value to 0. Each side of c = 1/2 has a form without that cancellation,
+    exact at c = 0 and c = 1.
+    """
+    far = c > 0.5
+    n_far = np.count_nonzero(far)
+    # a scalar, or a batch on one side of c = 1/2, needs no mask
+    if n_far == 0:
+        return _beta_q_near_half(c)
+    if n_far == c.size:
+        return _beta_q_near_one(c)
+    out = np.empty_like(c)
+    out[~far] = _beta_q_near_half(c[~far])
+    out[far] = _beta_q_near_one(c[far])
+    return out
+
+
 def beta_discord(b):
-    """Closed-form discord of the beta family, 1 - h(beta), elementwise."""
-    b = np.asarray(b, dtype=float)
-    xl = _xlog2(np.array([b, 1.0 - b]))
-    return _float_or_array(np.maximum(1.0 + xl[0] + xl[1], 0.0))
+    """Closed-form discord of the beta family, 1 - h(beta), elementwise:
+    _beta_q at its concurrence |2 beta - 1|, exact for beta >= 1/4."""
+    return _float_or_array(_beta_q(np.abs(2.0 * np.asarray(b, dtype=float) - 1.0)))
 
 
 def werner_discord(xi):

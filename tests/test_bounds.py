@@ -706,7 +706,9 @@ def test_horn_lower_within_8_ulp_of_a_400_digit_value():
     # horn_lower is 1 - h((1 + c)/2) at the concurrence c that
     # eof_to_concurrence returns; against that value in 400 digits (which
     # hold it through the cancellation of 1 against h, some 200 digits at
-    # EoF 1e-200) it keeps its relative accuracy down to the smallest EoF
+    # EoF 1e-200) it keeps its relative accuracy down to the smallest EoF.
+    # beta_discord is the same form at c = |2 beta - 1|: on [0, 1] and
+    # within 1e-4 of beta = 1/2, where 1 - h(beta) cancels
     rng = np.random.default_rng(21)
     es = np.concatenate(
         [
@@ -716,12 +718,24 @@ def test_horn_lower_within_8_ulp_of_a_400_digit_value():
             [1e-200, 0.5, 1 - 2.0**-53],
         ]
     )
-    for e, c, value in zip(es, eof_to_concurrence(es), horn_lower(es)):
+    cs = eof_to_concurrence(es)
+    with mpmath.workdps(400):
+        betas = [(1 + mpmath.mpf(c)) / 2 for c in cs]
+    values = list(horn_lower(es))
+    bs = np.concatenate(
+        [
+            np.linspace(0, 1, 1001),
+            0.5 + rng.choice([-1, 1], 500) * 10.0 ** rng.uniform(-16, -4, 500),
+        ]
+    )
+    betas += [mpmath.mpf(b) for b in bs]
+    values += list(beta_discord(bs))
+    for beta, value in zip(betas, values):
         with mpmath.workdps(400):
-            beta = (1 + mpmath.mpf(c)) / 2
-            ref = 1 + (beta * mpmath.log(beta) + (1 - beta) * mpmath.log(1 - beta)) / mpmath.ln2
+            xlog = [x * mpmath.log(x) if x else 0 for x in (beta, 1 - beta)]
+            ref = 1 + (xlog[0] + xlog[1]) / mpmath.ln2
             ulp = mpmath.mpf(2) ** (mpmath.floor(mpmath.log(ref, 2)) - 52)
-            assert abs(value - ref) <= 8 * ulp, e
+            assert abs(value - ref) <= 8 * ulp, beta
 
 
 class TestElementwiseBounds:
@@ -889,7 +903,7 @@ CLOSED_FORM_PINS = [
     ("alpha_discord", lambda: np.stack(alpha_discord(UNIT_GRID)),
      "d0a0a50b2421f1b99b83d9115d7d10141d9cc71412ce4a46eb9d2bc8aa35b002"),
     ("beta_discord", lambda: beta_discord(UNIT_GRID),
-     "07bb3f84f7ebb06a826f71983e77c83ba8661c19a6e2b0e17cd13b41c943be5c"),
+     "48d592741fa8970e4d6fbdbae87e8b1a7d60629b7fd4ca69d25a823b8fda17ab"),
     ("werner_discord", lambda: werner_discord(XI_GRID),
      "aad9d95210801f548cca9efc3f133423cec08422287188b89bf00bf6eb85b0ad"),
     ("two_param_q", lambda: two_param_q(A_GRID, B_GRID),
