@@ -713,7 +713,7 @@ def discord_batch(rhos):
     """
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
-        validate_states(rhos)
+        rhos = validate_states(rhos)
     ok, herm, _ = _hermitian_unit_trace(rhos)
     if np.count_nonzero(ok) < len(ok):
         validate_states(rhos)

@@ -52,13 +52,16 @@ def hermiticity_deviation(m):
 
 
 def validate_states(raw):
-    """Check that `raw` is a (N, 4, 4) stack of two-qubit density matrices.
+    """Check that `raw` is a (N, 4, 4) stack, or a sequence of N 4x4
+    matrices, N >= 0, of two-qubit density matrices.
 
     Returns a complex copy, or raises for the first state that is not one,
     with the class and deviation validate_state raises for that state alone
     and a message that names its index.
     """
     m = np.array(raw, dtype=complex)
+    if m.shape == (0,):  # an empty sequence: a stack of no states
+        m = m.reshape(0, 4, 4)
     if m.ndim != 3 or m.shape[1:] != (4, 4):
         raise StateError(f"expected an (N, 4, 4) stack, got shape {m.shape}")
     _raise_first_invalid(m, "state {}: ")

@@ -211,7 +211,9 @@ class TestBatchIndependence:
             assert discord_numeric(rho) == records[i]
 
     def test_empty_batch(self):
-        assert discord_batch(np.empty((0, 4, 4))) == []
+        for empty in (np.empty((0, 4, 4)), [], ()):
+            assert discord_batch(empty) == []
+            assert validate_states(empty).shape == (0, 4, 4)
 
 
 class TestOptimizerOracle:
