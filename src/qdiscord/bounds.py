@@ -418,10 +418,11 @@ def _kink_band(x):
     a_hi and the kink a = q on the lower arc.
 
     The other window end, a_lo = (1 - sqrt(4 - 3c))/3, is at b = 0 here
-    (c > 1) too, but its min{a, q} never beats a_hi's (a test checks this
-    on the doubles of the band). Since min{a, q} <= a, a kink beats a_hi
-    only at a > best, so it is bracketed by max(best, a_lo) and the top and
-    solved where a - q < 0 at the lower end and > 0 at the top.
+    (c > 1) too, but its min{a, q} never beats a_hi's (TestSlJunctions
+    checks this on a dense grid and on the doubles at the band's ends).
+    Since min{a, q} <= a, a kink beats a_hi only at a > best, so it is
+    bracketed by max(best, a_lo) and the top and solved where a - q < 0 at
+    the lower end and > 0 at the top.
     """
     c = 1.5 * x
     root = np.sqrt(np.maximum(4.0 - 3.0 * c, 0.0))
