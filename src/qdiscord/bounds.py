@@ -22,7 +22,10 @@ the two-parameter envelope, the largest min{a, q} on the contour
 Tr rho^2 = 1 - 3 S_L / 4, and above 8/9 the Werner curve. S_L alone decides
 which candidate point of the contour wins, so entropy_upper splits [0, 1]
 into five bands at the float literals of _SL_JUNCTIONS, and each S_L runs
-only its band's candidates (see _sl_ceiling). horn_lower is the
+only its band's candidates (see _sl_ceiling). Only the interior peak of q
+is solved for, by Newton's method; the a = q kink is read off a degree-6
+polynomial in S_L, _KINK_POLY, fit to the kink bisected over the doubles
+(TestKinkTable re-derives it). horn_lower is the
 beta-family discord 1 - h((1 + C)/2) computed from C (measures._beta_q),
 in a form for each side of C = 1/2 that keeps its relative accuracy down
 to the smallest EoF. verify_bounds evaluates each bound once per batch,
@@ -303,14 +306,12 @@ def _newton_root(evaluate, rows, lo, hi, x):
     and takes the Newton step, or bisects where that step leaves the
     bracket. A contour stops at the first x with err <= _VALUE_TOL, or once
     its bracket is down to adjacent doubles. Returns the last evaluated x
-    of every contour and f there.
+    of every contour.
     """
-    f_end = np.empty_like(x)
     act = np.arange(len(x))
     while act.size:
         xa = x[act]
         f, df, err = evaluate(xa, rows[act])
-        f_end[act] = f
         left = f < 0
         lo[act] = l = np.where(left, xa, lo[act])
         hi[act] = h = np.where(left, hi[act], xa)
@@ -319,21 +320,45 @@ def _newton_root(evaluate, rows, lo, hi, x):
         go = (err > _VALUE_TOL) & (step != xa)
         x[act] = np.where(go, step, xa)
         act = act[go]
-    return x, f_end
+    return x
 
 
 # The junctions of the sl-q ceiling, each the first double of a band of
 # entropy_upper, with their bits in hex: the interior peak of q beats the
 # upper edge point from _S_EP on, the peak's sign test fails from _S_PB on
 # (just below it the peak and a_hi still trade wins by an ulp), the a = q
-# kink beats a_hi from _S_K on, and the Werner curve takes over after 8/9.
+# kink at the abscissa of _KINK_POLY beats a_hi from _S_K on (on the five
+# doubles below it the kink bisected over the doubles beats a_hi by at most
+# 6 ulp), and the Werner curve takes over after 8/9.
 # TestSlJunctions.test_bisection_matches_the_literals re-derives the three.
 _S_EP = 0.6653728763418243  # 0x1.54abc0ef11326p-1
 _S_PB = 0.7089714144115624  # 0x1.6afe4d1d649ecp-1
-_S_K = 0.8326179644392964  # 0x1.aa4ce6dea8618p-1
+_S_K = 0.8326179644392969  # 0x1.aa4ce6dea861dp-1
 _WERNER_SL = 0.888888888888889  # 0x1.c71c71c71c71dp-1, the double after 8/9
 _SL_JUNCTIONS = np.array([_S_EP, _S_PB, _S_K, _WERNER_SL])
 _TOP = 1 / 3  # the a of the top of the contour, where its two arcs meet
+# The abscissa of the a = q kink over the kink band [_S_K, 8/9], a
+# polynomial in t = (S_L - m)/h, m and h the band's midpoint and half-width,
+# its coefficients lowest degree first with their bits in hex. They are a
+# degree-6 least-squares fit (numpy.polynomial.Chebyshev.fit on t in
+# [-1, 1], written in the power basis) to the kink bisected over the
+# doubles, the first double of the lower arc at which a >= q, at 2 000
+# evenly spaced S_L of [_S_K, 8/9). The fit is within 7e-16 of those
+# points; TestKinkTable.test_fit_matches_the_literals re-derives it.
+_KINK_MID = (_S_K + PIMPLE_SL) / 2.0
+_KINK_HALF = (PIMPLE_SL - _S_K) / 2.0
+_KINK_POLY = tuple(
+    float.fromhex(coef)
+    for coef in (
+        "0x1.4a22ea49271a6p-2",
+        "0x1.65ac84c5f5797p-7",
+        "0x1.3eb4dd100da11p-16",
+        "0x1.8243e6c951a3bp-23",
+        "0x1.c9a6839b74f34p-38",
+        "0x1.3d522e41c6cabp-36",
+        "-0x1.abea5d87f650bp-43",
+    )
+)
 # b = 1 - a on the edge point's row, b = 0 on a_hi's (see _edge_point_band)
 _EDGE_B = np.array([[1.0], [0.0]])
 
@@ -402,7 +427,7 @@ def _peak_band(x):
         if np.count_nonzero(sel):
             rows = sel.nonzero()[0]
             lo, hi = ends[0][rows], ends[1][rows]
-            a = _newton_root(peak_step, rows, lo, hi, _start(-s[:, sel], lo, hi))[0]
+            a = _newton_root(peak_step, rows, lo, hi, _start(-s[:, sel], lo, hi))
             q = two_param_q(a, _contour_b(a, c[rows]))
             best[rows] = np.maximum(best[rows], np.minimum(a, q))
     return best
@@ -413,42 +438,35 @@ def _b0_end_band(x):
     return _b0_end(_a_hi(1.5 * x))
 
 
+def _kink_a(x):
+    """The a = q kink on the lower arc at S_L = x in [_S_K, 8/9], by Horner's
+    rule on _KINK_POLY at t = (x - _KINK_MID) / _KINK_HALF, capped at the
+    top a = 1/3."""
+    t = (x - _KINK_MID) / _KINK_HALF
+    a = _KINK_POLY[-1]
+    for coef in _KINK_POLY[-2::-1]:
+        a = a * t + coef
+    return np.minimum(a, _TOP)
+
+
 def _kink_band(x):
     """The envelope for S_L in [_S_K, 8/9]: the larger of the b = 0 end
-    a_hi and the kink a = q on the lower arc.
+    a_hi and the a = q kink on the lower arc, one evaluation of each.
 
-    The other window end, a_lo = (1 - sqrt(4 - 3c))/3, is at b = 0 here
-    (c > 1) too, but its min{a, q} never beats a_hi's (TestSlJunctions
-    checks this on a dense grid and on the doubles at the band's ends).
-    Since min{a, q} <= a, a kink beats a_hi only at a > best, so it is
-    bracketed by max(best, a_lo) and the top and solved where a - q < 0 at
-    the lower end and > 0 at the top.
+    The kink's abscissa is read off the polynomial _KINK_POLY (_kink_a), so
+    no solve runs; how its literals were made is in the comment above them.
+    TestKinkTable re-derives them, and holds the band within 2e-15 below
+    and 1e-15 above min{a, q} at the kink bisected over the doubles. a_hi
+    keeps b = 0 exactly: b from _contour_b there is off by round-off, which
+    moves q by ulps next to _S_K and misses 1/3 next to 8/9. The other
+    window end, a_lo = (1 - sqrt(4 - 3c))/3, is at b = 0 here (c > 1) too,
+    but its min{a, q} never beats a_hi's (TestSlJunctions checks this on a
+    dense grid and on the doubles at the band's ends).
     """
     c = 1.5 * x
-    root = np.sqrt(np.maximum(4.0 - 3.0 * c, 0.0))
-    best = _b0_end((1.0 + root) / 3.0)
-
-    def kink_step(a, rows):
-        b = _contour_b(a, c[rows])
-        d = a - two_param_q(a, b)
-        s = _contour_slope(a, b)
-        # the kink is a Newton step |d / (1 - s)| away, and the value
-        # min{a, q} changes with slope 1 left of it and s right of it
-        return d, 1.0 - s, np.abs(d / (1.0 - s)) * np.maximum(1.0, np.abs(s))
-
-    lo = np.maximum(best, (1.0 - root) / 3.0)
-    rows = (lo < _TOP).nonzero()[0]
-    if rows.size:
-        ends = np.array([lo[rows], np.full(rows.size, _TOP)])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = ends - two_param_q(ends, _contour_b(ends, c[rows]))
-            sel = (d[0] < 0) & (d[1] > 0)
-            if np.count_nonzero(sel):
-                rows = rows[sel]
-                lo, hi = ends[:, sel]
-                a, d = _newton_root(kink_step, rows, lo, hi, _start(d[:, sel], lo, hi))
-                best[rows] = np.maximum(best[rows], a - np.maximum(d, 0.0))
-    return best
+    a = _kink_a(x)
+    kink = np.minimum(a, two_param_q(a, _contour_b(a, c)))
+    return np.maximum(_b0_end(_a_hi(c)), kink)
 
 
 def _werner_band(x):
@@ -487,12 +505,21 @@ def _sl_ceiling(x):
     can rise to the interior peak; the peak bracket starts past that layer
     (measured, as fractions of a_hi - a_edge: the layer's minimum lies
     within 1.8 % of the edge point and the peak 10 % or more from it,
-    wherever the peak is the largest candidate). Each solve runs where a
-    sign test at its bracket ends finds a root, and each bracket holds at
+    wherever the peak is the largest candidate). The peak solve runs where
+    a sign test at its bracket ends finds a root, and the bracket holds at
     most one. It is a _newton_root from the secant point of its bracket,
     with the slope of q from _contour_slope and its curvature from a
     backward difference of that slope, and stops once the value error is
-    below _VALUE_TOL. Every candidate is a point of the family, so the
+    below _VALUE_TOL. The kink is not solved for: over its band its
+    abscissa is near-linear in S_L, a = 0.32240 + 0.010915 t + O(t^2) with
+    t = (S_L - _KINK_MID)/_KINK_HALF, and a degree-6 polynomial in t,
+    _KINK_POLY, is within 7e-16 of it (the comment above the literals says
+    how they were made, and TestKinkTable.test_fit_matches_the_literals
+    re-derives them). The peak keeps its solve because its abscissa is not
+    analytic at S_L = 2/3, where the contour touches the edge: least-squares
+    Chebyshev fits to the peak bisected over the doubles miss it by 6.2e-4
+    at degree 12 over its band and by 4.5e-6 at degree 16 on [2/3, _S_PB).
+    Every candidate is a point of the family, so the
     envelope never lies above the true one, and every operation is
     elementwise, so a value does not depend on its batch.
     """

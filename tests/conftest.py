@@ -243,10 +243,14 @@ def all_candidates_ceiling(sl):
     candidate at every S_L <= 8/9, and the Werner curve above 8/9.
 
     The candidates are the window ends, the edge points, the interior peak
-    of q on the upper arc and the a = q kink on the lower arc, each solve
-    run wherever its sign test finds a root; the largest is kept. It uses
-    the bounds module's contour helpers and solver, so wherever the band of
-    an S_L holds that S_L's winning candidate, the two read the same bits.
+    of q on the upper arc, solved wherever its sign test finds a root, and
+    on [_S_K, 8/9] the a = q kink on the lower arc at the abscissa the
+    kink band tabulates (bounds._kink_a); the largest is kept. It uses the
+    bounds module's contour helpers, solver and kink table, so wherever the
+    band of an S_L holds that S_L's winning candidate, the two read the
+    same bits. The tabulated kink is held to a kink bisected over the
+    doubles by TestKinkTable, which also checks that below _S_K that kink
+    does not beat the ceiling.
     """
     b = bounds
     x = np.asarray(sl, dtype=float).reshape(-1)
@@ -264,12 +268,6 @@ def all_candidates_ceiling(sl):
         err = np.where(curv < 0, -0.5 * s[1] ** 2 / curv, np.inf)
         return -s[1], -curv, err
 
-    def kink_step(a, rows):
-        bb = b._contour_b(a, c[rows])
-        d = a - measures.two_param_q(a, bb)
-        s = b._contour_slope(a, bb)
-        return d, 1.0 - s, np.abs(d / (1.0 - s)) * np.maximum(1.0, np.abs(s))
-
     def start(f, lo, hi):
         return lo - f[0] * (hi - lo) / (f[1] - f[0])
 
@@ -286,21 +284,14 @@ def all_candidates_ceiling(sl):
         if np.count_nonzero(sel):
             rows = sel.nonzero()[0]
             lo, hi = ends[0][rows], ends[1][rows]
-            a = b._newton_root(peak_step, rows, lo, hi, start(-s[:, sel], lo, hi))[0]
+            a = b._newton_root(peak_step, rows, lo, hi, start(-s[:, sel], lo, hi))
             q = measures.two_param_q(a, b._contour_b(a, c[rows]))
             best[rows] = np.maximum(best[rows], np.minimum(a, q))
 
-        lo, hi = np.maximum(best, a_lo), np.fmin(e_lo, top)
-        rows = (lo < hi).nonzero()[0]
-        if rows.size:
-            ends = np.array([lo[rows], hi[rows]])
-            d = ends - measures.two_param_q(ends, b._contour_b(ends, c[rows]))
-            sel = (d[0] < 0) & (d[1] > 0)
-            if np.count_nonzero(sel):
-                rows = rows[sel]
-                lo, hi = lo[rows], hi[rows]
-                a, d = b._newton_root(kink_step, rows, lo, hi, start(d[:, sel], lo, hi))
-                best[rows] = np.maximum(best[rows], a - np.maximum(d, 0.0))
+        rows = ((x >= b._S_K) & (x <= b.PIMPLE_SL)).nonzero()[0]
+        a = b._kink_a(x[rows])
+        kink = np.minimum(a, measures.two_param_q(a, b._contour_b(a, c[rows])))
+        best[rows] = np.maximum(best[rows], kink)
     high = x > b.PIMPLE_SL
     best[high] = measures.werner_discord(np.sqrt(1.0 - x[high]))
     return best
