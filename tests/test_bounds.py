@@ -111,9 +111,8 @@ def reference_envelope(sl):
 # a = q kink, and the 8/9 end of the kink
 BAND_EDGES = (bounds._S_EP, bounds._S_PB, bounds._S_K, PIMPLE_SL)
 # the edge point of S_L = 0.6595, a fine grid over the near tie of the
-# a = q kink and the b = 0 end, dense grids over the two bands where the
-# maximum is solved for (interior peak, kink), and points within 1e-6 of
-# each band edge
+# a = q kink and the b = 0 end, dense grids over the interior peak's band
+# and the kink's band, and points within 1e-6 of each band edge
 ENVELOPE_SLS = np.concatenate(
     [
         np.linspace(0, PIMPLE_SL, 201),
@@ -463,6 +462,90 @@ class TestSlJunctions:
         a_lo, a_hi = (1.0 - root) / 3.0, (1.0 + root) / 3.0
         lower = np.minimum(a_lo, two_param_q(a_lo, 0.0))
         assert np.all(lower <= np.minimum(a_hi, two_param_q(a_hi, 0.0)))
+
+
+def _bisected_kink(sl):
+    """The a = q kink on the lower arc of the contour at each S_L > 2/3,
+    bisected over the doubles of a between a_lo and the top 1/3: (the first
+    double a at which a >= q, min{a, q} there or at the double before,
+    whichever is larger, and whether a - q changes sign on the arc)."""
+    c = 1.5 * np.asarray(sl, dtype=float)
+    lo = (1.0 - np.sqrt(np.maximum(4.0 - 3.0 * c, 0.0))) / 3.0
+    hi = np.full_like(c, 1 / 3)
+
+    def q(a):
+        return two_param_q(a, np.sqrt(np.maximum((1.0 - a) * (1.0 + 3.0 * a) - c, 0.0)))
+
+    ok = (lo - q(lo) < 0) & (hi - q(hi) >= 0)
+    i, j = lo.view(np.int64), hi.view(np.int64)
+    while np.any(j - i > 1):
+        m = (i + j) // 2
+        a = m.view(np.float64)
+        left = a - q(a) < 0
+        i, j = np.where(left, m, i), np.where(left, j, m)
+    a = j.view(np.float64)
+    return a, np.maximum(i.view(np.float64), np.minimum(a, q(a))), ok
+
+
+def _doubles_from(x, n, step):
+    """n doubles from the double x on, one apart, upwards (step 1) or down
+    (step -1)."""
+    return (np.float64(x).view(np.int64) + step * np.arange(n)).view(np.float64)
+
+
+class TestKinkTable:
+    """The kink band's tabulated abscissa against a kink bisected over the
+    doubles."""
+
+    def test_band_within_budget_of_the_bisected_kink(self):
+        # uniform S_L of the band and the 2 000 doubles at each of its ends;
+        # the contour of 8/9 itself is the single point a = 1/3, where the
+        # band returns exactly 1/3 (TestBitPins)
+        rng = np.random.default_rng(24)
+        sls = np.concatenate(
+            [
+                rng.uniform(bounds._S_K, PIMPLE_SL, 46000),
+                _doubles_from(bounds._S_K, 2000, 1),
+                _doubles_from(PIMPLE_SL, 2000, -1),
+            ]
+        )
+        a = bounds._kink_a(sls)
+        lower_arc = (1.0 - np.sqrt(4.0 - 3.0 * (1.5 * sls))) / 3.0
+        assert np.all((a >= lower_arc) & (a <= 1 / 3))
+        _, kink, ok = _bisected_kink(sls)
+        assert np.count_nonzero(~ok) == 1 and sls[~ok][0] == PIMPLE_SL
+        gap = entropy_upper(sls[ok]) - kink[ok]
+        assert gap.min() >= -2e-15 and gap.max() <= 1e-15
+
+    def test_kink_does_not_beat_the_ceiling_below_the_band(self):
+        # below _S_K the band leaves the kink out: on (2/3, _S_K) and the
+        # 2 000 doubles below _S_K, where a_hi and the kink tie to ulps, it
+        # is not above the ceiling by more than the band's budget
+        rng = np.random.default_rng(25)
+        sls = np.concatenate(
+            [
+                rng.uniform(2 / 3, bounds._S_K, 10000),
+                _doubles_from(np.nextafter(bounds._S_K, 0), 2000, -1),
+            ]
+        )
+        _, kink, ok = _bisected_kink(sls)
+        assert np.all(ok)
+        assert np.all(kink <= entropy_upper(sls) + 1e-15)
+
+    def test_fit_matches_the_literals(self):
+        # the fit the comment on _KINK_POLY describes, compared by its values
+        # on the band, not by the bits of its coefficients
+        sl = np.linspace(bounds._S_K, PIMPLE_SL, 2001)[:-1]
+        a, _, ok = _bisected_kink(sl)
+        assert np.all(ok)
+        t = (sl - bounds._KINK_MID) / bounds._KINK_HALF
+        fit = np.polynomial.Chebyshev.fit(t, a, 6, domain=[-1, 1])
+        poly = fit.convert(kind=np.polynomial.Polynomial)
+        assert np.max(np.abs(poly(t) - a)) <= 7e-16
+        grid = np.linspace(bounds._S_K, PIMPLE_SL, 10001)
+        t = (grid - bounds._KINK_MID) / bounds._KINK_HALF
+        tabulated = bounds._kink_a(grid)
+        assert np.max(np.abs(np.minimum(poly(t), 1 / 3) - tabulated)) <= 1e-16
 
 
 class TestSampling:
