@@ -487,26 +487,20 @@ def _bisected_kink(sl):
     return a, np.maximum(i.view(np.float64), np.minimum(a, q(a))), ok
 
 
-def _doubles_from(x, n, step):
-    """n doubles from the double x on, one apart, upwards (step 1) or down
-    (step -1)."""
-    return (np.float64(x).view(np.int64) + step * np.arange(n)).view(np.float64)
-
-
 class TestKinkTable:
     """The kink band's tabulated abscissa against a kink bisected over the
     doubles."""
 
     def test_band_within_budget_of_the_bisected_kink(self):
-        # uniform S_L of the band and the 2 000 doubles at each of its ends;
+        # uniform S_L of the band and the 2 001 doubles at each of its ends;
         # the contour of 8/9 itself is the single point a = 1/3, where the
         # band returns exactly 1/3 (TestBitPins)
         rng = np.random.default_rng(24)
         sls = np.concatenate(
             [
                 rng.uniform(bounds._S_K, PIMPLE_SL, 46000),
-                _doubles_from(bounds._S_K, 2000, 1),
-                _doubles_from(PIMPLE_SL, 2000, -1),
+                _doubles_around(bounds._S_K, 2000)[2000:],
+                _doubles_around(PIMPLE_SL, 2000)[:2001],
             ]
         )
         a = bounds._kink_a(sls)
@@ -525,7 +519,7 @@ class TestKinkTable:
         sls = np.concatenate(
             [
                 rng.uniform(2 / 3, bounds._S_K, 10000),
-                _doubles_from(np.nextafter(bounds._S_K, 0), 2000, -1),
+                _doubles_around(bounds._S_K, 2000)[:2000],
             ]
         )
         _, kink, ok = _bisected_kink(sls)
