@@ -22,13 +22,13 @@ the two-parameter envelope, the largest min{a, q} on the contour
 Tr rho^2 = 1 - 3 S_L / 4, and above 8/9 the Werner curve. S_L alone decides
 which candidate point of the contour wins, so entropy_upper splits [0, 1]
 into five bands at the float literals of _SL_JUNCTIONS, and each S_L runs
-only its band's candidates (see _sl_ceiling). Only the interior peak of q
-is solved for, by Newton's method; the a = q kink is read off a degree-6
-polynomial in S_L, _KINK_POLY, fit to the kink bisected over the doubles
-(TestKinkTable re-derives it). horn_lower is the
-beta-family discord 1 - h((1 + C)/2) computed from C (measures._beta_q),
-in a form for each side of C = 1/2 that keeps its relative accuracy down
-to the smallest EoF. verify_bounds evaluates each bound once per batch,
+only its band's candidates (see _sl_ceiling). Of these only the interior
+peak of q is solved for, by Newton's method; the a = q kink is read off a
+degree-6 polynomial in S_L, _KINK_POLY, fit to the kink bisected over the
+doubles (TestKinkTable re-derives it). horn_lower is the beta-family
+discord 1 - h((1 + C)/2) computed from C (measures._beta_q), in a form for
+each side of C = 1/2 that keeps its relative accuracy down to the smallest
+EoF. verify_bounds evaluates each bound once per batch,
 and on eof-q inverts E(C) once for both horns: the private
 _horn_upper(x, c) and _beta_q(c) read the same concurrences, which
 horn_upper and horn_lower compute for themselves.
