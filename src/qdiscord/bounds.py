@@ -331,7 +331,7 @@ def _newton_root(evaluate, rows, lo, hi, x):
 # doubles below it the kink bisected over the doubles beats a_hi by at most
 # 6 ulp), and the Werner curve takes over after 8/9.
 # TestSlJunctions.test_bisection_matches_the_literals re-derives the three.
-_S_EP = 0.6653728763418243  # 0x1.54abc0ef11326p-1
+_S_EP = 0.6653728763418184  # 0x1.54abc0ef112f1p-1
 _S_PB = 0.7089714144115624  # 0x1.6afe4d1d649ecp-1
 _S_K = 0.8326179644392969  # 0x1.aa4ce6dea861dp-1
 _WERNER_SL = 0.888888888888889  # 0x1.c71c71c71c71dp-1, the double after 8/9
@@ -361,11 +361,53 @@ _KINK_POLY = tuple(
 )
 # b = 1 - a on the edge point's row, b = 0 on a_hi's (see _edge_point_band)
 _EDGE_B = np.array([[1.0], [0.0]])
+# The start of the peak solve over the peak band [_S_EP, _S_PB): the peak's
+# abscissa at 21 nodes, linearly interpolated in S_L. The nodes are 5 evenly
+# spaced S_L of [_S_EP, 2/3] and 17 of [2/3, the double below _S_PB], 2/3
+# shared: there the contour touches the edge, and the abscissa is not
+# analytic. Each literal, with its bits in hex, is the peak's abscissa
+# converged over the doubles at its node: the peak solve of _peak_band, with
+# its bracket, sign test and steps, started at the bracket's midpoint and
+# run without the _VALUE_TOL stop until a step no longer moves it. The
+# table is only a start, within 6.3e-4 of the peak; the solve still
+# guarantees the value. TestPeakTable.test_table_matches_the_converged_peak
+# re-derives it.
+_PEAK_NODES = np.concatenate(
+    [np.linspace(_S_EP, 2 / 3, 5), np.linspace(2 / 3, np.nextafter(_S_PB, 0), 17)[1:]]
+)
+_PEAK_A = np.array(
+    [
+        float.fromhex(a)
+        for a in (
+            "0x1.12bea77300628p-1",
+            "0x1.149e755d3359cp-1",
+            "0x1.15ebfbaca3878p-1",
+            "0x1.16fb983efb736p-1",
+            "0x1.17e6da4c8429cp-1",
+            "0x1.1d3e779e23d28p-1",
+            "0x1.21192299fbea4p-1",
+            "0x1.245b479a5b6e4p-1",
+            "0x1.2748916fe1888p-1",
+            "0x1.2a0011e570a18p-1",
+            "0x1.2c9334b10e17cp-1",
+            "0x1.2f0d04fc3977ap-1",
+            "0x1.31752700c5190p-1",
+            "0x1.33d1456a36616p-1",
+            "0x1.3625d5b7e1254p-1",
+            "0x1.38768bd0888a0p-1",
+            "0x1.3ac6a3d4e1b34p-1",
+            "0x1.3d191569575b8p-1",
+            "0x1.3f70bae903e60p-1",
+            "0x1.41d072e1befd6p-1",
+            "0x1.443b406bd6ecap-1",
+        )
+    ]
+)
 
 
-def _start(f, lo, hi):
-    """The secant point of the brackets [lo, hi], where f takes f[0], f[1]."""
-    return lo - f[0] * (hi - lo) / (f[1] - f[0])
+def _peak_a(x):
+    """The start of the peak solve at S_L = x: _PEAK_A interpolated at x."""
+    return np.interp(x, _PEAK_NODES, _PEAK_A)
 
 
 def _a_hi(c):
@@ -427,7 +469,7 @@ def _peak_band(x):
         if np.count_nonzero(sel):
             rows = sel.nonzero()[0]
             lo, hi = ends[0][rows], ends[1][rows]
-            a = _newton_root(peak_step, rows, lo, hi, _start(-s[:, sel], lo, hi))
+            a = _newton_root(peak_step, rows, lo, hi, _peak_a(x[rows]))
             q = two_param_q(a, _contour_b(a, c[rows]))
             best[rows] = np.maximum(best[rows], np.minimum(a, q))
     return best

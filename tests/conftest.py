@@ -243,14 +243,16 @@ def all_candidates_ceiling(sl):
     candidate at every S_L <= 8/9, and the Werner curve above 8/9.
 
     The candidates are the window ends, the edge points, the interior peak
-    of q on the upper arc, solved wherever its sign test finds a root, and
-    on [_S_K, 8/9] the a = q kink on the lower arc at the abscissa the
-    kink band tabulates (bounds._kink_a); the largest is kept. It uses the
-    bounds module's contour helpers, solver and kink table, so wherever the
-    band of an S_L holds that S_L's winning candidate, the two read the
-    same bits. The tabulated kink is held to a kink bisected over the
-    doubles by TestKinkTable, which also checks that below _S_K that kink
-    does not beat the ceiling.
+    of q on the upper arc, solved wherever its sign test finds a root from
+    the start the peak band tabulates (bounds._peak_a, its end values
+    outside the band), and on [_S_K, 8/9] the a = q kink on the lower arc
+    at the abscissa the kink band tabulates (bounds._kink_a); the largest
+    is kept. It uses the bounds module's contour helpers, solver and both
+    tables, so wherever the band of an S_L holds that S_L's winning
+    candidate, the two read the same bits. The tabulated kink is held to a
+    kink bisected over the doubles by TestKinkTable, which also checks that
+    below _S_K that kink does not beat the ceiling; the peak solve is held
+    to the peak converged over the doubles by TestPeakTable.
     """
     b = bounds
     x = np.asarray(sl, dtype=float).reshape(-1)
@@ -268,9 +270,6 @@ def all_candidates_ceiling(sl):
         err = np.where(curv < 0, -0.5 * s[1] ** 2 / curv, np.inf)
         return -s[1], -curv, err
 
-    def start(f, lo, hi):
-        return lo - f[0] * (hi - lo) / (f[1] - f[0])
-
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.sqrt(1.0 - c)
         e_lo, e_hi = (1.0 - w) / 2.0, (1.0 + w) / 2.0
@@ -284,7 +283,7 @@ def all_candidates_ceiling(sl):
         if np.count_nonzero(sel):
             rows = sel.nonzero()[0]
             lo, hi = ends[0][rows], ends[1][rows]
-            a = b._newton_root(peak_step, rows, lo, hi, start(-s[:, sel], lo, hi))
+            a = b._newton_root(peak_step, rows, lo, hi, b._peak_a(x[rows]))
             q = measures.two_param_q(a, b._contour_b(a, c[rows]))
             best[rows] = np.maximum(best[rows], np.minimum(a, q))
 

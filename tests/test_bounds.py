@@ -934,15 +934,15 @@ HORN_PINS = [
 ENTROPY_PINS = {
     0.0: ("0x1.0000000000000p+0", None),
     0.5: ("0x1.40fc0738f19a3p-1", None),
-    0.68: ("0x1.98e05055dc498p-2", "peak_step"),
+    0.68: ("0x1.98e05055dc494p-2", "peak_step"),
     0.86: ("0x1.49d64b7c2b178p-2", None),
     0.95: ("0x1.ee4f8a2d9ae88p-5", None),
     1.0: ("0x0.0p+0", None),
     # the double below and the first double of each band of _SL_JUNCTIONS:
     # edge point | peak, peak | b = 0 end, b = 0 end | kink, then 8/9 (the
     # kink band, where the kink does not beat the window ends) | Werner
-    float.fromhex("0x1.54abc0ef11325p-1"): ("0x1.b7fccd25f87fep-2", None),
-    float.fromhex("0x1.54abc0ef11326p-1"): ("0x1.b7fccd25f87fep-2", "peak_step"),
+    float.fromhex("0x1.54abc0ef112f0p-1"): ("0x1.b7fccd25f8ac8p-2", None),
+    float.fromhex("0x1.54abc0ef112f1p-1"): ("0x1.b7fccd25f8abep-2", "peak_step"),
     float.fromhex("0x1.6afe4d1d649ebp-1"): ("0x1.7d7639389f3b0p-2", "peak_step"),
     float.fromhex("0x1.6afe4d1d649ecp-1"): ("0x1.7d7639389f3acp-2", None),
     float.fromhex("0x1.aa4ce6dea861cp-1"): ("0x1.3efa74e418e80p-2", None),
@@ -951,6 +951,11 @@ ENTROPY_PINS = {
     # the doubles beats a_hi, five doubles below _S_K: a_hi alone
     float.fromhex("0x1.aa4ce6dea8617p-1"): ("0x1.3efa74e418e84p-2", None),
     float.fromhex("0x1.aa4ce6dea8618p-1"): ("0x1.3efa74e418e80p-2", None),
+    # the pair at _S_EP of the solve started at its bracket's secant point,
+    # 53 doubles above today's _S_EP, where that start tied the peak with
+    # the edge point: both now in the peak band
+    float.fromhex("0x1.54abc0ef11325p-1"): ("0x1.b7fccd25f8920p-2", "peak_step"),
+    float.fromhex("0x1.54abc0ef11326p-1"): ("0x1.b7fccd25f8918p-2", "peak_step"),
     float.fromhex("0x1.c71c71c71c71cp-1"): ("0x1.5555555555555p-2", None),
     float.fromhex("0x1.c71c71c71c71dp-1"): ("0x1.01ab13929a050p-3", None),
 }
@@ -971,7 +976,7 @@ GRID_PINS = [
     (horn_lower, EOF_GRID,
      "95ccfcfdd0c662ebc1cc53068748233b0aa6499471f5a9db19c4263d5314b48a"),
     (entropy_upper, SL_GRID,
-     "bf20009a1a24c654d9d917a83a4c8ddbb1115b39051ffb9335467186659a6dce"),
+     "1613748e39474789c108a8b8ca8681fc5a5b2b632417bae41402cce4ca4ca6cc"),
 ]
 # the same for the closed-form family discords the bounds are built from:
 # alpha (value and zeta stacked) and beta on [0, 1], Werner on [-1/3, 1], and
