@@ -542,6 +542,101 @@ class TestKinkTable:
         assert np.max(np.abs(np.minimum(poly(t), 1 / 3) - tabulated)) <= 1e-16
 
 
+def _peak_bracket(sl):
+    """c = 3 S_L / 2, the peak band's bracket ends and the slope of q at
+    them, elementwise over the S_L of the band."""
+    b = bounds
+    c = 1.5 * np.asarray(sl, dtype=float)
+    a_hi = b._a_hi(c)
+    # e_hi is NaN above S_L = 2/3, where fmax takes the top
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_hi = b._e_hi(c)
+        ends = np.array([np.fmax(e_hi + b._PEAK_START * (a_hi - e_hi), b._TOP), a_hi])
+        return c, ends, b._contour_slope(ends, b._contour_b(ends, c))
+
+
+def _converged_peak(sl):
+    """The interior peak of q on the upper arc at each S_L of the peak band,
+    converged over the doubles: the peak band's solve, its bracket, sign
+    test and steps, started at the bracket's midpoint and run without the
+    value stop until a step no longer moves it. Returns (its abscissa,
+    min{a, q} there)."""
+    b = bounds
+    c, ends, s = _peak_bracket(sl)
+    assert np.all((s[0] > 0) & (s[1] < 0))
+
+    def step(a, rows):
+        a = a - b._CURVATURE_OFFSETS
+        s = b._contour_slope(a, b._contour_b(a, c[rows]))
+        curv = (s[1] - s[0]) / b._CURVATURE_OFFSETS[0]
+        return -s[1], -curv, np.full(len(rows), np.inf)
+
+    lo, hi = ends
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = b._newton_root(step, np.arange(c.size), lo, hi, 0.5 * (lo + hi))
+    return a, np.minimum(a, two_param_q(a, b._contour_b(a, c)))
+
+
+class TestPeakTable:
+    """The peak band's tabulated start against the peak converged over the
+    doubles."""
+
+    def test_table_matches_the_converged_peak(self):
+        # the derivation the comment on _PEAK_A describes, at its nodes,
+        # compared by value: the computed slope's sign is round-off over a
+        # run of up to 29 doubles (3.2e-15) about the peak, so a numpy build
+        # whose log rounds otherwise may stop the solve elsewhere in that run
+        nodes = np.concatenate(
+            [
+                np.linspace(bounds._S_EP, 2 / 3, 5),
+                np.linspace(2 / 3, np.nextafter(bounds._S_PB, 0), 17)[1:],
+            ]
+        )
+        assert np.array_equal(bounds._PEAK_NODES, nodes)
+        a, _ = _converged_peak(nodes)
+        assert np.max(np.abs(a - bounds._PEAK_A)) <= 4e-15
+
+    def test_band_within_budget_of_the_converged_peak(self):
+        # uniform S_L of the band and the 2 000 doubles at each of its ends;
+        # the tabulated start lies inside the peak bracket, within 6.3e-4 of
+        # the peak, and the band stops within _VALUE_TOL of the peak's value
+        # (its stop estimates the value error from the curvature)
+        rng = np.random.default_rng(25)
+        sls = np.concatenate(
+            [
+                rng.uniform(bounds._S_EP, bounds._S_PB, 20000),
+                _doubles_around(bounds._S_EP, 2000)[2000:],
+                _doubles_around(bounds._S_PB, 2000)[:2000],
+            ]
+        )
+        _, ends, _ = _peak_bracket(sls)
+        start = bounds._peak_a(sls)
+        assert np.all((ends[0] < start) & (start < ends[1]))
+        a, peak = _converged_peak(sls)
+        assert np.max(np.abs(start - a)) <= 6.3e-4
+        gap = entropy_upper(sls) - peak
+        assert gap.min() >= -1.1e-12 and gap.max() <= 2e-15
+
+    def test_at_most_three_passes_per_element(self, monkeypatch):
+        # from the tabulated start the solve evaluates each element of 200
+        # S_L of the band one to three times (1.95 on average); from the
+        # secant point of its bracket it took three to five (4.9)
+        sls = np.linspace(bounds._S_EP, bounds._S_PB, 201)[:-1]
+        passes = np.zeros(sls.size, dtype=int)
+        newton_root = bounds._newton_root
+
+        def spy(evaluate, *args):
+            def counted(a, rows):
+                np.add.at(passes, rows, 1)
+                return evaluate(a, rows)
+
+            return newton_root(counted, *args)
+
+        monkeypatch.setattr(bounds, "_newton_root", spy)
+        entropy_upper(sls)
+        assert passes.min() >= 1 and passes.max() <= 3
+
+
 class TestSampling:
     def test_random_deterministic(self):
         b1 = sample_random(5, 99)
