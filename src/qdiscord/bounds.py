@@ -23,9 +23,11 @@ Tr rho^2 = 1 - 3 S_L / 4, and above 8/9 the Werner curve. S_L alone decides
 which candidate point of the contour wins, so entropy_upper splits [0, 1]
 into five bands at the float literals of _SL_JUNCTIONS, and each S_L runs
 only its band's candidates (see _sl_ceiling). Of these only the interior
-peak of q is solved for, by Newton's method; the a = q kink is read off a
-degree-6 polynomial in S_L, _KINK_POLY, fit to the kink bisected over the
-doubles (TestKinkTable re-derives it). horn_lower is the beta-family
+peak of q is solved for, by Newton's method from a start interpolated in a
+table of its abscissa over its band, _PEAK_A (TestPeakTable re-derives
+it); the a = q kink is read off a degree-6 polynomial in S_L, _KINK_POLY,
+fit to the kink bisected over the doubles (TestKinkTable re-derives it).
+horn_lower is the beta-family
 discord 1 - h((1 + C)/2) computed from C (measures._beta_q), in a form for
 each side of C = 1/2 that keeps its relative accuracy down to the smallest
 EoF. verify_bounds evaluates each bound once per batch,
@@ -325,7 +327,8 @@ def _newton_root(evaluate, rows, lo, hi, x):
 
 # The junctions of the sl-q ceiling, each the first double of a band of
 # entropy_upper, with their bits in hex: the interior peak of q beats the
-# upper edge point from _S_EP on, the peak's sign test fails from _S_PB on
+# upper edge point from _S_EP on (on the double below it the two are equal,
+# bit for bit), the peak's sign test fails from _S_PB on
 # (just below it the peak and a_hi still trade wins by an ulp), the a = q
 # kink at the abscissa of _KINK_POLY beats a_hi from _S_K on (on the five
 # doubles below it the kink bisected over the doubles beats a_hi by at most
@@ -444,7 +447,11 @@ def _peak_band(x):
 
     The peak is bracketed by a_hi and the top (c > 1) or a point _PEAK_START
     of the upper arc inside the edge point (c <= 1), and solved where q
-    rises along the contour at the lower end and falls at a_hi.
+    rises along the contour at the lower end and falls at a_hi. The solve
+    starts at the abscissa tabulated over the band, _peak_a(x), which lies
+    inside the bracket and within 6.3e-4 of the peak, and takes one to
+    three passes. TestPeakTable holds the band within 1.1e-12 below and
+    2e-15 above min{a, q} at the peak converged over the doubles.
     """
     c = 1.5 * x
     a_hi = _a_hi(c)
@@ -549,10 +556,11 @@ def _sl_ceiling(x):
     within 1.8 % of the edge point and the peak 10 % or more from it,
     wherever the peak is the largest candidate). The peak solve runs where
     a sign test at its bracket ends finds a root, and the bracket holds at
-    most one. It is a _newton_root from the secant point of its bracket,
-    with the slope of q from _contour_slope and its curvature from a
-    backward difference of that slope, and stops once the value error is
-    below _VALUE_TOL. The kink is not solved for: over its band its
+    most one. It is a _newton_root from the peak's abscissa tabulated at 21
+    nodes of its band and interpolated in S_L (_PEAK_A, _peak_a), with the
+    slope of q from _contour_slope and its curvature from a backward
+    difference of that slope, and stops once the value error is below
+    _VALUE_TOL. The kink is not solved for: over its band its
     abscissa is near-linear in S_L, a = 0.32240 + 0.010915 t + O(t^2) with
     t = (S_L - _KINK_MID)/_KINK_HALF, and a degree-6 polynomial in t,
     _KINK_POLY, is within 7e-16 of it (the comment above the literals says
@@ -560,7 +568,9 @@ def _sl_ceiling(x):
     re-derives them). The peak keeps its solve because its abscissa is not
     analytic at S_L = 2/3, where the contour touches the edge: least-squares
     Chebyshev fits to the peak bisected over the doubles miss it by 6.2e-4
-    at degree 12 over its band and by 4.5e-6 at degree 16 on [2/3, _S_PB).
+    at degree 12 over its band and by 4.5e-6 at degree 16 on [2/3, _S_PB),
+    and the piecewise-linear table, with a node at 2/3, by 6.3e-4, close
+    enough to start the solve but not to replace it.
     Every candidate is a point of the family, so the
     envelope never lies above the true one, and every operation is
     elementwise, so a value does not depend on its batch.
