@@ -1046,9 +1046,9 @@ ENTROPY_PINS = {
     # the doubles beats a_hi, five doubles below _S_K: a_hi alone
     float.fromhex("0x1.aa4ce6dea8617p-1"): ("0x1.3efa74e418e84p-2", None),
     float.fromhex("0x1.aa4ce6dea8618p-1"): ("0x1.3efa74e418e80p-2", None),
-    # the pair at _S_EP of the solve started at its bracket's secant point,
-    # 53 doubles above today's _S_EP, where that start tied the peak with
-    # the edge point: both now in the peak band
+    # the pair at the junction of the solve started at its bracket's secant
+    # point, 53 doubles above _S_EP, where that start tied the peak with the
+    # edge point: both in the peak band
     float.fromhex("0x1.54abc0ef11325p-1"): ("0x1.b7fccd25f8920p-2", "peak_step"),
     float.fromhex("0x1.54abc0ef11326p-1"): ("0x1.b7fccd25f8918p-2", "peak_step"),
     float.fromhex("0x1.c71c71c71c71cp-1"): ("0x1.5555555555555p-2", None),
