@@ -21,14 +21,12 @@ from .measures import (
     OptimizerDidNotConverge,
     UnsupportedFamily,
     apply_measurement,
-    concurrence,
     conditional_information,
     discord_analytic,
     discord_batch,
     discord_numeric,
     eof_from_concurrence,
     measurement_pair,
-    mutual_information,
 )
 from .states import (
     Family,
@@ -37,7 +35,6 @@ from .states import (
     ParamOutOfRange,
     StateError,
     TraceNotOne,
-    linear_entropy,
     make_family,
     partial_trace,
     random_state,

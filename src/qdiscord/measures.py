@@ -25,9 +25,12 @@ batch. The outcomes, rows and frame vectors of one evaluation lie on
 leading axes of a few arrays, so numpy's per-call cost is paid per
 evaluation, not per component, and each element still goes through the
 per-component operations in their order.
-apply_measurement and conditional_information are the reference the engine
-is tested against, and mutual_information, concurrence and linear_entropy
-the reference for the record measures discord_batch computes per batch.
+conditional_information (with apply_measurement and measurement_pair) and
+discord_analytic are per-state references with no caller in the package:
+they stay because bench/workloads.py reads them, and leave when the
+benchmark no longer does (ROADMAP item 1, step B). The references for the
+mutual information, concurrence and linear entropy of discord_batch's
+records are test oracles in tests/conftest.py.
 """
 from __future__ import annotations
 
@@ -111,15 +114,6 @@ def apply_measurement(rho, theta, phi):
         p = float(np.trace(m).real)
         outcomes.append((p, m / p if p > P_FLOOR else None))
     return outcomes
-
-
-def mutual_information(rho):
-    """I(rho) = S(rho_A) + S(rho_B) - S(rho) in bits."""
-    return (
-        von_neumann_entropy(partial_trace(rho, "A"))
-        + von_neumann_entropy(partial_trace(rho, "B"))
-        - von_neumann_entropy(rho)
-    )
 
 
 def conditional_information(rho, theta, phi):
@@ -619,23 +613,6 @@ def _classical_correlation(rhos):
     return c, values, theta, phi
 
 
-def concurrence(rho):
-    """Wootters concurrence max{0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)}.
-
-    sqrt(l1) >= ... >= sqrt(l4), the square roots of the eigenvalues of
-    rho * rho_tilde with rho_tilde = (sy x sy) conj(rho) (sy x sy), are the
-    singular values of sqrt(rho) (sy x sy) sqrt(rho)^*: the product of that
-    matrix with its adjoint is sqrt(rho) rho_tilde sqrt(rho). The singular
-    values carry the small sqrt(l) of a rank-deficient state to round-off of
-    ~1e-16, where the square roots of eigenvalues of rho * rho_tilde would
-    carry ~1e-8.
-    """
-    lam, v = np.linalg.eigh(np.asarray(rho, dtype=complex))
-    root = (v * np.sqrt(np.maximum(lam, 0.0))) @ v.conj().T
-    s = np.linalg.svd(root @ SYSY @ root.conj(), compute_uv=False)
-    return float(max(0.0, s[0] - s[1] - s[2] - s[3]))
-
-
 def eof_from_concurrence(c):
     """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2) in bits, with C
     clipped to [0, 1], elementwise: a float for a scalar C, an array for an
@@ -674,8 +651,9 @@ def _record_measures(c, lam, v):
     That is accurate to round-off on pure and rank-deficient states, where
     the square roots of eigenvalues of rho rho_tilde are off by up to ~1e-8.
     The spectra of rho_A and rho_B, padded with two zeros, and of rho go
-    through one _spectral_entropy call. mutual_information, concurrence
-    and linear_entropy are the per-state reference.
+    through one _spectral_entropy call. This is the package's one
+    implementation of the three; tests/conftest.py holds their per-state
+    references.
     """
     n = c.shape[-1]
     q = c.reshape(16, n)[_PURITY_ORDER]

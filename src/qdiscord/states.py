@@ -1,5 +1,11 @@
-"""Two-qubit density matrices: validation, parametrized families, entropies
-and seeded random states.
+"""Two-qubit density matrices: validation, parametrized families, the von
+Neumann entropy and seeded random states.
+
+partial_trace, spectrum and von_neumann_entropy serve only the per-state
+measures.conditional_information, which stays because bench/workloads.py
+reads it. The records' S_L comes from measures._record_measures; its
+per-state references, purity and linear_entropy, are test oracles in
+tests/conftest.py.
 
 States are validated as one (N, 4, 4) stack by validate_states, and seeded
 random states are built as one stack by random_states; validate_state and
@@ -45,10 +51,6 @@ class NotPositive(StateError):
 
 class ParamOutOfRange(StateError):
     pass
-
-
-def hermiticity_deviation(m):
-    return float(np.max(np.abs(m - m.conj().T)))
 
 
 def validate_states(raw):
@@ -141,7 +143,7 @@ def spectrum(m):
     feed entropies directly.
     """
     m = np.asarray(m, dtype=complex)
-    dev = hermiticity_deviation(m)
+    dev = float(np.max(np.abs(m - m.conj().T)))
     if dev > HERM_TOL:
         raise NotHermitian(f"matrix is not Hermitian (deviation {dev:.3e})", dev)
     ev = np.linalg.eigvalsh(m)[::-1].copy()
@@ -154,17 +156,6 @@ def von_neumann_entropy(m):
     ev = spectrum(m)
     ev = ev[ev > EIG_CLIP]
     return float(-np.sum(ev * np.log2(ev)))
-
-
-def purity(rho):
-    rho = np.asarray(rho, dtype=complex)
-    return float(np.real(np.trace(rho @ rho)))
-
-
-def linear_entropy(rho):
-    """S_L = (4/3)(1 - Tr rho^2), normalized to [0, 1] for two qubits."""
-    s = (4.0 / 3.0) * (1.0 - purity(rho))
-    return float(min(max(s, 0.0), 1.0))
 
 
 # kind -> range of p1 (twoparam's b lies in [a - 1, 1 - a]), in FAMILY_KINDS order

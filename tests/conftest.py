@@ -8,7 +8,7 @@ from scipy.optimize import bisect
 from qdiscord import bounds, measures
 from qdiscord.io import CSV_HEADER
 from qdiscord.measures import UnsupportedFamily
-from qdiscord.states import Family
+from qdiscord.states import Family, partial_trace, von_neumann_entropy
 
 
 def binary_entropy(x):
@@ -68,6 +68,46 @@ def concurrence_analytic(fam):
     raise UnsupportedFamily(
         f"no closed-form concurrence implemented for family {fam.kind!r}"
     )
+
+
+def mutual_information(rho):
+    """Oracle for the mutual_info field of discord_batch's records:
+    I(rho) = S(rho_A) + S(rho_B) - S(rho) in bits, one state at a time."""
+    return (
+        von_neumann_entropy(partial_trace(rho, "A"))
+        + von_neumann_entropy(partial_trace(rho, "B"))
+        - von_neumann_entropy(rho)
+    )
+
+
+def concurrence(rho):
+    """Oracle for the concurrence field of discord_batch's records: Wootters'
+    max{0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)}, one state at a time.
+
+    sqrt(l1) >= ... >= sqrt(l4), the square roots of the eigenvalues of
+    rho * rho_tilde with rho_tilde = (sy x sy) conj(rho) (sy x sy), are the
+    singular values of sqrt(rho) (sy x sy) sqrt(rho)^*: the product of that
+    matrix with its adjoint is sqrt(rho) rho_tilde sqrt(rho). The singular
+    values carry the small sqrt(l) of a rank-deficient state to round-off of
+    ~1e-16, where the square roots of eigenvalues of rho * rho_tilde would
+    carry ~1e-8.
+    """
+    lam, v = np.linalg.eigh(np.asarray(rho, dtype=complex))
+    root = (v * np.sqrt(np.maximum(lam, 0.0))) @ v.conj().T
+    s = np.linalg.svd(root @ measures.SYSY @ root.conj(), compute_uv=False)
+    return float(max(0.0, s[0] - s[1] - s[2] - s[3]))
+
+
+def purity(rho):
+    rho = np.asarray(rho, dtype=complex)
+    return float(np.real(np.trace(rho @ rho)))
+
+
+def linear_entropy(rho):
+    """Oracle for the linear_entropy field of discord_batch's records:
+    S_L = (4/3)(1 - Tr rho^2), normalized to [0, 1] for two qubits."""
+    s = (4.0 / 3.0) * (1.0 - purity(rho))
+    return float(min(max(s, 0.0), 1.0))
 
 
 class NoSignChange(ValueError):

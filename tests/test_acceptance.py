@@ -16,19 +16,8 @@ from qdiscord.bounds import (
     verify_bounds,
 )
 from qdiscord.cli import main
-from qdiscord.measures import (
-    concurrence,
-    discord_analytic,
-    discord_numeric,
-    mutual_information,
-)
-from qdiscord.states import (
-    FAMILY_KINDS,
-    Family,
-    linear_entropy,
-    make_family,
-    random_state,
-)
+from qdiscord.measures import discord_analytic, discord_batch, discord_numeric
+from qdiscord.states import FAMILY_KINDS, Family, make_family, random_state
 
 RANDOM_SEED = 99
 NEAR_SEED = 202
@@ -98,19 +87,20 @@ def test_criterion_3_concurrence_oracles(report):
         + [Family("beta", float(b)) for b in np.linspace(0, 1, 21)]
         + list(_two_param_grid())
     )
+    recs = discord_batch([make_family(fam) for fam in fams])
     worst = max(
-        abs(concurrence(make_family(fam)) - concurrence_analytic(fam))
-        for fam in fams
+        abs(rec.concurrence - concurrence_analytic(fam))
+        for fam, rec in zip(fams, recs)
     )
     report(3, "concurrence oracles", worst <= 1e-10, f"max dev = {worst:.2e}")
 
 
 def test_criterion_4_pimple_coordinates(report):
     fam = Family("twoparam", 1 / 3, 0.0)
-    rho = make_family(fam)
-    dev_sl = abs(linear_entropy(rho) - 8 / 9)
+    rec = discord_numeric(make_family(fam))
+    dev_sl = abs(rec.linear_entropy - 8 / 9)
     dev_qa = abs(discord_analytic(fam).value - 1 / 3)
-    dev_qn = abs(discord_numeric(rho).discord - 1 / 3)
+    dev_qn = abs(rec.discord - 1 / 3)
     ok = dev_sl <= 1e-12 and dev_qa <= 1e-6 and dev_qn <= 1e-4
     report(4, "pimple coordinates", ok,
            f"dS_L = {dev_sl:.1e}, dQ_analytic = {dev_qa:.1e}, "
@@ -165,9 +155,9 @@ def test_criterion_7_entropy_containment(report, tmp_path):
 
 
 def test_criterion_8_endpoint_sanity(report, random_batch, near_batches):
-    q_mixed = discord_numeric(np.eye(4) / 4).discord
+    mixed = discord_numeric(np.eye(4) / 4)
+    q_mixed, sl_mixed = mixed.discord, mixed.linear_entropy
     q_bell = discord_numeric(make_family(Family("pure", 0.5))).discord
-    sl_mixed = linear_entropy(np.eye(4) / 4)
     ok = abs(q_mixed) <= 1e-9 and abs(q_bell - 1) <= 1e-6 and sl_mixed == 1.0
     records = list(random_batch.records)
     for batch in near_batches.values():

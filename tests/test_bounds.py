@@ -10,6 +10,7 @@ from conftest import (
     alpha_werner_gap,
     binary_entropy,
     find_crossover,
+    linear_entropy,
     two_param_q_edge_limit,
     two_param_q_four_term,
     werner_pure_gap,
@@ -43,12 +44,7 @@ from qdiscord.measures import (
     two_param_q,
     werner_discord,
 )
-from qdiscord.states import (
-    Family,
-    ParamOutOfRange,
-    linear_entropy,
-    make_family,
-)
+from qdiscord.states import Family, ParamOutOfRange, make_family
 
 _REF_POINTS = 20001  # dense scan of each feasible piece of the contour
 _REF_ZOOM_POINTS = 1001

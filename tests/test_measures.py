@@ -3,7 +3,10 @@ import pytest
 
 from conftest import (
     bell_diagonal_cc_oracle,
+    concurrence,
     concurrence_analytic,
+    linear_entropy,
+    mutual_information,
     random_pure_state,
     random_unitary,
     two_param_q_edge_limit,
@@ -17,14 +20,12 @@ from qdiscord.measures import (
     alpha_discord,
     apply_measurement,
     beta_discord,
-    concurrence,
     conditional_information,
     discord_analytic,
     discord_batch,
     discord_numeric,
     eof_from_concurrence,
     measurement_pair,
-    mutual_information,
     two_param_q,
     werner_discord,
 )
@@ -32,7 +33,6 @@ from qdiscord.states import (
     FAMILY_KINDS,
     Family,
     NotHermitian,
-    linear_entropy,
     make_family,
     random_state,
     validate_state,

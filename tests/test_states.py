@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import binary_entropy, written_out_random_state
+from conftest import binary_entropy, linear_entropy, purity, written_out_random_state
 from qdiscord.bounds import _derived_seeds
 from qdiscord.io import state_from_json_obj, state_to_json_obj
 from qdiscord.states import (
@@ -16,10 +16,8 @@ from qdiscord.states import (
     ParamOutOfRange,
     StateError,
     TraceNotOne,
-    linear_entropy,
     make_family,
     partial_trace,
-    purity,
     random_state,
     random_states,
     spectrum,
