@@ -79,6 +79,8 @@ def build_parser():
 
 def _family_from(args):
     if args.family is None:
+        if args.param is not None or args.param2 is not None:
+            raise UsageError("--param and --param2 require --family")
         return None
     if args.param is None:
         raise UsageError(f"--family {args.family} requires --param")

@@ -146,6 +146,21 @@ class TestPoint:
         code, _, err = run(capsys, "point", "--family", "werner")
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--param", "--param2"])
+    def test_param_without_family_exit_1(self, capsys, tmp_path, flag):
+        # a family parameter with --in would be dropped, not used
+        path = tmp_path / "mm.json"
+        write_state_file(np.eye(4) / 4, path)
+        dest = tmp_path / "never.json"
+        for out_args in ([], ["--out", str(dest)]):
+            code, out, err = run(
+                capsys, "point", "--in", str(path), flag, "0.3", *out_args
+            )
+            assert code == 1
+            assert out == ""
+            assert err == "usage error: --param and --param2 require --family\n"
+        assert not dest.exists()
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             capsys, "point", "--family", "beta", "--param", "0.8",
