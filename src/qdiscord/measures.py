@@ -24,7 +24,9 @@ elementwise arithmetic only, so a state's result does not depend on its
 batch. The outcomes, rows and frame vectors of one evaluation lie on
 leading axes of a few arrays, so numpy's per-call cost is paid per
 evaluation, not per component, and each element still goes through the
-per-component operations in their order.
+per-component operations in their order. A record's S(rho_A) is taken
+once, by _record_measures, and read by both its mutual information and its
+classical correlation S(rho_A) - S(A|Pi), where the engine gives S(A|Pi).
 conditional_information (with apply_measurement and measurement_pair) and
 discord_analytic are per-state references with no caller in the package:
 they stay because bench/workloads.py reads them, and leave when the
@@ -39,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (
-    EIG_CLIP,
     PSD_TOL,
     Family,
     StateError,
@@ -53,6 +54,7 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SYSY = np.kron(SIGMA_Y, SIGMA_Y)
 
 P_FLOOR = 1e-14  # measurement outcomes below this probability are dropped
+EIG_CLIP = 1e-12  # eigh's eigenvalues of rho up to this are round-off
 
 
 class UnsupportedFamily(StateError):
@@ -117,12 +119,14 @@ def apply_measurement(rho, theta, phi):
 
 
 def conditional_information(rho, theta, phi):
-    """Measurement-induced mutual information S(rho_A) - sum_k p_k S(rho_k)."""
+    """Measurement-induced mutual information S(rho_A) - sum_k p_k S(rho_k),
+    with S(rho_k) taken on A's marginal of rho_k: eigh's round-off on the two
+    zero eigenvalues of rho_k would put ~1e-15 of noise into the value."""
     s_a = von_neumann_entropy(partial_trace(rho, "A"))
     acc = 0.0
     for p, rho_k in apply_measurement(rho, theta, phi):
         if rho_k is not None:
-            acc += p * von_neumann_entropy(rho_k)
+            acc += p * von_neumann_entropy(partial_trace(rho_k, "A"))
     return s_a - acc
 
 
@@ -332,17 +336,6 @@ def _sum_leading(x):
     return x[0]
 
 
-def _entropy_a(c):
-    """S(rho_A) from the halved Bloch vector r/2 = c[:3, 0] of A, elementwise
-    over c's trailing shape."""
-    r = c[:3, 0]
-    w = np.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
-    x = np.empty((2,) + w.shape)
-    np.add(0.5, w, out=x[0])
-    np.subtract(0.5, w, out=x[1])
-    return _binary_entropy_pair(x)
-
-
 def _binary_entropy_pair(x):
     """-xlog2(x[0]) - xlog2(x[1]) of the stacked pair x, from one _xlog2
     call."""
@@ -540,20 +533,21 @@ def _state_directions(c):
 
 
 def _classical_correlation(rhos):
-    """The discord engine: the classical correlation of each state of a
-    (N, 4, 4) complex stack of checked states (see discord_batch).
+    """The discord engine: the least conditional entropy S(A|Pi) of each
+    state of a (N, 4, 4) complex stack of checked states, from which
+    discord_batch forms the classical correlation S(rho_A) - S(A|Pi).
 
     For each state, S(A|Pi_n) (see _conditional_entropy) is scanned over the
     distinct directions of the _GRID_THETA x _GRID_PHI angle grid and the
     four directions of _state_directions, and the best of them is refined
     by _refine, a trust-region Newton iteration on the closed-form value,
     gradient and Hessian of _objective_derivatives, with a first trust
-    radius of _R_START. The value is S(rho_A) - S(A|Pi_n) at the returned
-    angles, bit for bit: S(A|Pi_n) is the value _refine ends on, which
-    _objective_derivatives computes as _conditional_entropy does, and it is
-    evaluated again only where the returned angles (2 theta, phi) differ
-    from the refined ones (pol, azi): phi = azi + 2 pi for a negative
-    azimuth, or a polar angle so small that halving it drops a bit.
+    radius of _R_START. The value is S(A|Pi_n) at the returned angles, bit
+    for bit: it is the value _refine ends on, which _objective_derivatives
+    computes as _conditional_entropy does, and it is evaluated again only
+    where the returned angles (2 theta, phi) differ from the refined ones
+    (pol, azi): phi = azi + 2 pi for a negative azimuth, or a polar angle
+    so small that halving it drops a bit.
 
     States go through in blocks of _BLOCK_STATES, whose starts _refine
     takes at once; each block's coefficients and state directions come from
@@ -563,7 +557,7 @@ def _classical_correlation(rhos):
     depend on the batch or chunk it is in, bit for bit.
 
     Returns the halved Fano coefficients (4, 4, N) of the states and float
-    arrays (values, theta_opt, phi_opt) with theta in [0, pi/2] and phi in
+    arrays (S(A|Pi), theta_opt, phi_opt) with theta in [0, pi/2] and phi in
     [0, 2 pi). Raises OptimizerDidNotConverge, after the whole batch has
     run, if the refinement of some state did not converge within _MAX_ITER
     iterations.
@@ -603,14 +597,13 @@ def _classical_correlation(rhos):
     if moved.size:
         n_opt = _frame(np.array([2 * theta[moved], phi[moved]]))[0]
         f[moved] = _conditional_entropy(c[..., moved], n_opt)
-    values = _entropy_a(c) - f
     failed = (~converged).nonzero()[0]
     if failed.size:
         raise OptimizerDidNotConverge(
             f"{failed.size} state(s) did not converge within {_MAX_ITER} iterations",
             failed.tolist(),
         )
-    return c, values, theta, phi
+    return c, f, theta, phi
 
 
 def eof_from_concurrence(c):
@@ -625,12 +618,12 @@ def eof_from_concurrence(c):
 
 
 def _spectral_entropy(ev):
-    """-sum ev log2 ev over the eigenvalues above EIG_CLIP, as
-    von_neumann_entropy takes it, over the four eigenvalues on the leading
-    axis of ev. The sum runs in their order, so a row's value does not
-    depend on the others. A term at or below EIG_CLIP is 0 or -0; the four
-    terms of a unit-trace spectrum are never all -0, so the sum is that of
-    0 + t0 + t1 + t2 + t3 to the bit."""
+    """-sum ev log2 ev over eigh's four eigenvalues of rho above EIG_CLIP,
+    on the leading axis of ev: the cut drops eigh's ~1e-16 round-off on a
+    rank-deficient rho. The sum runs in their order, so a row's value does
+    not depend on the others. A term at or below EIG_CLIP is 0 or -0; the
+    four terms of a unit-trace spectrum are never all -0, so the sum is
+    that of 0 + t0 + t1 + t2 + t3 to the bit."""
     t = ev * np.log2(np.where(ev > EIG_CLIP, ev, 1.0))
     s = t[0] + t[1]
     s += t[2]
@@ -639,21 +632,21 @@ def _spectral_entropy(ev):
 
 
 def _record_measures(c, lam, v):
-    """Mutual information, concurrence and linear entropy of a stack of
-    states with halved Fano coefficients c (see _fano) and eigendecompositions
-    rho = V diag(lam) V^dagger, one array each.
+    """S(rho_A), mutual information, concurrence and linear entropy of a
+    stack of states with halved Fano coefficients c (see _fano) and
+    eigendecompositions rho = V diag(lam) V^dagger, one array each.
 
     S(rho_A), S(rho_B) and Tr rho^2 = 1/4 + sum c^2 are closed forms in c,
-    with A and B stacked and the 15 squares summed in one running order.
-    The eigendecomposition serves the rest: S(rho) from lam, and the
-    concurrence, which takes Wootters' sqrt(l) as the singular values of
-    tau = X^T (sy x sy) X with rho = X X^dagger, X = V diag(sqrt(lam)).
-    That is accurate to round-off on pure and rank-deficient states, where
-    the square roots of eigenvalues of rho rho_tilde are off by up to ~1e-8.
-    The spectra of rho_A and rho_B, padded with two zeros, and of rho go
-    through one _spectral_entropy call. This is the package's one
-    implementation of the three; tests/conftest.py holds their per-state
-    references.
+    with A and B stacked and the 15 squares summed in one running order;
+    the marginal entropies count every positive eigenvalue, as a Schmidt
+    weight of 5e-13 is real. I and the classical correlation read this one
+    S(rho_A). The eigendecomposition serves the rest: S(rho) from lam (see
+    _spectral_entropy), and the concurrence, which takes Wootters' sqrt(l)
+    as the singular values of tau = X^T (sy x sy) X with rho = X X^dagger,
+    X = V diag(sqrt(lam)). That is accurate to round-off on pure and
+    rank-deficient states, where the square roots of eigenvalues of
+    rho rho_tilde are off by up to ~1e-8. This is the package's one
+    implementation of the four; tests/conftest.py holds their references.
     """
     n = c.shape[-1]
     q = c.reshape(16, n)[_PURITY_ORDER]
@@ -662,18 +655,14 @@ def _record_measures(c, lam, v):
     w = sq[:, 0] + sq[:, 1]
     w += sq[:, 2]
     np.sqrt(w, out=w)
-    ev = np.zeros((4, 3, n))
-    np.multiply(w, _PM[:, :, None], out=ev[:2, :2])
-    ev[:2, :2] += 0.5  # 1/2 +- |r|/2 and 1/2 +- |s|/2
-    ev[:, 2] = lam.T
-    ent = _spectral_entropy(ev)  # S(rho_A), S(rho_B), S(rho)
-    mi = ent[0] + ent[1] - ent[2]
+    s_a, s_b = _binary_entropy_pair(0.5 + w * _PM[:, :, None])  # 1/2 +- w
+    mi = s_a + s_b - _spectral_entropy(lam.T)
     x = v * np.sqrt(np.maximum(lam, 0.0))[:, None, :]
     s = np.linalg.svd(np.swapaxes(x, 1, 2) @ SYSY @ x, compute_uv=False)
     conc = np.maximum(0.0, s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3])
     purity = np.add.accumulate(q, axis=0)[-1]  # row by row, as written out
     sl = np.minimum(np.maximum((4.0 / 3.0) * (0.75 - purity), 0.0), 1.0)
-    return mi, conc, sl
+    return s_a, mi, conc, sl
 
 
 def discord_batch(rhos):
@@ -686,8 +675,8 @@ def discord_batch(rhos):
     Input that fails, or whose positivity that eigh cannot decide, goes to
     validate_states, which raises StateError (wrong shape, NaN or Inf
     entry), NotHermitian, TraceNotOne or NotPositive for the first bad
-    state and names its index. The classical correlations come from one
-    _classical_correlation call.
+    state and names its index. J = S(rho_A) - S(A|Pi) takes S(A|Pi) from
+    one _classical_correlation call and S(rho_A) from _record_measures.
     """
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
@@ -701,12 +690,13 @@ def discord_batch(rhos):
     # at most herm/2, so their eigenvalues differ by at most 1.5 herm
     if np.count_nonzero(lam[:, 0] < 1.5 * herm - PSD_TOL):
         validate_states(rhos)
-    c, values, thetas, phis = _classical_correlation(rhos)
-    mis, concs, sls = _record_measures(c, lam, v)
+    c, conds, thetas, phis = _classical_correlation(rhos)
+    s_a, mis, concs, sls = _record_measures(c, lam, v)
+    ccs = s_a - conds
     fields = [
         mis,
-        values,
-        np.minimum(np.maximum(mis - values, -1e-9), 2.0),
+        ccs,
+        np.minimum(np.maximum(mis - ccs, -1e-9), 2.0),
         concs,
         eof_from_concurrence(concs),
         sls,

@@ -26,7 +26,6 @@ import numpy as np
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
-EIG_CLIP = 1e-12
 
 
 class StateError(ValueError):
@@ -152,9 +151,10 @@ def spectrum(m):
 
 
 def von_neumann_entropy(m):
-    """S(rho) = -Tr{rho log2 rho} in bits, with 0 log 0 = 0."""
+    """S(rho) = -Tr{rho log2 rho} in bits over every positive eigenvalue,
+    with 0 log 0 = 0."""
     ev = spectrum(m)
-    ev = ev[ev > EIG_CLIP]
+    ev = ev[ev > 0]
     return float(-np.sum(ev * np.log2(ev)))
 
 

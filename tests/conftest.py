@@ -196,6 +196,17 @@ def two_param_q_edge_limit(a):
     )
 
 
+def marginal_entropy_a(c):
+    """S(rho_A) from the halved Bloch vector r/2 = c[:3, 0] of A, elementwise
+    over c's trailing shape: the arithmetic of the S(rho_A) that
+    discord_batch's records read, the same sqrt order and 1/2 +- |r|/2, so
+    J = S(rho_A) - S(A|Pi_n) here equals a record's classical_corr bit for
+    bit."""
+    r = c[:3, 0]
+    w = np.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
+    return measures._binary_entropy_pair(np.array([0.5 + w, 0.5 - w]))
+
+
 def dense_classical_correlation(rhos, grid_theta=120, grid_phi=240, starts=8):
     """Oracle for the discord engine's classical correlation (the
     classical_corr field of discord_batch's records): its search with a
@@ -219,7 +230,7 @@ def dense_classical_correlation(rhos, grid_theta=120, grid_phi=240, starts=8):
         assert m._refine(np.repeat(c, starts, axis=2), ang, f, r0).any()
         win = [f.argmin()]
         n_opt = m._frame(np.array([ang[0, win], np.mod(ang[1, win], 2 * np.pi)]))[0]
-        out.append((m._entropy_a(c) - m._conditional_entropy(c, n_opt))[0])
+        out.append((marginal_entropy_a(c) - m._conditional_entropy(c, n_opt))[0])
     return np.array(out)
 
 

@@ -11,6 +11,7 @@ from conftest import (
     PAULI,
     bell_diagonal_cc_oracle,
     dense_classical_correlation,
+    marginal_entropy_a,
     random_unitary,
 )
 from scipy.optimize import minimize
@@ -545,7 +546,7 @@ class TestFinalValue:
         assert (rec.phi_opt > np.pi) == negative
         c = measures._fano(rho[None])
         n = measures._frame(np.array([[2 * rec.theta_opt], [rec.phi_opt]]))[0]
-        value = measures._entropy_a(c) - measures._conditional_entropy(c, n)
+        value = marginal_entropy_a(c) - measures._conditional_entropy(c, n)
         assert rec.classical_corr.hex() == float(value[0]).hex()
 
 
@@ -811,7 +812,7 @@ class TestObjective:
         c, n, ref, _ = cases  # n: (3, N, K)
         cond = measures._conditional_entropy(c[..., None], n)
         assert cond.tobytes() == per_component_objective(c[..., None], n).tobytes()
-        value = measures._entropy_a(c[..., None]) - cond
+        value = marginal_entropy_a(c[..., None]) - cond
         assert value.shape == ref.shape
         assert np.max(np.abs(value - ref)) <= 1e-12
 
@@ -855,6 +856,6 @@ class TestObjective:
         flat = n.reshape(3, -1)
         cond = measures._conditional_entropy(c[..., owner], flat)
         assert cond.tobytes() == per_component_objective(c[..., owner], flat).tobytes()
-        value = measures._entropy_a(c[..., owner]) - cond
+        value = marginal_entropy_a(c[..., owner]) - cond
         assert value.shape == (flat.shape[1],)
         assert np.max(np.abs(value - ref.ravel())) <= 1e-12

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -255,6 +256,20 @@ class TestDiscordNumeric:
             v = random_pure_state(s)
             rec = discord_numeric(np.outer(v, v.conj()))
             assert abs(rec.discord - rec.eof) <= 1e-4
+
+    @pytest.mark.parametrize("p", [1e-12, 5e-13, 1e-13, 1e-14, 1 - 1e-13])
+    def test_pure_family_small_schmidt_weight(self, p):
+        # Q = J = h(p) and I = 2 h(p) exactly. A Schmidt weight at or below
+        # the 1e-12 cut on eigh's eigenvalues is real, not round-off, and
+        # I and J must read the same S(rho_A) for it
+        with mpmath.workdps(50):
+            x = mpmath.mpf(p)
+            h = float(-(x * mpmath.log(x) + (1 - x) * mpmath.log1p(-x)) / mpmath.ln2)
+        rec = discord_numeric(make_family(Family("pure", p)))
+        assert rec.discord >= 0
+        assert rec.mutual_info >= rec.classical_corr
+        assert abs(rec.discord - h) <= 1e-14
+        assert abs(rec.mutual_info - 2 * h) <= 2e-14
 
     def test_local_unitary_invariance_sample(self, rng):
         for s in range(20):
