@@ -82,8 +82,10 @@ def _family_from(args):
         if args.param is not None or args.param2 is not None:
             raise UsageError("--param and --param2 require --family")
         return None
-    if args.param is None:
-        raise UsageError(f"--family {args.family} requires --param")
+    two = args.family == "twoparam"
+    if args.param is None or two == (args.param2 is None):
+        need = "--param and --param2" if two else "--param and no --param2"
+        raise UsageError(f"--family {args.family} takes {need}")
     return Family(args.family, args.param, args.param2)
 
 

@@ -146,6 +146,24 @@ class TestPoint:
         code, _, err = run(capsys, "point", "--family", "werner")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv,need",
+        [
+            (["--family", "twoparam", "--param", "0.5"], "--param and --param2"),
+            (
+                ["--family", "alpha", "--param", "0.5", "--param2", "0.3"],
+                "--param and no --param2",
+            ),
+        ],
+    )
+    def test_param_count_against_kind_exit_1(self, capsys, argv, need):
+        # twoparam takes (a, b), every other kind one parameter: a wrong count
+        # is a usage error, not a validation error of the state
+        code, out, err = run(capsys, "point", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: --family {argv[1]} takes {need}\n"
+
     @pytest.mark.parametrize("flag", ["--param", "--param2"])
     def test_param_without_family_exit_1(self, capsys, tmp_path, flag):
         # a family parameter with --in would be dropped, not used
