@@ -10,9 +10,9 @@ tests/conftest.py.
 States are validated as one (N, 4, 4) stack by validate_states, and seeded
 random states are built as one stack by random_states; validate_state and
 random_state are stacks of one, so each has a single path. random_states
-seeds its generators with numpy's own SeedSequence and PCG64 seeding,
-restated to run on all seeds at once, so a seed gives the stream of
-np.random.Generator(np.random.PCG64(seed)).
+restates numpy's SeedSequence hash to run on all seeds at once and hands
+each seed's words to numpy's own PCG64 seeding, so a seed gives the stream
+of np.random.Generator(np.random.PCG64(seed)).
 
 Basis order is fixed as |00>, |01>, |10>, |11> throughout.
 """
@@ -22,6 +22,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -223,19 +224,16 @@ def make_family(fam):
     return m
 
 
-# numpy's seeding of np.random.PCG64(seed), restated: SeedSequence
+# numpy's SeedSequence(seed).generate_state(4, np.uint64), restated: it
 # hashes the seed's 32-bit words into a pool of 4 words and the pool into
-# the 4 64-bit words of PCG64's seed, and pcg64_set_seed turns those into
-# the generator's 128-bit state and increment (numpy/random/bit_generator.pyx
-# and numpy/random/src/pcg64). Every hash step xors a running constant in,
-# advances it by a multiplier, and multiplies by the advanced constant; the
-# constants do not depend on the seed, so they are tabulated here.
+# the 4 64-bit words of PCG64's seed (numpy/random/bit_generator.pyx).
+# Every hash step xors a running constant in, advances it by a multiplier,
+# and multiplies by the advanced constant; the constants do not depend on
+# the seed, so they are tabulated here.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the pool
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # the seed words
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = 2**32 - 1
-_MASK128 = 2**128 - 1
 
 
 def _hash_steps(init, mult, n):
@@ -272,7 +270,8 @@ def _hashmix(v, xor, mul):
 
 def _pcg_seed_words(seeds):
     """PCG64's 4 64-bit seed words for each seed of a uint64 array, as
-    SeedSequence(seed).generate_state(4, np.uint64) gives them, shape (4, N).
+    SeedSequence(seed).generate_state(4, np.uint64) gives them: a
+    C-contiguous (N, 4) uint64 array, one seed's words to a row.
 
     The hashing runs as uint32 array arithmetic, which wraps silently, over
     all seeds at once. A seed below 2**64 is at most 2 words, and
@@ -291,8 +290,25 @@ def _pcg_seed_words(seeds):
         mixed[src] = pool[src]
         pool = mixed
     words = _hashmix(pool, _WORD_XOR, _WORD_MUL).astype(np.uint64)
-    # pairs of 32-bit words, low word first, make the 64-bit words
-    return (words[:, 0::2] | words[:, 1::2] << _HALF).reshape(4, -1)
+    # pairs of 32-bit words, low word first, make the 64-bit words; the rows
+    # are contiguous, so _SeedWords takes each without a copy
+    words = (words[:, 0::2] | words[:, 1::2] << _HALF).reshape(4, -1)
+    return np.ascontiguousarray(words.T)
+
+
+class _SeedWords(ISeedSequence):
+    """One seed's row of _pcg_seed_words, handed to np.random.PCG64 in
+    place of the SeedSequence it would build from the seed."""
+
+    def __init__(self, words):
+        # numpy's PCG64 reads the words through the array's data pointer
+        self.words = np.ascontiguousarray(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks for its 4 uint64 words; any other request is an error
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds 4 uint64 words, not {n_words} {np.dtype(dtype)}")
+        return self.words
 
 
 def random_states(seeds):
@@ -300,14 +316,14 @@ def random_states(seeds):
     T a 4x4 standard complex Gaussian.
 
     A seed is an integer in [0, 2**64); others raise ParamOutOfRange. Each
-    seed's generator state is np.random.PCG64(seed)'s: the seed
-    hashing runs on all seeds at once (_pcg_seed_words), then per seed the
-    128-bit PCG64 state is set on one generator of the call, which draws 32
-    standard normals, the real then the imaginary parts of T (the stream of
-    two (4, 4) draws). The products, traces and divisions then run once on
-    the whole stack; every element keeps the per-state operation order, so a
-    state does not depend on the batch it is built in. Deterministic for
-    fixed seeds; PSD and unit trace by construction.
+    seed's generator is np.random.PCG64(seed)'s: the seed hashing runs on
+    all seeds at once (_pcg_seed_words), then per seed numpy seeds a PCG64
+    from the seed's words, and its generator draws 32 standard normals, the
+    real then the imaginary parts of T (the stream of two (4, 4) draws).
+    The products, traces and divisions then run once on the whole stack;
+    every element keeps the per-state operation order, so a state does not
+    depend on the batch it is built in. Deterministic for fixed seeds; PSD
+    and unit trace by construction.
     """
     seeds = [operator.index(s) for s in seeds]
     bad = [s for s in seeds if not 0 <= s < 2**64]
@@ -315,23 +331,9 @@ def random_states(seeds):
         raise ParamOutOfRange(f"seed {bad[0]} outside [0, 2**64)")
     words = _pcg_seed_words(np.array(seeds, dtype=np.uint64))
     g = np.empty((len(seeds), 2, 4, 4))
-    bits = np.random.PCG64(0)  # its seed state is replaced before each draw
-    generator = np.random.Generator(bits)
-    inner = {}
-    state = {
-        "bit_generator": "PCG64",
-        "state": inner,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    for i, (s0, s1, q0, q1) in enumerate(zip(*words.tolist())):
-        # pcg64_set_seed: inc = 2 * initseq + 1, and two LCG steps from
-        # state 0 with initstate added between them
-        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
-        inner["state"] = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
-        inner["inc"] = inc
-        bits.state = state
-        generator.standard_normal(out=g[i])
+    for i, row in enumerate(words):
+        bits = np.random.PCG64(_SeedWords(row))
+        np.random.Generator(bits).standard_normal(out=g[i])
     t = g[:, 0] + 1j * g[:, 1]
     m = t @ t.conj().transpose(0, 2, 1)
     return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]

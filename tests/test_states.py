@@ -18,6 +18,8 @@ from qdiscord.states import (
     TraceNotOne,
     make_family,
     partial_trace,
+    _pcg_seed_words,
+    _SeedWords,
     random_state,
     random_states,
     spectrum,
@@ -311,6 +313,19 @@ class TestRandomState:
         ref = np.stack([written_out_random_state(s) for s in seeds])
         assert np.array_equal(random_states(seeds), ref)
 
+    def test_seed_words_seed_numpy_pcg64(self):
+        # numpy's own PCG64 seeding, fed the restated SeedSequence words,
+        # must land in the state it reaches from the seed itself
+        seeds = self.EDGE_SEEDS + _derived_seeds(3, 200)
+        words = _pcg_seed_words(np.array(seeds, dtype=np.uint64))
+        for s, row in zip(seeds, words, strict=True):
+            assert np.random.PCG64(_SeedWords(row)).state == np.random.PCG64(s).state
+
+    def test_seed_words_refuse_other_requests(self):
+        row = _pcg_seed_words(np.array([5], dtype=np.uint64))[0]
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            _SeedWords(row).generate_state(8, np.uint32)
+
     def test_shuffled_seeds_permute_the_states(self):
         seeds = self.EDGE_SEEDS + _derived_seeds(4, 200)
         order = np.random.default_rng(9).permutation(len(seeds))
@@ -341,7 +356,7 @@ class TestRandomState:
     def test_mean_purity_anchor(self):
         # frozen regression value for seeds 0..9999 (induced-measure theory
         # for d = K = 4 gives 8/17 = 0.4706)
-        mean = np.mean([purity(random_state(s)) for s in range(10000)])
+        mean = np.mean([purity(rho) for rho in random_states(range(10000))])
         assert mean == pytest.approx(0.471717040652871, abs=1e-9)
 
 
