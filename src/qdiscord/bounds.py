@@ -79,12 +79,24 @@ class BoundaryCurve:
 
 @dataclass
 class SampleBatch:
-    """Correlation records for a set of sampled states."""
+    """Correlation records for a set of sampled states.
+
+    seeds holds one seed per record (None for a state without one), and
+    families either one family per record (None for a random state) or
+    nothing; any other length raises ValueError.
+    """
 
     records: list[CorrelationRecord]
     seeds: list[int]
     provenance: str
     families: list[Family | None] = field(default_factory=list)
+
+    def __post_init__(self):
+        n = len(self.records)
+        if len(self.seeds) != n:
+            raise ValueError(f"{len(self.seeds)} seeds for {n} records")
+        if self.families and len(self.families) != n:
+            raise ValueError(f"{len(self.families)} families for {n} records")
 
 
 @dataclass
@@ -94,6 +106,9 @@ class RegionReport:
     min_margin is the smallest bound - Q (upper) or Q - bound (lower) over
     the checked records; it is negative when some record lies outside a
     bound, and shows how close the nearest record comes when none does.
+    worst_violation is the largest excess, Q - bound (upper) or bound - Q
+    (lower), among the offenders, those whose excess is above the slack,
+    and 0.0 when there are none; under a negative slack it can be negative.
     """
 
     n_checked: int
@@ -749,7 +764,7 @@ def verify_bounds(batch, plane, slack=DEFAULT_SLACK):
     else:
         raise ValueError(f"unknown plane {plane!r}")
     offenders = []
-    worst = 0.0
+    worst = -np.inf
     hit = np.any([excess > slack for _, excess, _ in checks], axis=0)
     for i in hit.nonzero()[0]:
         for branch, excess, bound in checks:
@@ -767,7 +782,7 @@ def verify_bounds(batch, plane, slack=DEFAULT_SLACK):
     return RegionReport(
         n_checked=len(batch.records),
         n_violations=len(offenders),
-        worst_violation=worst,
+        worst_violation=worst if offenders else 0.0,
         min_margin=-float(max(excess.max() for _, excess, _ in checks)),
         offenders=offenders,
     )

@@ -76,7 +76,11 @@ def _batch_text(batch):
     prov = _quoted(batch.provenance)
     fams = batch.families or [None] * len(batch.records)
     rows = [_HEADER_LINE]
-    for i, seed, fam, rec in zip(count(), batch.seeds, fams, batch.records):
+    # strict: a batch whose lists were changed to unequal lengths after
+    # construction raises rather than losing rows
+    for i, (seed, fam, rec) in enumerate(
+        zip(batch.seeds, fams, batch.records, strict=True)
+    ):
         if fam is None:
             head = f"{i},{prov},,,,{_fmt(seed)},"
         else:

@@ -706,6 +706,13 @@ class TestSampling:
         with pytest.raises(ParamOutOfRange):
             sample_near_boundary("beta", 5, 0.1, -3)
 
+    def test_batch_lengths_must_match(self):
+        recs = sample_random(3, 1).records
+        with pytest.raises(ValueError, match="1 seeds for 3 records"):
+            SampleBatch(recs, [7], "x")
+        with pytest.raises(ValueError, match="2 families for 3 records"):
+            SampleBatch(recs, [7, 8, 9], "x", [None, None])
+
 
 class TestVerifyBounds:
     def test_family_states_self_consistent(self):
@@ -799,6 +806,14 @@ class TestVerifyBounds:
         assert rep.n_violations == len(rep.offenders)
         for off in rep.offenders:
             assert set(off) == {"seed", "x", "y", "bound", "branch"}
+
+    @pytest.mark.parametrize("plane", ["eof-q", "sl-q"])
+    def test_worst_violation_under_negative_slack(self, plane):
+        # every record is an offender, and every excess is negative: the
+        # worst is the largest of them, which min_margin negates
+        rep = verify_bounds(sample_random(30, 4), plane, slack=-1.0)
+        assert rep.min_margin > 0
+        assert rep.worst_violation == -rep.min_margin
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):

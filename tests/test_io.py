@@ -85,3 +85,12 @@ class TestCsvOracle:
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             csv_text([1.0, 2.0])
+
+    @pytest.mark.parametrize("field", ["seeds", "families"])
+    def test_batch_changed_to_unequal_lengths_raises(self, field):
+        # SampleBatch checks the lengths when built; a list shortened
+        # afterwards must not drop a row from the CSV either
+        batch = bounds.sample_random(3, 1)
+        getattr(batch, field).pop()
+        with pytest.raises(ValueError):
+            csv_text(batch)
