@@ -87,7 +87,7 @@ class SampleBatch:
     """
 
     records: list[CorrelationRecord]
-    seeds: list[int]
+    seeds: list[int | None]
     provenance: str
     families: list[Family | None] = field(default_factory=list)
 
