@@ -83,7 +83,7 @@ class SampleBatch:
 
     seeds holds one seed per record (None for a state without one), and
     families either one family per record (None for a random state) or
-    nothing; any other length raises ValueError.
+    nothing; any other length raises ValueError (see check_lengths).
     """
 
     records: list[CorrelationRecord]
@@ -92,6 +92,14 @@ class SampleBatch:
     families: list[Family | None] = field(default_factory=list)
 
     def __post_init__(self):
+        self.check_lengths()
+
+    def check_lengths(self):
+        """Raise ValueError, naming the list, unless seeds has one entry per
+        record and families one per record or none. It runs when the batch
+        is built and again in each reader that indexes the lists by record
+        (split_at_pimple, verify_bounds, io.csv_text): the lists stay
+        mutable, and a caller may append to them after construction."""
         n = len(self.records)
         if len(self.seeds) != n:
             raise ValueError(f"{len(self.seeds)} seeds for {n} records")
@@ -715,6 +723,7 @@ def split_at_pimple(batch):
     The sl-q containment check covers the first part only; above 8/9 the
     ceiling is the Werner curve, and that slice is informational.
     """
+    batch.check_lengths()
     gate = np.array([r.linear_entropy <= PIMPLE_SL for r in batch.records], bool)
     return tuple(
         SampleBatch(
@@ -749,6 +758,7 @@ def verify_bounds(batch, plane, slack=DEFAULT_SLACK):
     """
     if not batch.records:
         raise ValueError("batch is empty")
+    batch.check_lengths()
     check_slack(slack)
     y = np.array([r.discord for r in batch.records])
     if plane == "eof-q":

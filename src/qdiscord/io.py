@@ -73,14 +73,11 @@ def _fmt(x):
 
 
 def _batch_text(batch):
+    batch.check_lengths()
     prov = _quoted(batch.provenance)
     fams = batch.families or [None] * len(batch.records)
     rows = [_HEADER_LINE]
-    # strict: a batch whose lists were changed to unequal lengths after
-    # construction raises rather than losing rows
-    for i, (seed, fam, rec) in enumerate(
-        zip(batch.seeds, fams, batch.records, strict=True)
-    ):
+    for i, (seed, fam, rec) in enumerate(zip(batch.seeds, fams, batch.records)):
         if fam is None:
             head = f"{i},{prov},,,,{_fmt(seed)},"
         else:

@@ -15,10 +15,14 @@ a+- = (r +- T n)/(2 p+-), so S(A|Pi) = sum p+- h((1 + |a+-|)/2) in closed
 form (Luo, PRA 77, 042303 (2008)). The engine scans S(A|Pi) over each
 state's start set: the distinct directions of the fixed _GRID_THETA x
 _GRID_PHI angle grid plus four directions read off the state, the right
-singular vectors of T and s/|s|. It refines the best start of every state
-with a trust-region Newton iteration in the tangent plane of the sphere,
-on the value, gradient and Hessian of that closed form, all three from one
-evaluation per step, to _REFINE_TOL within _MAX_ITER steps. It goes
+singular vectors of T and s/|s|. In a batch of at least _F32_MIN states
+it ranks the starts in float32 and decides in float64 (_rank_f32), with
+the start of the float64 scan to the bit; every state the float32 ranking
+cannot decide takes the float64 scan (_scan_f64). It refines the best
+start of every state with a trust-region Newton iteration in the tangent
+plane of the sphere, on the value, gradient and Hessian of that closed
+form, all three from one evaluation per step, to _REFINE_TOL within
+_MAX_ITER steps. It goes
 through a batch in chunks of bounded size, with per-state SVDs and
 elementwise arithmetic only, so a state's result does not depend on its
 batch. The outcomes, rows and frame vectors of one evaluation lie on
@@ -175,7 +179,7 @@ def _xlog2(x):
     return x * np.log2(np.maximum(x, 1e-300))
 
 
-def _conditional_entropy(c, n):
+def _conditional_entropy(c, n, out=None):
     """S(A|Pi_n) = sum_k p_k S(rho_A|k) for the projective measurement of B
     along the unit Bloch vectors n = (nx, ny, nz) (leading axis), elementwise
     over the broadcast of the halved Fano coefficients c (see _fano) against
@@ -189,11 +193,13 @@ def _conditional_entropy(c, n):
     goes through the operations of the per-component form in the same
     order, so the values are the same to the bit. An outcome with p <= 0
     contributes 0 and one with p below P_FLOOR at most p bits; the
-    reference conditional_information drops both.
+    reference conditional_information drops both. The arithmetic runs in
+    the dtype of c and n, float64 or, for the scan's ranking (see
+    _rank_f32), float32; the value goes into out if given.
     """
     b, _, lg = _outcomes(c, _rows(c, n))
     lg *= b[3:]
-    return _outcome_sum(lg)
+    return _outcome_sum(lg, out=out)
 
 
 def _rows(c, n):
@@ -208,6 +214,13 @@ def _rows(c, n):
     return rows
 
 
+# the least argument of log2 in _outcomes, per dtype. A float32 floor must
+# be a float32 number: 1e-300 rounds to 0 in float32 (under numpy 1.x's
+# value-based casting too), and then 0 log2 0 is nan. Below the floor,
+# x log2(floor) is at most 2^-126 x 126 in float32, far under round-off.
+_LOG2_FLOOR = {np.dtype(np.float64): 1e-300, np.dtype(np.float32): np.finfo(np.float32).tiny}
+
+
 def _outcomes(c, rows):
     """The two outcomes of measuring B along n, from the rows (T n, s.n)/2
     of n (see _rows), with the clamped logarithms of S(A|Pi_n): the one
@@ -216,10 +229,10 @@ def _outcomes(c, rows):
     Returns (b, w, lg). b[:, k] holds outcome k's u (3 rows), then p and
     the eigenvalues (p + |u|)/2 and (p - |u|)/2, the last three clamped at
     0, shape (6, 2, ...); w holds |u|, shape (2, ...); lg holds log2 of the
-    clamped (p, eig+, eig-), each at least 1e-300, so that
-    _outcome_sum(lg * b[3:]) is S(A|Pi_n).
+    clamped (p, eig+, eig-), each at least _LOG2_FLOOR, so that
+    _outcome_sum(lg * b[3:]) is S(A|Pi_n). All three have the dtype of rows.
     """
-    b = np.empty((6, 2) + rows.shape[1:])
+    b = np.empty((6, 2) + rows.shape[1:], dtype=rows.dtype)
     np.add(c[:, 0], rows, out=b[:4, 0])
     np.subtract(c[:, 0], rows, out=b[:4, 1])
     sq = b[:3] * b[:3]
@@ -232,8 +245,8 @@ def _outcomes(c, rows):
     e *= 0.5
     x = np.maximum(b[3:], 0.0, out=b[3:])
     # sq is spent, and lg takes its buffer: kept alive next to a fresh lg,
-    # it made the scan about a fifth slower (see _CHUNK_ELEMENTS)
-    lg = np.maximum(x, 1e-300, out=sq)
+    # it made the scan about a fifth slower (see _CHUNK_BYTES)
+    lg = np.maximum(x, _LOG2_FLOOR[x.dtype], out=sq)
     np.log2(lg, out=lg)
     return b, w, lg
 
@@ -383,22 +396,26 @@ _REFINE_TOL = 1e-12
 _MAX_ITER = 500  # Newton steps per start, one objective evaluation each
 _GRID = _direction_grid(_GRID_THETA, _GRID_PHI)
 
-# objective values per plane of a chunk. The largest engine temporary, the
-# (6, 2) row stack of _conditional_entropy, then holds 12 x 3072 x 8 bytes =
-# 288 KB. Past ~450 KB, glibc malloc hands such blocks back to the OS after
-# each call and page-faults them in again on the next (raising
-# MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_ removes the step), and the
-# objective's cost per value doubles. Much smaller chunks pay the fixed cost
-# of its ~25 array operations on too few values: at 1024, sample_random(2000)
-# took 7 % longer than at 3072.
-_CHUNK_ELEMENTS = 3 << 10
-# states per scan call, each with its 229 starts
-_SCAN_STATES = _CHUNK_ELEMENTS // (_GRID.shape[1] + 4)
+# bytes per plane of a chunk's objective values: 3072 float64 values or 6144
+# float32 ones. The largest engine temporary, the (6, 2) row stack of
+# _conditional_entropy, then holds 12 x 24 KB = 288 KB. Past ~450 KB, glibc
+# malloc hands such blocks back to the OS after each call and page-faults
+# them in again on the next (raising MALLOC_MMAP_THRESHOLD_ and
+# MALLOC_TRIM_THRESHOLD_ removes the step), and the objective's cost per
+# value doubles: a float64 scan call of 26 states took 712 us, against
+# 224 us at 13. Much smaller chunks pay the fixed cost of its ~25 array
+# operations on too few values: at 8 KB, sample_random(2000) took 7 %
+# longer than at 24 KB.
+_CHUNK_BYTES = 24 << 10
+_STARTS = _GRID.shape[1] + 4  # starts per state: the grid and _state_directions
+# states per scan call, each with its 229 starts, in float64 and in float32
+_SCAN_STATES = _CHUNK_BYTES // 8 // _STARTS
+_SCAN_STATES_F32 = _CHUNK_BYTES // 4 // _STARTS
 # states per refinement block: the largest temporary of
 # _objective_derivatives, the pair products of (a, d+, d-, z, t), has
 # 7 rows x 2 x 2 tangent pairs x 2 outcomes = 56 planes per state, as many
 # as the (6, 2) row stacks of ceil(56 / 12) = 5 objective values
-_BLOCK_STATES = _CHUNK_ELEMENTS // 5
+_BLOCK_STATES = _CHUNK_BYTES // 8 // 5
 _R_START = 0.05  # first trust radius; a start read off the state is close
 # a start whose trust radius falls below this without a gain has converged:
 # the landscape is flat to round-off there (pure states, I/4)
@@ -532,6 +549,140 @@ def _state_directions(c):
     return out
 
 
+# The float32 ranking of the scan (see _rank_f32 and _scan). _F32_MIN: a
+# block of fewer states takes the float64 scan alone, a lone call included.
+# In a fresh process, where numpy's first float32 calls cost most,
+# discord_batch on random states took, ranked over unranked (median of 16
+# alternating pairs), 1.035 at 4 states, 0.999 at 8 and 0.917 at 16; warm,
+# 0.964 at 8. _F32_TOP = K: each state's K lowest float32 starts go to the
+# float64 decision. A start read off the state often lies next to a grid
+# point of nearly its value, so K = 2 sent 15 % of random states and 43 %
+# of 1e-3 alpha and twoparam mixtures back to the float64 scan, K = 3
+# 1.4 % and 31 % (twoparam), K = 4 0.23 % and 4.4 %, K = 6 0 % and 3.6 %.
+# _F32_EPS bounds |S32 - S64| for any start of any state (derivation in
+# _rank_f32).
+_F32_MIN = 8
+_F32_TOP = 4
+_F32_EPS = 1e-4
+
+
+def _scan_f64(c, dirs):
+    """The start of least float64 S(A|Pi_n) of each state with halved Fano
+    coefficients c, shape (4, 4, N), and state directions dirs (see
+    _state_directions), over the grid and its four state directions; shape
+    (3, N). The scan calls take _SCAN_STATES states each. On exact ties the
+    start is argpartition's pick."""
+    g = _GRID.shape[1]
+    n = c.shape[-1]
+    size = _SCAN_STATES
+    cand = np.empty((3, min(size, n), _STARTS))
+    cand[:, :, :g] = _GRID[:, None]
+    start = np.empty((3, n))
+    for i in range(0, n, size):
+        part = slice(i, i + size)
+        here = cand[:, : min(size, n - i)]
+        here[:, :, g:] = dirs[:, part]
+        scan = _conditional_entropy(c[..., part, None], here)
+        # not argmin, which picks another start on exact ties
+        best = scan.argpartition(0, axis=1)[:, 0]
+        start[:, part] = here[:, np.arange(len(best)), best]
+    return start
+
+
+def _rank_f32(c, dirs):
+    """The start of least float64 S(A|Pi_n) of each state, as _scan_f64
+    finds it, where a float32 scan can decide it; and the states where it
+    cannot.
+
+    The scan runs in float32 on float32 copies of c and of the starts, in
+    calls of _SCAN_STATES_F32 states. Each state keeps its _F32_TOP = K
+    lowest float32 starts, lowest first, by K argmin passes, and those K
+    starts are evaluated again in float64, with the operations of
+    _scan_f64. With S32 and S64 a start's float32 and float64 values and
+    |S32 - S64| <= eps = _F32_EPS, a start outside the K has S32 at least
+    the K-th lowest v_K, so if v_K - v_1 > 2 eps its S64 >= v_K - eps >
+    v_1 + eps exceeds the S64 of the float32 best: the float64 minimum lies
+    among the K. Where it is also strict among the K, it is the unique
+    float64 minimum of all the starts, which argpartition picks as well, so
+    the start is _scan_f64's to the bit. Every other state (a float32 gap
+    of at most 2 eps, a float64 tie, or a nan) is returned for _scan_f64.
+
+    eps: p and e+- come out of about 11 float32 roundings (the casts of c
+    and n, the rows, the sums and the square root), each of at most half a
+    float32 ulp at 1, 6e-8: an absolute error of at most about 6.5e-7
+    (9e-8 seen on random states). Through x log2 x, whose slope is
+    unbounded at 0, an error D moves a term by at most about
+    D (log2(1/D) + 1/ln 2), 1.4e-5 at D = 6.5e-7; the six terms of two
+    outcomes give 8.6e-5, and float32 log2, within an ulp of
+    |x log2 x| <= 0.53, adds ~1e-7. So eps = 1e-4. The largest
+    |S32 - S64| seen is 3.7e-7 on random states and 1.2e-6 on near-pure
+    ones (tests: TestFloat32Ranking). A larger eps sends more states back
+    to the float64 scan: 1.1 % of random states at 2e-4, 5.2 % at 5e-4 and
+    40 % at 2e-3; of 1e-3 alpha, beta and twoparam mixtures, 2.2 % at 1e-4,
+    11 % at 5e-4 and 52 % at 2e-3.
+
+    Returns the starts, shape (3, N), and the indices of the states whose
+    start the float64 scan must find.
+    """
+    g = _GRID.shape[1]
+    n = c.shape[-1]
+    size = _SCAN_STATES_F32
+    c32 = c.astype(np.float32)
+    cand = np.empty((3, min(size, n), _STARTS), dtype=np.float32)
+    cand[:, :, :g] = _GRID[:, None]
+    scan = np.empty((n, _STARTS), dtype=np.float32)
+    for i in range(0, n, size):
+        part = slice(i, i + size)
+        here = cand[:, : min(size, n - i)]
+        here[:, :, g:] = dirs[:, part]
+        _conditional_entropy(c32[..., part, None], here, out=scan[part])
+    rows = np.arange(n)
+    top = np.empty((n, _F32_TOP), dtype=np.intp)
+    top[:, 0] = scan.argmin(axis=1)
+    least = scan[rows, top[:, 0]]
+    for k in range(1, _F32_TOP):
+        scan[rows, top[:, k - 1]] = np.inf
+        top[:, k] = scan.argmin(axis=1)
+    wide = scan[rows, top[:, -1]] - least > 2 * _F32_EPS
+    # start j of state i is column j of _GRID, or j - g of dirs[:, i]: column
+    # j + 4 i of the grid followed by all the state directions
+    table = np.concatenate([_GRID, dirs.reshape(3, 4 * n)], axis=1)
+    top += (top >= g) * (4 * rows[:, None])
+    cand = table[:, top]
+    f = _conditional_entropy(c[..., None], cand)
+    best = f.argmin(axis=1)
+    least = f[rows, best]
+    f[rows, best] = np.inf
+    wide &= f.min(axis=1) > least
+    return cand[:, rows, best], (~wide).nonzero()[0]
+
+
+def _scan(c, dirs):
+    """The start of each state, as _scan_f64 finds it (see there), with the
+    float32 ranking of _rank_f32 where it pays: in a block of at least
+    _F32_MIN states, and past the first float32 chunk only if at most half
+    of that chunk went back to the float64 scan. Of 1e-3 mixtures of Werner
+    and of pure states, whose landscapes are flat to within 2 _F32_EPS, all
+    and 97 % go back, against 0.2 % of random states and 0.4-4.4 % of the
+    other families' mixtures; ranking every state made discord_batch on
+    1000 Werner mixtures 30 % slower, and this first chunk costs 5 %."""
+    n = c.shape[-1]
+    if n < _F32_MIN:
+        return _scan_f64(c, dirs)
+    head = min(n, _SCAN_STATES_F32)
+    start, rest = _rank_f32(c[..., :head], dirs[:, :head])
+    if head < n:
+        if 2 * rest.size <= head:
+            tail, more = _rank_f32(c[..., head:], dirs[:, head:])
+        else:
+            tail, more = np.empty((3, n - head)), np.arange(n - head)
+        start = np.concatenate([start, tail], axis=1)
+        rest = np.concatenate([rest, head + more])
+    if rest.size:
+        start[:, rest] = _scan_f64(c[..., rest], dirs[:, rest])
+    return start
+
+
 def _classical_correlation(rhos):
     """The discord engine: the least conditional entropy S(A|Pi) of each
     state of a (N, 4, 4) complex stack of checked states, from which
@@ -551,10 +702,12 @@ def _classical_correlation(rhos):
 
     States go through in blocks of _BLOCK_STATES, whose starts _refine
     takes at once; each block's coefficients and state directions come from
-    one _fano and one _state_directions call, and its scan from objective
-    calls of _SCAN_STATES states each. The SVDs run per state and all other
-    arithmetic is elementwise over states, so a state's result does not
-    depend on the batch or chunk it is in, bit for bit.
+    one _fano and one _state_directions call, and its scan from _scan: the
+    float32 ranking where it pays, in objective calls of _SCAN_STATES_F32
+    states, and the float64 scan, in calls of _SCAN_STATES states, for the
+    rest. Both give each state the same start to the bit. The SVDs run per
+    state and all other arithmetic is elementwise over states, so a state's
+    result does not depend on the batch or chunk it is in, bit for bit.
 
     Returns the halved Fano coefficients (4, 4, N) of the states and float
     arrays (S(A|Pi), theta_opt, phi_opt) with theta in [0, pi/2] and phi in
@@ -563,30 +716,16 @@ def _classical_correlation(rhos):
     iterations.
     """
     n = len(rhos)
-    g = _GRID.shape[1]
     c = np.empty((4, 4, n))
     f = np.empty(n)
     ang = np.empty((2, n))
     converged = np.empty(n, dtype=bool)
-    size = _SCAN_STATES
-    cand = np.empty((3, min(size, n), g + 4))
-    cand[:, :, :g] = _GRID[:, None]
     for lo in range(0, n, _BLOCK_STATES):
         blk = slice(lo, lo + _BLOCK_STATES)
         c[..., blk] = _fano(rhos[blk])
         cb = c[..., blk]
-        nb = cb.shape[-1]
         dirs = _state_directions(cb)
-        start = np.empty((3, nb))
-        for i in range(0, nb, size):
-            part = slice(i, i + size)
-            here = cand[:, : min(size, nb - i)]
-            here[:, :, g:] = dirs[:, part]
-            scan = _conditional_entropy(cb[..., part, None], here)
-            # not argmin, which picks another start on exact ties
-            best = scan.argpartition(0, axis=1)[:, 0]
-            start[:, part] = here[:, np.arange(len(best)), best]
-        ang[:, blk] = _angles(start)
+        ang[:, blk] = _angles(_scan(cb, dirs))
         # ang[:, blk] and f[blk] are views, so _refine's updates land in ang, f
         converged[blk] = _refine(cb, ang[:, blk], f[blk], _R_START)
 

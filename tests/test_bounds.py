@@ -713,6 +713,22 @@ class TestSampling:
         with pytest.raises(ValueError, match="2 families for 3 records"):
             SampleBatch(recs, [7, 8, 9], "x", [None, None])
 
+    @pytest.mark.parametrize("field", ["seeds", "families"])
+    def test_verify_bounds_names_a_list_shortened_later(self, field):
+        # slack -1 makes every record an offender, which reads its seed
+        batch = sample_random(3, 1)
+        getattr(batch, field).pop()
+        for plane in ("eof-q", "sl-q"):
+            with pytest.raises(ValueError, match=f"2 {field} for 3 records"):
+                verify_bounds(batch, plane, slack=-1.0)
+
+    @pytest.mark.parametrize("field", ["seeds", "families"])
+    def test_split_at_pimple_names_a_list_shortened_later(self, field):
+        batch = sample_random(3, 1)
+        getattr(batch, field).pop()
+        with pytest.raises(ValueError, match=f"2 {field} for 3 records"):
+            split_at_pimple(batch)
+
 
 class TestVerifyBounds:
     def test_family_states_self_consistent(self):

@@ -197,10 +197,16 @@ def degenerate_states(rng):
 class TestBatchIndependence:
     @pytest.mark.parametrize("chunk", [1, 7, None])
     def test_csv_bytes_do_not_depend_on_chunk_size(self, monkeypatch, chunk):
+        # the float32 scan chunks take the same size; with the default
+        # _F32_MIN a block of fewer states takes the float64 scan alone, and
+        # with _F32_MIN = 1 every block ranks its starts in float32
         n, seed = 20, 5
         reference = io.csv_text(sample_random(n, seed))
         monkeypatch.setattr(measures, "_SCAN_STATES", chunk or n)
+        monkeypatch.setattr(measures, "_SCAN_STATES_F32", chunk or n)
         monkeypatch.setattr(measures, "_BLOCK_STATES", chunk or n)
+        assert io.csv_text(sample_random(n, seed)) == reference
+        monkeypatch.setattr(measures, "_F32_MIN", 1)
         assert io.csv_text(sample_random(n, seed)) == reference
 
     def test_single_state_equals_its_batch_row(self):
@@ -617,6 +623,133 @@ class TestEngineBitPins:
         rhos += [corpus[name][0] for name in ("mixtures", "near-pure", "random")]
         records = [discord_numeric(rho) for rho in rhos]
         assert record_digest(records) == self.SINGLE_DIGEST
+
+
+def ranking_corpora():
+    """name -> states on which the float32 ranking of the scan is checked:
+    random states, the family members of the engine pins (whose scans tie
+    exactly), 1e-3 mixtures of the five families (shuffled, so that each
+    float32 chunk holds several families), near-pure mixtures, Ginibre
+    states of rank 1, 2 and 3, and I/4."""
+    rng = np.random.default_rng(30)
+    near = np.array([rho for _, rho in family_mixtures(200)])
+    return {
+        "random": random_states(range(2000)),
+        "families": family_grid(),
+        "near": near[rng.permutation(len(near))],
+        "near-pure": np.array(near_pure_mixtures(rng, 1500)),
+        **{
+            f"rank-{rank}": np.array(ginibre_states(rng, 200, rank))
+            for rank in (1, 2, 3)
+        },
+        "I/4": np.eye(4, dtype=complex)[None] / 4,
+    }
+
+
+def start_values(rhos, dtype):
+    """S(A|Pi_n) of every start of each state (the grid and the state
+    directions), shape (N, starts), with the scan's kernel in dtype."""
+    c = measures._fano(rhos)
+    g = measures._GRID.shape[1]
+    n = np.empty((3, len(rhos), measures._STARTS))
+    n[:, :, :g] = measures._GRID[:, None]
+    n[:, :, g:] = measures._state_directions(c)
+    return measures._conditional_entropy(c[..., None].astype(dtype), n.astype(dtype))
+
+
+class TestFloat32Ranking:
+    """The scan ranks the starts in float32 and decides in float64
+    (measures._rank_f32): every start it decides is the float64 scan's to
+    the bit, the records do not depend on whether it runs, and its float32
+    values stay within a tenth of the bound _F32_EPS that its proof reads."""
+
+    NAMES = ["random", "families", "near", "near-pure"]
+    NAMES += ["rank-1", "rank-2", "rank-3", "I/4"]
+
+    @pytest.fixture(scope="class")
+    def corpora(self):
+        return ranking_corpora()
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_decided_starts_are_the_float64_starts(self, corpora, name):
+        c = measures._fano(corpora[name])
+        dirs = measures._state_directions(c)
+        start, rest = measures._rank_f32(c, dirs)
+        decided = np.ones(c.shape[-1], dtype=bool)
+        decided[rest] = False
+        ref = measures._scan_f64(c, dirs)
+        assert start[:, decided].tobytes() == ref[:, decided].tobytes()
+        if name == "random":  # 0.16 % fall back on random_states(range(10000))
+            assert rest.size <= 0.01 * c.shape[-1]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_records_do_not_depend_on_the_ranking(self, monkeypatch, corpora, name):
+        rhos = corpora[name]
+        digests = {"default": record_digest(discord_batch(rhos))}
+        modes = {
+            "every block": {"_F32_MIN": 1},
+            "every state falls back": {"_F32_MIN": 1, "_F32_EPS": np.inf},
+            "off": {"_F32_MIN": len(rhos) + 1},
+        }
+        for mode, settings in modes.items():
+            with monkeypatch.context() as m:
+                for attr, value in settings.items():
+                    m.setattr(measures, attr, value)
+                digests[mode] = record_digest(discord_batch(rhos))
+        assert set(digests.values()) == {digests["off"]}, digests
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_float32_error_is_within_a_tenth_of_eps(self, corpora, name):
+        # measured: 3.7e-7 on random states, 1.2e-6 on near-pure ones
+        rhos = corpora[name]
+        for lo in range(0, len(rhos), 250):
+            part = rhos[lo : lo + 250]
+            err = start_values(part, np.float32) - start_values(part, np.float64)
+            assert np.abs(err).max() <= measures._F32_EPS / 10
+
+    def test_kernel_stays_float32(self):
+        # |00><00| measured along z has an outcome of p = 0 and zero
+        # eigenvalues, where the float32 floor under log2 must not round to 0
+        # (0 log2 0 is nan); numpy 1.x's value-based casting rounded a
+        # Python-float floor of 1e-300 to 0 in float32, as NEP 50 does
+        zero = np.zeros((4, 4), dtype=complex)
+        zero[0, 0] = 1.0
+        rhos = np.array([zero, np.eye(4) / 4, random_state(3)])
+        c = measures._fano(rhos).astype(np.float32)
+        # each state measured along z and along (0.6, 0, 0.8)
+        n = np.zeros((3, 3, 2), dtype=np.float32)
+        n[2, :, 0] = 1.0
+        n[:, :, 1] = np.array([[0.6], [0.0], [0.8]])
+        b, w, lg = measures._outcomes(c[..., None], measures._rows(c[..., None], n))
+        assert b.dtype == w.dtype == lg.dtype == np.float32
+        assert np.isfinite(lg).all() and lg.min() <= -126
+        values = measures._conditional_entropy(c[..., None], n)
+        assert values.dtype == np.float32
+        assert np.isfinite(values).all()
+        values64 = start_values(rhos, np.float64)
+        assert np.abs(start_values(rhos, np.float32) - values64).max() <= 1e-5
+
+    def test_a_flat_batch_ranks_only_its_first_chunk(self, monkeypatch):
+        # every 1e-3 Werner mixture goes back to the float64 scan, so after
+        # the first float32 chunk the rest of the block skips the ranking
+        ranked = []
+        rank = measures._rank_f32
+
+        def spy(c, dirs):
+            start, rest = rank(c, dirs)
+            ranked.append((c.shape[-1], rest.size))
+            return start, rest
+
+        monkeypatch.setattr(measures, "_rank_f32", spy)
+        head = measures._SCAN_STATES_F32
+        werner = np.array(
+            [rho for fam, rho in family_mixtures(100) if fam.kind == "werner"]
+        )
+        discord_batch(werner)
+        assert ranked == [(head, head)]
+        ranked.clear()
+        discord_batch(random_states(range(100)))
+        assert [n for n, _ in ranked] == [head, 100 - head]
 
 
 class TestNonFiniteInput:

@@ -89,8 +89,9 @@ class TestCsvOracle:
     @pytest.mark.parametrize("field", ["seeds", "families"])
     def test_batch_changed_to_unequal_lengths_raises(self, field):
         # SampleBatch checks the lengths when built; a list shortened
-        # afterwards must not drop a row from the CSV either
+        # afterwards must not drop a row from the CSV either, and the error
+        # names the list
         batch = bounds.sample_random(3, 1)
         getattr(batch, field).pop()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"2 {field} for 3 records"):
             csv_text(batch)
