@@ -766,33 +766,29 @@ def verify_bounds(batch, plane, slack=DEFAULT_SLACK):
         # one inversion of E(C) serves both horns
         c = eof_to_concurrence(x)
         up, lo = _horn_upper(x, c), _beta_q(c)
-        checks = [("upper", y - up, up), ("lower", lo - y, lo)]
+        excess, bound = np.array([y - up, lo - y]), np.array([up, lo])
     elif plane == "sl-q":
         x = np.array([r.linear_entropy for r in batch.records])
         up = entropy_upper(x)
-        checks = [("upper", y - up, up)]
+        excess, bound = np.array([y - up]), np.array([up])
     else:
         raise ValueError(f"unknown plane {plane!r}")
-    offenders = []
-    worst = -np.inf
-    hit = np.any([excess > slack for _, excess, _ in checks], axis=0)
-    for i in hit.nonzero()[0]:
-        for branch, excess, bound in checks:
-            if excess[i] > slack:
-                worst = max(worst, float(excess[i]))
-                offenders.append(
-                    {
-                        "seed": batch.seeds[i],
-                        "x": float(x[i]),
-                        "y": float(y[i]),
-                        "bound": float(bound[i]),
-                        "branch": branch,
-                    }
-                )
+    # the offending (record, branch) pairs: record order, upper before lower
+    rec, branch = (excess > slack).T.nonzero()
+    offenders = [
+        {
+            "seed": batch.seeds[i],
+            "x": float(x[i]),
+            "y": float(y[i]),
+            "bound": float(bound[b, i]),
+            "branch": ("upper", "lower")[b],
+        }
+        for i, b in zip(rec.tolist(), branch.tolist())
+    ]
     return RegionReport(
         n_checked=len(batch.records),
         n_violations=len(offenders),
-        worst_violation=worst if offenders else 0.0,
-        min_margin=-float(max(excess.max() for _, excess, _ in checks)),
+        worst_violation=float(excess[branch, rec].max()) if offenders else 0.0,
+        min_margin=-float(excess.max()),
         offenders=offenders,
     )

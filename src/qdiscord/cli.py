@@ -199,15 +199,11 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        StateError,
-        json.JSONDecodeError,
-        FileNotFoundError,
-        IsADirectoryError,
-        UnicodeDecodeError,
-    ) as exc:
-        # a state file that is missing, a directory or not UTF-8 text is
-        # bad input, like one that holds no valid state
+    except (StateError, json.JSONDecodeError, OSError, UnicodeDecodeError) as exc:
+        # a state file that cannot be opened (missing, a directory, a name
+        # too long, a symlink loop) or is not UTF-8 text is bad input, like
+        # one that holds no valid state: reading it is the command step's
+        # only I/O
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OptimizerDidNotConverge as exc:

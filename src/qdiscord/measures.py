@@ -34,7 +34,7 @@ classical correlation S(rho_A) - S(A|Pi), where the engine gives S(A|Pi).
 conditional_information (with apply_measurement and measurement_pair) and
 discord_analytic are per-state references with no caller in the package:
 they stay because bench/workloads.py reads them, and leave when the
-benchmark no longer does (ROADMAP item 1, step B). The references for the
+benchmark holds its own copies (ROADMAP item 7). The references for the
 mutual information, concurrence and linear entropy of discord_batch's
 records are test oracles in tests/conftest.py.
 """
@@ -179,7 +179,7 @@ def _xlog2(x):
     return x * np.log2(np.maximum(x, 1e-300))
 
 
-def _conditional_entropy(c, n, out=None):
+def _conditional_entropy(c, n):
     """S(A|Pi_n) = sum_k p_k S(rho_A|k) for the projective measurement of B
     along the unit Bloch vectors n = (nx, ny, nz) (leading axis), elementwise
     over the broadcast of the halved Fano coefficients c (see _fano) against
@@ -195,11 +195,11 @@ def _conditional_entropy(c, n, out=None):
     contributes 0 and one with p below P_FLOOR at most p bits; the
     reference conditional_information drops both. The arithmetic runs in
     the dtype of c and n, float64 or, for the scan's ranking (see
-    _rank_f32), float32; the value goes into out if given.
+    _rank_f32), float32.
     """
     b, _, lg = _outcomes(c, _rows(c, n))
     lg *= b[3:]
-    return _outcome_sum(lg, out=out)
+    return _outcome_sum(lg)
 
 
 def _rows(c, n):
@@ -396,8 +396,10 @@ _REFINE_TOL = 1e-12
 _MAX_ITER = 500  # Newton steps per start, one objective evaluation each
 _GRID = _direction_grid(_GRID_THETA, _GRID_PHI)
 
-# bytes per plane of a chunk's objective values: 3072 float64 values or 6144
-# float32 ones. The largest engine temporary, the (6, 2) row stack of
+# bytes per plane of a chunk's objective values. The chunk rule: a scan
+# call (_scan_chunks) takes _CHUNK_BYTES // itemsize // _STARTS states,
+# each with its _STARTS starts, so 13 states in float64 and 26 in float32.
+# The largest engine temporary, the (6, 2) row stack of
 # _conditional_entropy, then holds 12 x 24 KB = 288 KB. Past ~450 KB, glibc
 # malloc hands such blocks back to the OS after each call and page-faults
 # them in again on the next (raising MALLOC_MMAP_THRESHOLD_ and
@@ -408,9 +410,6 @@ _GRID = _direction_grid(_GRID_THETA, _GRID_PHI)
 # longer than at 24 KB.
 _CHUNK_BYTES = 24 << 10
 _STARTS = _GRID.shape[1] + 4  # starts per state: the grid and _state_directions
-# states per scan call, each with its 229 starts, in float64 and in float32
-_SCAN_STATES = _CHUNK_BYTES // 8 // _STARTS
-_SCAN_STATES_F32 = _CHUNK_BYTES // 4 // _STARTS
 # states per refinement block: the largest temporary of
 # _objective_derivatives, the pair products of (a, d+, d-, z, t), has
 # 7 rows x 2 x 2 tangent pairs x 2 outcomes = 56 planes per state, as many
@@ -566,23 +565,36 @@ _F32_TOP = 4
 _F32_EPS = 1e-4
 
 
-def _scan_f64(c, dirs):
-    """The start of least float64 S(A|Pi_n) of each state with halved Fano
-    coefficients c, shape (4, 4, N), and state directions dirs (see
-    _state_directions), over the grid and its four state directions; shape
-    (3, N). The scan calls take _SCAN_STATES states each. On exact ties the
-    start is argpartition's pick."""
+def _scan_chunks(c, dirs, dtype):
+    """The one chunk loop of both scans: S(A|Pi_n) of every start of each
+    state with halved Fano coefficients c and state directions dirs (see
+    _state_directions), computed in dtype, one _conditional_entropy call per
+    chunk of the chunk rule at _CHUNK_BYTES. Yields per chunk the slice of
+    its m states, their starts (3, m, _STARTS), the grid then the state's
+    four directions, and the values (m, _STARTS). The start buffer is
+    reused: a chunk's starts hold until the next chunk is asked for."""
     g = _GRID.shape[1]
     n = c.shape[-1]
-    size = _SCAN_STATES
-    cand = np.empty((3, min(size, n), _STARTS))
+    size = _CHUNK_BYTES // np.dtype(dtype).itemsize // _STARTS
+    cand = np.empty((3, min(size, n), _STARTS), dtype=dtype)
     cand[:, :, :g] = _GRID[:, None]
-    start = np.empty((3, n))
+    c = c.astype(dtype, copy=False)
     for i in range(0, n, size):
         part = slice(i, i + size)
         here = cand[:, : min(size, n - i)]
         here[:, :, g:] = dirs[:, part]
-        scan = _conditional_entropy(c[..., part, None], here)
+        yield part, here, _conditional_entropy(c[..., part, None], here)
+
+
+def _scan_f64(c, dirs):
+    """The start of least float64 S(A|Pi_n) of each state with halved Fano
+    coefficients c, shape (4, 4, N), and state directions dirs (see
+    _state_directions), over the grid and its four state directions; shape
+    (3, N). Each chunk of _scan_chunks (the chunk rule at _CHUNK_BYTES)
+    picks its starts before the next runs. On exact ties the start is
+    argpartition's pick."""
+    start = np.empty((3, c.shape[-1]))
+    for part, here, scan in _scan_chunks(c, dirs, np.float64):
         # not argmin, which picks another start on exact ties
         best = scan.argpartition(0, axis=1)[:, 0]
         start[:, part] = here[:, np.arange(len(best)), best]
@@ -595,17 +607,18 @@ def _rank_f32(c, dirs):
     cannot.
 
     The scan runs in float32 on float32 copies of c and of the starts, in
-    calls of _SCAN_STATES_F32 states. Each state keeps its _F32_TOP = K
-    lowest float32 starts, lowest first, by K argmin passes, and those K
-    starts are evaluated again in float64, with the operations of
-    _scan_f64. With S32 and S64 a start's float32 and float64 values and
-    |S32 - S64| <= eps = _F32_EPS, a start outside the K has S32 at least
-    the K-th lowest v_K, so if v_K - v_1 > 2 eps its S64 >= v_K - eps >
-    v_1 + eps exceeds the S64 of the float32 best: the float64 minimum lies
-    among the K. Where it is also strict among the K, it is the unique
-    float64 minimum of all the starts, which argpartition picks as well, so
-    the start is _scan_f64's to the bit. Every other state (a float32 gap
-    of at most 2 eps, a float64 tie, or a nan) is returned for _scan_f64.
+    the chunks of _scan_chunks (the chunk rule at _CHUNK_BYTES). Each state
+    keeps its _F32_TOP = K lowest float32 starts, lowest first, by K argmin
+    passes, and those K starts are evaluated again in float64, with the
+    operations of _scan_f64. With S32 and S64 a start's float32 and float64
+    values and |S32 - S64| <= eps = _F32_EPS, a start outside the K has S32
+    at least the K-th lowest v_K, so if v_K - v_1 > 2 eps its
+    S64 >= v_K - eps > v_1 + eps exceeds the S64 of the float32 best: the
+    float64 minimum lies among the K. Where it is also strict among the K,
+    it is the unique float64 minimum of all the starts, which argpartition
+    picks as well, so the start is _scan_f64's to the bit. Every other
+    state (a float32 gap of at most 2 eps, a float64 tie, or a nan) is
+    returned for _scan_f64.
 
     eps: p and e+- come out of about 11 float32 roundings (the casts of c
     and n, the rows, the sums and the square root), each of at most half a
@@ -626,16 +639,7 @@ def _rank_f32(c, dirs):
     """
     g = _GRID.shape[1]
     n = c.shape[-1]
-    size = _SCAN_STATES_F32
-    c32 = c.astype(np.float32)
-    cand = np.empty((3, min(size, n), _STARTS), dtype=np.float32)
-    cand[:, :, :g] = _GRID[:, None]
-    scan = np.empty((n, _STARTS), dtype=np.float32)
-    for i in range(0, n, size):
-        part = slice(i, i + size)
-        here = cand[:, : min(size, n - i)]
-        here[:, :, g:] = dirs[:, part]
-        _conditional_entropy(c32[..., part, None], here, out=scan[part])
+    scan = np.concatenate([v for *_, v in _scan_chunks(c, dirs, np.float32)])
     rows = np.arange(n)
     top = np.empty((n, _F32_TOP), dtype=np.intp)
     top[:, 0] = scan.argmin(axis=1)
@@ -669,17 +673,15 @@ def _scan(c, dirs):
     n = c.shape[-1]
     if n < _F32_MIN:
         return _scan_f64(c, dirs)
-    head = min(n, _SCAN_STATES_F32)
-    start, rest = _rank_f32(c[..., :head], dirs[:, :head])
-    if head < n:
-        if 2 * rest.size <= head:
-            tail, more = _rank_f32(c[..., head:], dirs[:, head:])
-        else:
-            tail, more = np.empty((3, n - head)), np.arange(n - head)
-        start = np.concatenate([start, tail], axis=1)
+    head = min(n, _CHUNK_BYTES // 4 // _STARTS)  # the first float32 chunk
+    start = np.empty((3, n))
+    start[:, :head], rest = _rank_f32(c[..., :head], dirs[:, :head])
+    if 2 * rest.size <= head < n:
+        start[:, head:], more = _rank_f32(c[..., head:], dirs[:, head:])
         rest = np.concatenate([rest, head + more])
-    if rest.size:
-        start[:, rest] = _scan_f64(c[..., rest], dirs[:, rest])
+    else:
+        rest = np.concatenate([rest, np.arange(head, n)])
+    start[:, rest] = _scan_f64(c[..., rest], dirs[:, rest])
     return start
 
 
@@ -703,11 +705,11 @@ def _classical_correlation(rhos):
     States go through in blocks of _BLOCK_STATES, whose starts _refine
     takes at once; each block's coefficients and state directions come from
     one _fano and one _state_directions call, and its scan from _scan: the
-    float32 ranking where it pays, in objective calls of _SCAN_STATES_F32
-    states, and the float64 scan, in calls of _SCAN_STATES states, for the
-    rest. Both give each state the same start to the bit. The SVDs run per
-    state and all other arithmetic is elementwise over states, so a state's
-    result does not depend on the batch or chunk it is in, bit for bit.
+    float32 ranking where it pays and the float64 scan for the rest, both
+    in the chunks of _scan_chunks (the chunk rule at _CHUNK_BYTES). Both
+    give each state the same start to the bit. The SVDs run per state and
+    all other arithmetic is elementwise over states, so a state's result
+    does not depend on the batch or chunk it is in, bit for bit.
 
     Returns the halved Fano coefficients (4, 4, N) of the states and float
     arrays (S(A|Pi), theta_opt, phi_opt) with theta in [0, pi/2] and phi in

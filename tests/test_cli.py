@@ -114,12 +114,18 @@ class TestPoint:
         assert code == 0
         assert json.loads(out)["discord"] == pytest.approx(1 / 3, abs=1e-4)
 
-    def test_missing_file_exit_2(self, capsys):
-        code, _, err = run(capsys, "point", "--in", "/nonexistent/x.json")
-        assert code == 2
-
-    def test_directory_exit_2(self, capsys, tmp_path):
-        code, out, err = run(capsys, "point", "--in", str(tmp_path))
+    @pytest.mark.parametrize(
+        "name", ["missing", "directory", "name-too-long", "symlink-loop"]
+    )
+    def test_unopenable_file_exit_2(self, capsys, tmp_path, name):
+        paths = {
+            "missing": tmp_path / "nonexistent" / "x.json",
+            "directory": tmp_path,
+            "name-too-long": tmp_path / ("a" * 300 + ".json"),
+            "symlink-loop": tmp_path / "loop.json",
+        }
+        paths["symlink-loop"].symlink_to("loop.json")
+        code, out, err = run(capsys, "point", "--in", str(paths[name]))
         assert code == 2
         assert out == ""
         assert err.startswith("validation error:")

@@ -197,13 +197,14 @@ def degenerate_states(rng):
 class TestBatchIndependence:
     @pytest.mark.parametrize("chunk", [1, 7, None])
     def test_csv_bytes_do_not_depend_on_chunk_size(self, monkeypatch, chunk):
-        # the float32 scan chunks take the same size; with the default
-        # _F32_MIN a block of fewer states takes the float64 scan alone, and
-        # with _F32_MIN = 1 every block ranks its starts in float32
+        # chunk float64 states per scan call (and per refinement block), so
+        # twice as many float32 ones; with the default _F32_MIN a block of
+        # fewer states takes the float64 scan alone, and with _F32_MIN = 1
+        # every block ranks its starts in float32
         n, seed = 20, 5
         reference = io.csv_text(sample_random(n, seed))
-        monkeypatch.setattr(measures, "_SCAN_STATES", chunk or n)
-        monkeypatch.setattr(measures, "_SCAN_STATES_F32", chunk or n)
+        budget = (chunk or n) * 8 * measures._STARTS
+        monkeypatch.setattr(measures, "_CHUNK_BYTES", budget)
         monkeypatch.setattr(measures, "_BLOCK_STATES", chunk or n)
         assert io.csv_text(sample_random(n, seed)) == reference
         monkeypatch.setattr(measures, "_F32_MIN", 1)
@@ -682,6 +683,22 @@ class TestFloat32Ranking:
         if name == "random":  # 0.16 % fall back on random_states(range(10000))
             assert rest.size <= 0.01 * c.shape[-1]
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    def test_chunked_scan_equals_the_unchunked_values(
+        self, monkeypatch, corpora, chunk, dtype
+    ):
+        # the one chunk loop of both scans, at a budget of chunk float64
+        # states per call (twice as many float32 ones) and at the default
+        rhos = np.concatenate([corpora["random"][:100], corpora["families"]])
+        if chunk:
+            monkeypatch.setattr(measures, "_CHUNK_BYTES", chunk * 8 * measures._STARTS)
+        c = measures._fano(rhos)
+        chunks = measures._scan_chunks(c, measures._state_directions(c), dtype)
+        values = np.concatenate([v for *_, v in chunks])
+        assert values.dtype == dtype
+        assert values.tobytes() == start_values(rhos, dtype).tobytes()
+
     @pytest.mark.parametrize("name", NAMES)
     def test_records_do_not_depend_on_the_ranking(self, monkeypatch, corpora, name):
         rhos = corpora[name]
@@ -741,7 +758,7 @@ class TestFloat32Ranking:
             return start, rest
 
         monkeypatch.setattr(measures, "_rank_f32", spy)
-        head = measures._SCAN_STATES_F32
+        head = measures._CHUNK_BYTES // 4 // measures._STARTS
         werner = np.array(
             [rho for fam, rho in family_mixtures(100) if fam.kind == "werner"]
         )
