@@ -668,8 +668,10 @@ def sweep_family(kind, plane, resolution=512):
 
 
 def _derived_seeds(seed, n):
-    """n child seeds drawn from seed; ParamOutOfRange unless n >= 1 and
-    seed >= 0."""
+    """n child seeds drawn from seed. An integer n < 1 or seed < 0 raises
+    ParamOutOfRange; a seed that is not an integer (a float, a str, None)
+    raises TypeError. Any integer seed >= 0 is taken, 2**64 and above
+    included, as np.random.default_rng takes it."""
     if n < 1:
         raise ParamOutOfRange("n must be >= 1")
     if seed < 0:

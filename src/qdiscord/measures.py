@@ -15,15 +15,17 @@ a+- = (r +- T n)/(2 p+-), so S(A|Pi) = sum p+- h((1 + |a+-|)/2) in closed
 form (Luo, PRA 77, 042303 (2008)). The engine scans S(A|Pi) over each
 state's start set: the distinct directions of the fixed _GRID_THETA x
 _GRID_PHI angle grid plus four directions read off the state, the right
-singular vectors of T and s/|s|. In a batch of at least _F32_MIN states
-it ranks the starts in float32 and decides in float64 (_rank_f32), with
-the start of the float64 scan to the bit; every state the float32 ranking
-cannot decide takes the float64 scan (_scan_f64). It refines the best
-start of every state with a trust-region Newton iteration in the tangent
-plane of the sphere, on the value, gradient and Hessian of that closed
-form, all three from one evaluation per step, to _REFINE_TOL within
-_MAX_ITER steps. It goes
-through a batch in chunks of bounded size, with per-state SVDs and
+singular vectors of T and s/|s|. The tie rule: where starts tie exactly,
+a state's start is the first minimum in start order (the grid columns in
+order, then the four directions), which is numpy's documented argmin
+rule. In a batch of at least _F32_MIN states the engine ranks the starts
+in float32 and decides in float64 (_rank_f32), with the start of the
+float64 scan to the bit; every state the float32 ranking cannot decide
+takes the float64 scan (_scan_f64). It refines the best start of every
+state with a trust-region Newton iteration in the tangent plane of the
+sphere, on the value, gradient and Hessian of that closed form, all three
+from one evaluation per step, to _REFINE_TOL within _MAX_ITER steps. It
+goes through a batch in chunks of bounded size, with per-state SVDs and
 elementwise arithmetic only, so a state's result does not depend on its
 batch. The outcomes, rows and frame vectors of one evaluation lie on
 leading axes of a few arrays, so numpy's per-call cost is paid per
@@ -591,12 +593,11 @@ def _scan_f64(c, dirs):
     coefficients c, shape (4, 4, N), and state directions dirs (see
     _state_directions), over the grid and its four state directions; shape
     (3, N). Each chunk of _scan_chunks (the chunk rule at _CHUNK_BYTES)
-    picks its starts before the next runs. On exact ties the start is
-    argpartition's pick."""
+    picks its starts before the next runs. On exact ties the start is the
+    first minimum, by the tie rule of the module docstring."""
     start = np.empty((3, c.shape[-1]))
     for part, here, scan in _scan_chunks(c, dirs, np.float64):
-        # not argmin, which picks another start on exact ties
-        best = scan.argpartition(0, axis=1)[:, 0]
+        best = scan.argmin(axis=1)
         start[:, part] = here[:, np.arange(len(best)), best]
     return start
 
@@ -608,17 +609,19 @@ def _rank_f32(c, dirs):
 
     The scan runs in float32 on float32 copies of c and of the starts, in
     the chunks of _scan_chunks (the chunk rule at _CHUNK_BYTES). Each state
-    keeps its _F32_TOP = K lowest float32 starts, lowest first, by K argmin
-    passes, and those K starts are evaluated again in float64, with the
-    operations of _scan_f64. With S32 and S64 a start's float32 and float64
-    values and |S32 - S64| <= eps = _F32_EPS, a start outside the K has S32
-    at least the K-th lowest v_K, so if v_K - v_1 > 2 eps its
-    S64 >= v_K - eps > v_1 + eps exceeds the S64 of the float32 best: the
-    float64 minimum lies among the K. Where it is also strict among the K,
-    it is the unique float64 minimum of all the starts, which argpartition
-    picks as well, so the start is _scan_f64's to the bit. Every other
-    state (a float32 gap of at most 2 eps, a float64 tie, or a nan) is
-    returned for _scan_f64.
+    keeps its _F32_TOP = K lowest float32 starts, by K argmin passes. With
+    S32 and S64 a start's float32 and float64 values and
+    |S32 - S64| <= eps = _F32_EPS, a start outside the K has S32 at least
+    the K-th lowest v_K, so if v_K - v_1 > 2 eps its
+    S64 >= v_K - eps > v_1 + eps exceeds the S64 of the float32 best: every
+    start outside the K lies strictly above the float64 minimum, and every
+    start that attains it, tied or not, is among the K. Those K starts are
+    evaluated again in float64, with the operations of _scan_f64, and the
+    first in start order of those of least float64 value is the first
+    minimum of all the starts: _scan_f64's start to the bit, whatever the
+    batch. Every other state (a float32 gap of at most 2 eps) is returned
+    for _scan_f64. Checked states give finite values, and a float32 nan
+    fails the gap test, as argmin picks the first nan.
 
     eps: p and e+- come out of about 11 float32 roundings (the casts of c
     and n, the rows, the sums and the square root), each of at most half a
@@ -654,22 +657,24 @@ def _rank_f32(c, dirs):
     top += (top >= g) * (4 * rows[:, None])
     cand = table[:, top]
     f = _conditional_entropy(c[..., None], cand)
-    best = f.argmin(axis=1)
-    least = f[rows, best]
-    f[rows, best] = np.inf
-    wide &= f.min(axis=1) > least
-    return cand[:, rows, best], (~wide).nonzero()[0]
+    # the first minimum in start order: the least start of least value (the
+    # shift above keeps each state's start order); sorting top into start
+    # order would do too, but a process's first integer sort pages in about
+    # 0.2 MB of numpy's sort kernels, +0.2 % peak RSS on a 100-state sample
+    best = np.where(f == f.min(axis=1, keepdims=True), top, table.shape[1])
+    return cand[:, rows, best.argmin(axis=1)], (~wide).nonzero()[0]
 
 
 def _scan(c, dirs):
-    """The start of each state, as _scan_f64 finds it (see there), with the
-    float32 ranking of _rank_f32 where it pays: in a block of at least
-    _F32_MIN states, and past the first float32 chunk only if at most half
-    of that chunk went back to the float64 scan. Of 1e-3 mixtures of Werner
-    and of pure states, whose landscapes are flat to within 2 _F32_EPS, all
-    and 97 % go back, against 0.2 % of random states and 0.4-4.4 % of the
-    other families' mixtures; ranking every state made discord_batch on
-    1000 Werner mixtures 30 % slower, and this first chunk costs 5 %."""
+    """The start of each state, the first minimum of its starts as
+    _scan_f64 finds it (see there), with the float32 ranking of _rank_f32
+    where it pays: in a block of at least _F32_MIN states, and past the
+    first float32 chunk only if at most half of that chunk went back to
+    the float64 scan. Of 1e-3 mixtures of Werner and of pure states, whose
+    landscapes are flat to within 2 _F32_EPS, all and 97 % go back, against
+    0.2 % of random states and 0.4-4.4 % of the other families' mixtures;
+    ranking every state made discord_batch on 1000 Werner mixtures 30 %
+    slower, and this first chunk costs 5 %."""
     n = c.shape[-1]
     if n < _F32_MIN:
         return _scan_f64(c, dirs)
@@ -707,9 +712,11 @@ def _classical_correlation(rhos):
     one _fano and one _state_directions call, and its scan from _scan: the
     float32 ranking where it pays and the float64 scan for the rest, both
     in the chunks of _scan_chunks (the chunk rule at _CHUNK_BYTES). Both
-    give each state the same start to the bit. The SVDs run per state and
-    all other arithmetic is elementwise over states, so a state's result
-    does not depend on the batch or chunk it is in, bit for bit.
+    give each state the first minimum of its starts (the tie rule of the
+    module docstring), so the same start to the bit. The SVDs run per
+    state and all other arithmetic is elementwise over states, so a
+    state's result does not depend on the batch or chunk it is in, bit for
+    bit.
 
     Returns the halved Fano coefficients (4, 4, N) of the states and float
     arrays (S(A|Pi), theta_opt, phi_opt) with theta in [0, pi/2] and phi in

@@ -315,15 +315,17 @@ def random_states(seeds):
     """The (N, 4, 4) stack of rho = T T^dag / Tr{T T^dag}, one per seed, with
     T a 4x4 standard complex Gaussian.
 
-    A seed is an integer in [0, 2**64); others raise ParamOutOfRange. Each
-    seed's generator is np.random.PCG64(seed)'s: the seed hashing runs on
-    all seeds at once (_pcg_seed_words), then per seed numpy seeds a PCG64
-    from the seed's words, and its generator draws 32 standard normals, the
-    real then the imaginary parts of T (the stream of two (4, 4) draws).
-    The products, traces and divisions then run once on the whole stack;
-    every element keeps the per-state operation order, so a state does not
-    depend on the batch it is built in. Deterministic for fixed seeds; PSD
-    and unit trace by construction.
+    A seed is an integer in [0, 2**64): an integer outside that range
+    raises ParamOutOfRange, and a seed that is not an integer (a float, a
+    str, None) raises TypeError, from operator.index. Each seed's
+    generator is np.random.PCG64(seed)'s: the seed hashing runs on all
+    seeds at once (_pcg_seed_words), then per seed numpy seeds a PCG64 from
+    the seed's words, and its generator draws 32 standard normals, the real
+    then the imaginary parts of T (the stream of two (4, 4) draws). The
+    products, traces and divisions then run once on the whole stack; every
+    element keeps the per-state operation order, so a state does not depend
+    on the batch it is built in. Deterministic for fixed seeds; PSD and
+    unit trace by construction.
     """
     seeds = [operator.index(s) for s in seeds]
     bad = [s for s in seeds if not 0 <= s < 2**64]

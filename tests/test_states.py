@@ -340,6 +340,18 @@ class TestRandomState:
         with pytest.raises(ParamOutOfRange, match=f"seed {seed} outside"):
             random_states([3, seed])
 
+    @pytest.mark.parametrize("seed", [1.5, 3.0, "3", None])
+    def test_non_integer_seed_raises_type_error(self, seed):
+        # an integer out of range raises ParamOutOfRange (above); a seed that
+        # is not an integer raises TypeError, also where sample_random and
+        # sample_near_boundary derive their seeds
+        with pytest.raises(TypeError):
+            random_state(seed)
+        with pytest.raises(TypeError):
+            random_states([3, seed])
+        with pytest.raises(TypeError):
+            _derived_seeds(seed, 3)
+
     def test_seeding_raises_no_warning(self):
         # the hash wraps uint32 arrays on purpose; numpy warns on overflow
         # only in scalar arithmetic, which the seeding must not use
