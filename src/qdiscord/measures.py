@@ -19,9 +19,11 @@ singular vectors of T and s/|s|. The tie rule: where starts tie exactly,
 a state's start is the first minimum in start order (the grid columns in
 order, then the four directions), which is numpy's documented argmin
 rule. In a batch of at least _F32_MIN states the engine ranks the starts
-in float32 and decides in float64 (_rank_f32), with the start of the
-float64 scan to the bit; every state the float32 ranking cannot decide
-takes the float64 scan (_scan_f64). It refines the best start of every
+in float32 and decides each state in float64 among the starts of its
+window, those within 2 _F32_EPS of its float32 minimum (_rank_f32), with
+the start of the float64 scan (_scan_f64) to the bit; a block whose first
+float32 chunk has windows of more than 1/8 of its starts takes the float64
+scan for the rest (_scan). It refines the best start of every
 state with a trust-region Newton iteration in the tangent plane of the
 sphere, on the value, gradient and Hessian of that closed form, all three
 from one evaluation per step, to _REFINE_TOL within _MAX_ITER steps. It
@@ -555,15 +557,9 @@ def _state_directions(c):
 # In a fresh process, where numpy's first float32 calls cost most,
 # discord_batch on random states took, ranked over unranked (median of 16
 # alternating pairs), 1.035 at 4 states, 0.999 at 8 and 0.917 at 16; warm,
-# 0.964 at 8. _F32_TOP = K: each state's K lowest float32 starts go to the
-# float64 decision. A start read off the state often lies next to a grid
-# point of nearly its value, so K = 2 sent 15 % of random states and 43 %
-# of 1e-3 alpha and twoparam mixtures back to the float64 scan, K = 3
-# 1.4 % and 31 % (twoparam), K = 4 0.23 % and 4.4 %, K = 6 0 % and 3.6 %.
-# _F32_EPS bounds |S32 - S64| for any start of any state (derivation in
-# _rank_f32).
+# 0.964 at 8. _F32_EPS bounds |S32 - S64| for any start of any state
+# (derivation in _rank_f32).
 _F32_MIN = 8
-_F32_TOP = 4
 _F32_EPS = 1e-4
 
 
@@ -604,24 +600,26 @@ def _scan_f64(c, dirs):
 
 def _rank_f32(c, dirs):
     """The start of least float64 S(A|Pi_n) of each state, as _scan_f64
-    finds it, where a float32 scan can decide it; and the states where it
-    cannot.
+    finds it, from a float32 scan and a float64 evaluation of each state's
+    window.
 
     The scan runs in float32 on float32 copies of c and of the starts, in
-    the chunks of _scan_chunks (the chunk rule at _CHUNK_BYTES). Each state
-    keeps its _F32_TOP = K lowest float32 starts, by K argmin passes. With
-    S32 and S64 a start's float32 and float64 values and
-    |S32 - S64| <= eps = _F32_EPS, a start outside the K has S32 at least
-    the K-th lowest v_K, so if v_K - v_1 > 2 eps its
-    S64 >= v_K - eps > v_1 + eps exceeds the S64 of the float32 best: every
-    start outside the K lies strictly above the float64 minimum, and every
-    start that attains it, tied or not, is among the K. Those K starts are
-    evaluated again in float64, with the operations of _scan_f64, and the
-    first in start order of those of least float64 value is the first
-    minimum of all the starts: _scan_f64's start to the bit, whatever the
-    batch. Every other state (a float32 gap of at most 2 eps) is returned
-    for _scan_f64. Checked states give finite values, and a float32 nan
-    fails the gap test, as argmin picks the first nan.
+    the chunks of _scan_chunks (the chunk rule at _CHUNK_BYTES). A state's
+    window holds every start whose float32 value is not above the state's
+    float32 minimum v_1 + 2 eps, with eps = _F32_EPS; a row that holds a
+    nan compares false everywhere, so its window is all of its starts. With
+    S32 and S64 a start's float32 and float64 values and |S32 - S64| <= eps,
+    a start outside the window has S32 > v_1 + 2 eps, so
+    S64 >= S32 - eps > v_1 + eps >= the S64 of the float32 best: every
+    start outside the window lies strictly above the float64 minimum, and
+    every start that attains it, tied or not, is in the window. The window
+    test runs in float32, so v_1 + 2 eps can round down by half a float32
+    ulp of 1, 6e-8 (S <= 1); the derivation below bounds |S32 - S64| by
+    eps less 1.4e-5, which covers it. The window's starts are evaluated again in float64, with the operations of
+    _scan_f64, in chunks of at most _CHUNK_BYTES per plane, into a row of
+    +inf per state; the first minimum of that row is the first minimum of
+    all the starts: _scan_f64's start to the bit, for every state, ties
+    included, whatever the batch.
 
     eps: p and e+- come out of about 11 float32 roundings (the casts of c
     and n, the rows, the sums and the square root), each of at most half a
@@ -632,61 +630,52 @@ def _rank_f32(c, dirs):
     outcomes give 8.6e-5, and float32 log2, within an ulp of
     |x log2 x| <= 0.53, adds ~1e-7. So eps = 1e-4. The largest
     |S32 - S64| seen is 3.7e-7 on random states and 1.2e-6 on near-pure
-    ones (tests: TestFloat32Ranking). A larger eps sends more states back
-    to the float64 scan: 1.1 % of random states at 2e-4, 5.2 % at 5e-4 and
-    40 % at 2e-3; of 1e-3 alpha, beta and twoparam mixtures, 2.2 % at 1e-4,
-    11 % at 5e-4 and 52 % at 2e-3.
+    ones (tests: TestFloat32Ranking). A larger eps widens the windows.
 
-    Returns the starts, shape (3, N), and the indices of the states whose
-    start the float64 scan must find.
+    Returns the starts, shape (3, N), and the number of window starts.
     """
     g = _GRID.shape[1]
     n = c.shape[-1]
     scan = np.concatenate([v for *_, v in _scan_chunks(c, dirs, np.float32)])
-    rows = np.arange(n)
-    top = np.empty((n, _F32_TOP), dtype=np.intp)
-    top[:, 0] = scan.argmin(axis=1)
-    least = scan[rows, top[:, 0]]
-    for k in range(1, _F32_TOP):
-        scan[rows, top[:, k - 1]] = np.inf
-        top[:, k] = scan.argmin(axis=1)
-    wide = scan[rows, top[:, -1]] - least > 2 * _F32_EPS
+    k = np.flatnonzero(~(scan > scan.min(axis=1, keepdims=True) + 2 * _F32_EPS))
+    i, j = np.divmod(k, _STARTS)
     # start j of state i is column j of _GRID, or j - g of dirs[:, i]: column
     # j + 4 i of the grid followed by all the state directions
     table = np.concatenate([_GRID, dirs.reshape(3, 4 * n)], axis=1)
-    top += (top >= g) * (4 * rows[:, None])
-    cand = table[:, top]
-    f = _conditional_entropy(c[..., None], cand)
-    # the first minimum in start order: the least start of least value (the
-    # shift above keeps each state's start order); sorting top into start
-    # order would do too, but a process's first integer sort pages in about
-    # 0.2 MB of numpy's sort kernels, +0.2 % peak RSS on a 100-state sample
-    best = np.where(f == f.min(axis=1, keepdims=True), top, table.shape[1])
-    return cand[:, rows, best.argmin(axis=1)], (~wide).nonzero()[0]
+    col = j + (j >= g) * (4 * i)
+    f = np.full((n, _STARTS), np.inf)
+    size = _CHUNK_BYTES // 8
+    for lo in range(0, k.size, size):
+        w = slice(lo, lo + size)
+        f.flat[k[w]] = _conditional_entropy(c[..., i[w]], table[:, col[w]])
+    best = f.argmin(axis=1)
+    return table[:, best + (best >= g) * (4 * np.arange(n))], k.size
 
 
 def _scan(c, dirs):
     """The start of each state, the first minimum of its starts as
     _scan_f64 finds it (see there), with the float32 ranking of _rank_f32
     where it pays: in a block of at least _F32_MIN states, and past the
-    first float32 chunk only if at most half of that chunk went back to
-    the float64 scan. Of 1e-3 mixtures of Werner and of pure states, whose
-    landscapes are flat to within 2 _F32_EPS, all and 97 % go back, against
-    0.2 % of random states and 0.4-4.4 % of the other families' mixtures;
-    ranking every state made discord_batch on 1000 Werner mixtures 30 %
-    slower, and this first chunk costs 5 %."""
+    first float32 chunk only if that chunk's windows hold at most 1/8 of
+    its starts. The landscape of a 1e-3 Werner mixture is flat to within
+    a few _F32_EPS: its window holds 126 of its 229 starts on average, and
+    evaluating them again in float64 costs more than the float64 scan. The
+    first chunk of 100 such mixtures holds 5 558 window starts in 26
+    states, so the rest takes the float64 scan; without this probe,
+    discord_batch on 1000 of them took about 50 % longer. Windows of 1e-3
+    pure mixtures (317 starts in that first chunk, 11.5 per state) and of
+    random states (1.16 per state) are ranked throughout; the shuffled
+    mixtures of all five families, 29 per state, lie near the 1/8 line."""
     n = c.shape[-1]
     if n < _F32_MIN:
         return _scan_f64(c, dirs)
     head = min(n, _CHUNK_BYTES // 4 // _STARTS)  # the first float32 chunk
     start = np.empty((3, n))
-    start[:, :head], rest = _rank_f32(c[..., :head], dirs[:, :head])
-    if 2 * rest.size <= head < n:
-        start[:, head:], more = _rank_f32(c[..., head:], dirs[:, head:])
-        rest = np.concatenate([rest, head + more])
-    else:
-        rest = np.concatenate([rest, np.arange(head, n)])
-    start[:, rest] = _scan_f64(c[..., rest], dirs[:, rest])
+    start[:, :head], size = _rank_f32(c[..., :head], dirs[:, :head])
+    if head < n:
+        rest = c[..., head:], dirs[:, head:]
+        ranked = 8 * size <= head * _STARTS
+        start[:, head:] = _rank_f32(*rest)[0] if ranked else _scan_f64(*rest)
     return start
 
 
@@ -710,13 +699,14 @@ def _classical_correlation(rhos):
     States go through in blocks of _BLOCK_STATES, whose starts _refine
     takes at once; each block's coefficients and state directions come from
     one _fano and one _state_directions call, and its scan from _scan: the
-    float32 ranking where it pays and the float64 scan for the rest, both
-    in the chunks of _scan_chunks (the chunk rule at _CHUNK_BYTES). Both
-    give each state the first minimum of its starts (the tie rule of the
-    module docstring), so the same start to the bit. The SVDs run per
-    state and all other arithmetic is elementwise over states, so a
-    state's result does not depend on the batch or chunk it is in, bit for
-    bit.
+    float32 ranking, which decides every state it ranks in float64 among
+    the starts of its window, where that pays, and the float64 scan
+    elsewhere, both in the chunks of _scan_chunks (the chunk rule at
+    _CHUNK_BYTES). Both give each state the first minimum of its starts
+    (the tie rule of the module docstring), so the same start to the bit.
+    The SVDs run per state and all other arithmetic is elementwise over
+    states, so a state's result does not depend on the batch or chunk it
+    is in, bit for bit.
 
     Returns the halved Fano coefficients (4, 4, N) of the states and float
     arrays (S(A|Pi), theta_opt, phi_opt) with theta in [0, pi/2] and phi in
