@@ -744,15 +744,52 @@ def _classical_correlation(rhos):
     return c, f, theta, phi
 
 
+_LN2 = np.log(2.0)
+_LN4 = 2.0 * _LN2
+
+
+def _eof_near_zero(c):
+    """E(C) for C < 1/2, in bits, as -[y ln y + (1 - y) log1p(-y)] / ln 2
+    of y = (1 - sqrt(1 - C^2))/2, taken as C^2 / (2 (1 + sqrt(1 - C^2))):
+    nothing cancels, so it keeps its relative accuracy as C -> 0, where
+    1 - x of the h(x) form rounds to 0 below C = 1e-8. y = 0 gives +0.0:
+    y ln y and log1p(-y) are -0.0 there."""
+    cc = c * c
+    y = cc / (2.0 * (1.0 + np.sqrt(1.0 - cc)))
+    return -(y * np.log(np.maximum(y, 1e-300)) + (1.0 - y) * np.log1p(-y)) / _LN2
+
+
+def _eof_far(c):
+    """E(C) for C >= 1/2, in bits, as h(x) of x = (1 + sqrt(1 - C^2))/2."""
+    x = (1.0 + np.sqrt(1.0 - c * c)) / 2.0
+    return _binary_entropy_pair(np.array([x, 1.0 - x]))
+
+
+def _by_side(x, far, near_form, far_form):
+    """near_form(x) where far is False and far_form(x) where it is True,
+    elementwise; a scalar, or a batch on one side, needs no mask."""
+    n_far = np.count_nonzero(far)
+    if n_far == 0:
+        return near_form(x)
+    if n_far == x.size:
+        return far_form(x)
+    out = np.empty_like(x)
+    out[~far] = near_form(x[~far])
+    out[far] = far_form(x[far])
+    return out
+
+
 def eof_from_concurrence(c):
-    """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2) in bits, with C
-    clipped to [0, 1], elementwise: a float for a scalar C, an array for an
-    array."""
+    """Entanglement of formation E(C) = h((1 + sqrt(1 - C^2)) / 2) in bits
+    (Wootters, PRL 80, 2245 (1998)), with C clipped to [0, 1],
+    elementwise: a float for a scalar C, an array for an array. Below
+    C = 1/2 it takes _eof_near_zero, which keeps the relative accuracy
+    that 1 - x loses as C -> 0; from 1/2 on, the h(x) form (_eof_far), on
+    which the horn junctions _E_AW and _E_WP were bisected."""
     # not np.clip, which takes twice as long on one value; this turns
     # -0.0 into +0.0, which c * c does as well
     c = np.minimum(np.maximum(np.asarray(c, dtype=float), 0.0), 1.0)
-    x = (1.0 + np.sqrt(1.0 - c * c)) / 2.0
-    return _float_or_array(_binary_entropy_pair(np.array([x, 1.0 - x])))
+    return _float_or_array(_by_side(c, c >= 0.5, _eof_near_zero, _eof_far))
 
 
 def _spectral_entropy(ev):
@@ -865,10 +902,6 @@ def alpha_discord(a):
     return _float_or_array(np.maximum(val, 0.0)), _float_or_array(zeta)
 
 
-_LN2 = np.log(2.0)
-_LN4 = 2.0 * _LN2
-
-
 def _beta_q_near_half(c):
     """1 - h((1 + c)/2) for c <= 1/2, in bits, as c atanh(c) + log1p(-c^2)/2
     in nats: it keeps its relative accuracy as c -> 0, where it is c^2/2."""
@@ -892,17 +925,7 @@ def _beta_q(c):
     value to 0. Each side of c = 1/2 has a form without that cancellation,
     exact at c = 0 and c = 1.
     """
-    far = c > 0.5
-    n_far = np.count_nonzero(far)
-    # a scalar, or a batch on one side of c = 1/2, needs no mask
-    if n_far == 0:
-        return _beta_q_near_half(c)
-    if n_far == c.size:
-        return _beta_q_near_one(c)
-    out = np.empty_like(c)
-    out[~far] = _beta_q_near_half(c[~far])
-    out[far] = _beta_q_near_one(c[far])
-    return out
+    return _by_side(c, c > 0.5, _beta_q_near_half, _beta_q_near_one)
 
 
 def beta_discord(b):

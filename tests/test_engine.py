@@ -603,14 +603,14 @@ class TestEngineBitPins:
     and then the pins must be taken again from the build at hand."""
 
     DIGESTS = {
-        "families": "12945c33cadd60c33422cb01cd6a6677a6c41d9e4d73d1cdd3d4f001de7c74c4",
-        "mixtures": "9971ec4f5b71f1338af3d367e37e973554d2cebd0ac95d40f18ad09eb1ad616f",
-        "near-pure": "22b4e2e7699a98fc899ff2e0a09f2e775ae2cf762e7a701a066cd4d379fc7038",
-        "random": "1e979ce50325f4f8361934b6355cf1eecaf3ed29ac86b918bceef7f8c2df707c",
+        "families": "785610f29efa1e5fdd4e21868569d695d9691b58e4532ad1cf0a54bdce29c395",
+        "mixtures": "dfaefdb093b88a1d8d46a96bcfae2ef538803a4b5a5b3ebc3192b9020c4594b3",
+        "near-pure": "66098b98f4eeccae30ea129821b044a5d902b69bd0b21c7305fd9832c69fed74",
+        "random": "a2f072c8552d925bee7c348b6f44b217c5fc7a038451b9b1e433527689fefa83",
     }
     # a mid-range member of each family, then the first mixture, near-pure
     # and random state, each through discord_numeric alone
-    SINGLE_DIGEST = "a19968310a754b61c0c03d641f384ea4e11b5d487fd9fedc6305cd93cf8e7a03"
+    SINGLE_DIGEST = "95d6cd603221e8fc397f02f45c23b139573a0aba33847a25bfe3c55a85a65d60"
 
     @pytest.fixture(scope="class")
     def corpus(self):
