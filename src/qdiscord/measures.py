@@ -615,11 +615,11 @@ def _rank_f32(c, dirs):
     every start that attains it, tied or not, is in the window. The window
     test runs in float32, so v_1 + 2 eps can round down by half a float32
     ulp of 1, 6e-8 (S <= 1); the derivation below bounds |S32 - S64| by
-    eps less 1.4e-5, which covers it. The window's starts are evaluated again in float64, with the operations of
-    _scan_f64, in chunks of at most _CHUNK_BYTES per plane, into a row of
-    +inf per state; the first minimum of that row is the first minimum of
-    all the starts: _scan_f64's start to the bit, for every state, ties
-    included, whatever the batch.
+    eps less 1.4e-5, which covers it. The window's starts are evaluated
+    again in float64, with the operations of _scan_f64, in chunks of at
+    most _CHUNK_BYTES per plane, into a row of +inf per state; the first
+    minimum of that row is the first minimum of all the starts: _scan_f64's
+    start to the bit, for every state, ties included, whatever the batch.
 
     eps: p and e+- come out of about 11 float32 roundings (the casts of c
     and n, the rows, the sums and the square root), each of at most half a

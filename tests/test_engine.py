@@ -796,7 +796,9 @@ class TestFloat32Ranking:
 
     def test_pure_mixtures_rank_past_their_first_chunk(self, ranked):
         # 317 window starts in the first 26 1e-3 pure mixtures (measured)
-        pure = np.array([rho for fam, rho in family_mixtures(100) if fam.kind == "pure"])
+        pure = np.array(
+            [rho for fam, rho in family_mixtures(100) if fam.kind == "pure"]
+        )
         discord_batch(pure)
         assert [n for n, _ in ranked] == [self.HEAD, 100 - self.HEAD]
         assert 8 * ranked[0][1] <= self.HEAD * measures._STARTS
@@ -821,7 +823,6 @@ class TestFloat32Ranking:
         monkeypatch.setattr(measures, "_scan_chunks", nan_row)
         start, nan_size = measures._rank_f32(c, dirs)
         assert nan_size == size - own + measures._STARTS
-        monkeypatch.undo()
         assert start.tobytes() == measures._scan_f64(c, dirs).tobytes()
 
 
