@@ -11,9 +11,20 @@ Run it in two checkouts and diff the two outputs to see whether a change
 moves any command-line result by a single byte:
 
     python3 scripts/cli_digests.py
+
+With --against DIR it runs the commands on this tree and on DIR/src (another
+checkout) instead, and prints one line per command: `same`, or how many
+numeric fields of the output differ and the largest absolute difference
+between them, or `layout differs` where the outputs differ in more than
+their numbers:
+
+    python3 scripts/cli_digests.py --against ../parent
 """
+import argparse
 import hashlib
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,17 +59,54 @@ COMMANDS = [
 ]
 
 
-def main():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+def outputs(src):
+    """The standard output of each command, run on the package in src."""
+    env = dict(os.environ, PYTHONPATH=str(src))
     for command in COMMANDS:
-        argv = command.split()
-        out = subprocess.run(
-            [sys.executable, "-m", "qdiscord.cli", *argv],
+        yield subprocess.run(
+            [sys.executable, "-m", "qdiscord.cli", *command.split()],
             env=env,
             capture_output=True,
             check=True,
         ).stdout
-        print(f"{hashlib.sha256(out).hexdigest()}  {command}")
+
+
+def _number(token):
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def compare(ours, theirs):
+    """`same`, `layout differs`, or the count of differing numeric fields
+    with their largest absolute difference, for two outputs split into
+    fields at whitespace and CSV/JSON punctuation."""
+    if ours == theirs:
+        return "same"
+    a, b = (re.split(r'[\s,:\[\]{}"]+', out.decode()) for out in (ours, theirs))
+    diffs = [(_number(x), _number(y)) for x, y in zip(a, b) if x != y]
+    if len(a) != len(b) or not diffs or any(None in d for d in diffs):
+        return "layout differs"
+    gaps = [abs(u - v) for u, v in diffs]
+    worst = math.nan if any(map(math.isnan, gaps)) else max(gaps)
+    return f"{len(diffs)} numeric fields differ, max |d| {worst:.3g}"
+
+
+def main():
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("--against", type=Path, metavar="DIR")
+    args = parser.parse_args()
+    if args.against is None:
+        for command, out in zip(COMMANDS, outputs(SRC)):
+            print(f"{hashlib.sha256(out).hexdigest()}  {command}")
+        return
+    for command, ours, theirs in zip(
+        COMMANDS, outputs(SRC), outputs(args.against / "src")
+    ):
+        print(f"{compare(ours, theirs)}  {command}")
 
 
 if __name__ == "__main__":

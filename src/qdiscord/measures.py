@@ -444,12 +444,20 @@ def _frame(ang):
 
 
 def _angles(v):
-    """Bloch angles (pol, azi), stacked, of the vectors v = (vx, vy, vz).
+    """Bloch angles (pol, azi), stacked, of the vectors v = (vx, vy, vz), in
+    the form a record reports them: azi in [0, 2 pi) and 2 (pol / 2) == pol.
 
-    Both arguments of arctan2 are fresh contiguous arrays: on a lone vector
-    numpy runs arctan2 over a negatively strided view in a scalar loop,
-    whose last bit can differ from the vector loop's."""
-    return np.arctan2(np.array([np.hypot(v[0], v[1]), v[1]]), np.array([v[2], v[0]]))
+    arctan2's azimuth is taken mod 2 pi, and as 0, the nearer angle, where
+    that rounds to 2 pi (less than half an ulp of 2 pi below 0). pol is
+    taken as 2 (pol / 2), which changes a subnormal pol only. Both arguments
+    of arctan2 are fresh contiguous arrays: on a lone vector numpy runs
+    arctan2 over a negatively strided view in a scalar loop, whose last bit
+    can differ from the vector loop's."""
+    ang = np.arctan2(np.array([np.hypot(v[0], v[1]), v[1]]), np.array([v[2], v[0]]))
+    ang[0] = 2.0 * (0.5 * ang[0])
+    azi = np.mod(ang[1], 2 * np.pi, out=ang[1])
+    azi[azi == 2 * np.pi] = 0.0
+    return ang
 
 
 def _retract(frame, xy):
@@ -689,12 +697,11 @@ def _classical_correlation(rhos):
     four directions of _state_directions, and the best of them is refined
     by _refine, a trust-region Newton iteration on the closed-form value,
     gradient and Hessian of _objective_derivatives, with a first trust
-    radius of _R_START. The value is S(A|Pi_n) at the returned angles, bit
-    for bit: it is the value _refine ends on, which _objective_derivatives
-    computes as _conditional_entropy does, and it is evaluated again only
-    where the returned angles (2 theta, phi) differ from the refined ones
-    (pol, azi): phi = azi + 2 pi for a negative azimuth, or a polar angle
-    so small that halving it drops a bit.
+    radius of _R_START. _angles gives every angle that _refine evaluates in
+    the form a record reports it, so the returned theta = pol / 2 and
+    phi = azi are the refined angles themselves, and the returned value,
+    the one _refine ends on, is S(A|Pi_n) at (2 theta, phi) bit for bit:
+    _objective_derivatives takes it as _conditional_entropy does.
 
     States go through in blocks of _BLOCK_STATES, whose starts _refine
     takes at once; each block's coefficients and state directions come from
@@ -727,21 +734,13 @@ def _classical_correlation(rhos):
         ang[:, blk] = _angles(_scan(cb, dirs))
         # ang[:, blk] and f[blk] are views, so _refine's updates land in ang, f
         converged[blk] = _refine(cb, ang[:, blk], f[blk], _R_START)
-
-    theta = 0.5 * ang[0]
-    phi = np.mod(ang[1], 2 * np.pi)
-    # f holds S(A|Pi_n) at the refined angles
-    moved = ((2 * theta != ang[0]) | (phi != ang[1])).nonzero()[0]
-    if moved.size:
-        n_opt = _frame(np.array([2 * theta[moved], phi[moved]]))[0]
-        f[moved] = _conditional_entropy(c[..., moved], n_opt)
     failed = (~converged).nonzero()[0]
     if failed.size:
         raise OptimizerDidNotConverge(
             f"{failed.size} state(s) did not converge within {_MAX_ITER} iterations",
             failed.tolist(),
         )
-    return c, f, theta, phi
+    return c, f, 0.5 * ang[0], ang[1]
 
 
 _LN2 = np.log(2.0)

@@ -228,9 +228,7 @@ def dense_classical_correlation(rhos, grid_theta=120, grid_phi=240, starts=8):
         ang = m._angles(cand[:, best])
         f = np.empty(starts)
         assert m._refine(np.repeat(c, starts, axis=2), ang, f, r0).any()
-        win = [f.argmin()]
-        n_opt = m._frame(np.array([ang[0, win], np.mod(ang[1, win], 2 * np.pi)]))[0]
-        out.append((marginal_entropy_a(c) - m._conditional_entropy(c, n_opt))[0])
+        out.append(marginal_entropy_a(c)[0] - f.min())
     return np.array(out)
 
 

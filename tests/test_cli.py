@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -565,3 +566,33 @@ class TestRuntimeDependencies:
             capture_output=True, text=True, env=env, timeout=60, check=True,
         )
         assert proc.stdout.strip() == "[]"
+
+
+class TestDigestComparison:
+    """scripts/cli_digests.py --against: per command, `same`, `layout
+    differs`, or the count of differing numeric fields and the largest
+    absolute difference."""
+
+    @pytest.fixture(scope="class")
+    def compare(self):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "cli_digests.py"
+        spec = importlib.util.spec_from_file_location("cli_digests", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.compare
+
+    def test_numeric_fields(self, compare):
+        csv_a = b"i,x,y\r\n0,0.5,1e-16\r\n1,2,3\r\n"
+        assert compare(csv_a, csv_a) == "same"
+        csv_b = b"i,x,y\r\n0,0.5,4e-16\r\n1,2.5,3\r\n"
+        assert compare(csv_a, csv_b) == "2 numeric fields differ, max |d| 0.5"
+        json_a, json_b = b'{"m": 0.1, "v": 1}', b'{"m": 0.1, "v": NaN}'
+        assert compare(json_a, json_b) == "1 numeric fields differ, max |d| nan"
+
+    @pytest.mark.parametrize(
+        "other",
+        [b"i,z\r\n0,0.5\r\n", b"i,x\r\n0,0.5,1\r\n", b"i,x\r\n0, 0.5\r\n"],
+        ids=["text", "field count", "spacing"],
+    )
+    def test_layout(self, compare, other):
+        assert compare(b"i,x\r\n0,0.5\r\n", other) == "layout differs"
