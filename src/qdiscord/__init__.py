@@ -20,13 +20,11 @@ from .measures import (
     CorrelationRecord,
     OptimizerDidNotConverge,
     UnsupportedFamily,
-    apply_measurement,
     conditional_information,
     discord_analytic,
     discord_batch,
     discord_numeric,
     eof_from_concurrence,
-    measurement_pair,
 )
 from .states import (
     Family,
@@ -36,13 +34,10 @@ from .states import (
     StateError,
     TraceNotOne,
     make_family,
-    partial_trace,
     random_state,
     random_states,
-    spectrum,
     validate_state,
     validate_states,
-    von_neumann_entropy,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -35,12 +35,11 @@ evaluation, not per component, and each element still goes through the
 per-component operations in their order. A record's S(rho_A) is taken
 once, by _record_measures, and read by both its mutual information and its
 classical correlation S(rho_A) - S(A|Pi), where the engine gives S(A|Pi).
-conditional_information (with apply_measurement and measurement_pair) and
-discord_analytic are per-state references with no caller in the package:
-they stay because bench/workloads.py reads them, and leave when the
-benchmark holds its own copies (ROADMAP item 7). The references for the
-mutual information, concurrence and linear entropy of discord_batch's
-records are test oracles in tests/conftest.py.
+The package keeps exactly two per-state references, for the benchmark:
+conditional_information and discord_analytic. No package code calls them;
+bench/workloads.py reads both, and they leave when the benchmark holds its
+own copies (ROADMAP item 7). Every other per-state reference is a test
+oracle in tests/conftest.py.
 """
 from __future__ import annotations
 
@@ -53,9 +52,7 @@ from .states import (
     Family,
     StateError,
     _hermitian_unit_trace,
-    partial_trace,
     validate_states,
-    von_neumann_entropy,
 )
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -102,40 +99,34 @@ class AnalyticDiscordTrace:
     q: float | None = None  # two-parameter family only
 
 
-def measurement_pair(theta, phi):
-    """Orthogonal rank-1 projector pair on one qubit for angles (theta, phi)."""
-    ph = np.exp(1j * phi)
-    v1 = np.array([np.cos(theta), ph * np.sin(theta)], dtype=complex)
-    v2 = np.array([-np.sin(theta), ph * np.cos(theta)], dtype=complex)
-    return np.outer(v1, v1.conj()), np.outer(v2, v2.conj())
-
-
-def apply_measurement(rho, theta, phi):
-    """Project subsystem B onto the (theta, phi) basis.
-
-    Returns [(p_1, rho_1), (p_2, rho_2)]; an outcome with probability below
-    1e-14 carries None in place of a normalized state.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    outcomes = []
-    for b in measurement_pair(theta, phi):
-        pk = np.kron(np.eye(2, dtype=complex), b)
-        m = pk @ rho @ pk
-        p = float(np.trace(m).real)
-        outcomes.append((p, m / p if p > P_FLOOR else None))
-    return outcomes
-
-
 def conditional_information(rho, theta, phi):
-    """Measurement-induced mutual information S(rho_A) - sum_k p_k S(rho_k),
-    with S(rho_k) taken on A's marginal of rho_k: eigh's round-off on the two
-    zero eigenvalues of rho_k would put ~1e-15 of noise into the value."""
-    s_a = von_neumann_entropy(partial_trace(rho, "A"))
-    acc = 0.0
-    for p, rho_k in apply_measurement(rho, theta, phi):
-        if rho_k is not None:
-            acc += p * von_neumann_entropy(partial_trace(rho_k, "A"))
-    return s_a - acc
+    """Measurement-induced mutual information S(rho_A) - sum_k p_k S(rho_A|k)
+    of the state rho when B is measured in the basis v_1 = (cos theta,
+    e^{i phi} sin theta), v_2 = (-sin theta, e^{i phi} cos theta): the
+    per-state reference for the classical correlation of discord_batch's
+    records, taken from the matrices without Fano coefficients.
+
+    One contraction <v_k|_B rho |v_k>_B gives A's two unnormalized
+    conditional states, of traces p_k; an outcome with p_k <= P_FLOOR is
+    dropped. Each entropy counts the positive eigenvalues of eigvalsh's
+    spectrum of a 2 x 2 state of A, rho_A or a normalized conditional
+    state: the 4 x 4 post-measurement states have two zero eigenvalues,
+    which eigvalsh would return as ~1e-15 of round-off noise. rho is taken
+    to be a density matrix; it is not validated.
+    """
+    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    ph = np.exp(1j * phi)
+    c, s = np.cos(theta), np.sin(theta)
+    v = np.array([[c, ph * s], [-s, ph * c]])
+    cond = np.einsum("kb,abcd,kd->kac", v.conj(), r, v)
+    p = np.trace(cond, axis1=1, axis2=2).real
+    keep = p > P_FLOOR
+    rho_a = np.einsum("abcb->ac", r)
+    m = np.concatenate([rho_a[None], cond[keep] / p[keep, None, None]])
+    ev = np.linalg.eigvalsh(m)
+    ev[ev <= 0] = 1.0  # 1 log2 1 = 0: 0 log 0 = 0, and round-off negatives are 0
+    ent = -(ev * np.log2(ev)).sum(axis=1)
+    return float(ent[0] - p[keep] @ ent[1:])
 
 
 # Each two-qubit Pauli product P = sigma_i x sigma_j has one nonzero entry per
@@ -847,12 +838,16 @@ def discord_batch(rhos):
     HERM_TOL, TRACE_TOL and PSD_TOL, the rules of validate_states. The
     positivity is read off the one stacked eigh that _record_measures uses.
     Input that fails, or whose positivity that eigh cannot decide, goes to
-    validate_states, which raises StateError (wrong shape, NaN or Inf
-    entry), NotHermitian, TraceNotOne or NotPositive for the first bad
-    state and names its index. J = S(rho_A) - S(A|Pi) takes S(A|Pi) from
-    one _classical_correlation call and S(rho_A) from _record_measures.
+    validate_states, which raises StateError (not an array of numbers, a
+    wrong shape, a NaN or Inf entry), NotHermitian, TraceNotOne or
+    NotPositive for the first bad state and names its index.
+    J = S(rho_A) - S(A|Pi) takes S(A|Pi) from one _classical_correlation
+    call and S(rho_A) from _record_measures.
     """
-    rhos = np.asarray(rhos, dtype=complex)
+    try:
+        rhos = np.asarray(rhos, dtype=complex)
+    except (TypeError, ValueError):  # not an array of numbers: StateError
+        validate_states(rhos)
     if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
         rhos = validate_states(rhos)
     ok, herm, _ = _hermitian_unit_trace(rhos)

@@ -1,11 +1,11 @@
-"""Two-qubit density matrices: validation, parametrized families, the von
-Neumann entropy and seeded random states.
+"""Two-qubit density matrices: validation, parametrized families and seeded
+random states.
 
-partial_trace, spectrum and von_neumann_entropy serve only the per-state
-measures.conditional_information, which stays because bench/workloads.py
-reads it. The records' S_L comes from measures._record_measures; its
-per-state references, purity and linear_entropy, are test oracles in
-tests/conftest.py.
+The records' entropies and S_L come from measures._record_measures. Their
+per-state references (partial_trace, spectrum, von_neumann_entropy, purity
+and linear_entropy) are test oracles in tests/conftest.py: the package
+keeps exactly two per-state references, measures.conditional_information
+and measures.discord_analytic, because the benchmark reads them.
 
 States are validated as one (N, 4, 4) stack by validate_states, and seeded
 random states are built as one stack by random_states; validate_state and
@@ -57,11 +57,12 @@ def validate_states(raw):
     """Check that `raw` is a (N, 4, 4) stack, or a sequence of N 4x4
     matrices, N >= 0, of two-qubit density matrices.
 
-    Returns a complex copy, or raises for the first state that is not one,
-    with the class and deviation validate_state raises for that state alone
-    and a message that names its index.
+    Returns a complex copy. Input that is not an array of numbers of that
+    shape raises StateError; otherwise the first state that is not a
+    density matrix raises, with the class and deviation validate_state
+    raises for that state alone and a message that names its index.
     """
-    m = np.array(raw, dtype=complex)
+    m = _complex_array(raw)
     if m.shape == (0,):  # an empty sequence: a stack of no states
         m = m.reshape(0, 4, 4)
     if m.ndim != 3 or m.shape[1:] != (4, 4):
@@ -73,15 +74,26 @@ def validate_states(raw):
 def validate_state(raw):
     """Check that `raw` is a valid two-qubit density matrix.
 
-    Returns a complex 4x4 copy, or raises StateError for a wrong shape or a
-    NaN/Inf entry, or NotHermitian / TraceNotOne / NotPositive carrying the
-    measured deviation. The checks are validate_states' on a stack of one.
+    Returns a complex 4x4 copy, or raises StateError for input that is not
+    a 4x4 array of numbers or has a NaN/Inf entry, or NotHermitian /
+    TraceNotOne / NotPositive carrying the measured deviation. The checks
+    are validate_states' on a stack of one.
     """
-    m = np.array(raw, dtype=complex)
+    m = _complex_array(raw)
     if m.shape != (4, 4):
         raise StateError(f"expected a 4x4 matrix, got shape {m.shape}")
     _raise_first_invalid(m[None], "")
     return m
+
+
+def _complex_array(raw):
+    """A complex array copy of raw; StateError for input that is not an
+    array of numbers (a ragged nesting, a str, a dict), where numpy raises
+    ValueError or TypeError."""
+    try:
+        return np.array(raw, dtype=complex)
+    except (TypeError, ValueError) as e:
+        raise StateError(f"expected an array of numbers: {e}") from None
 
 
 def _hermitian_unit_trace(m):
@@ -120,43 +132,6 @@ def _raise_first_invalid(m, prefix):
         raise TraceNotOne(f"{at}trace differs from 1 by {dev:.3e}", dev)
     low = float(lo[k])
     raise NotPositive(f"{at}minimum eigenvalue {low:.3e} is negative", -low)
-
-
-def partial_trace(rho, keep):
-    """Trace out one qubit; `keep` is 'A' or 'B'.
-
-    The contraction pairs conjugate entries term by term, so the result is
-    Hermitian exactly and the trace is preserved to round-off.
-    """
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    if keep == "A":
-        return np.einsum("abcb->ac", r)
-    if keep == "B":
-        return np.einsum("abad->bd", r)
-    raise ValueError("keep must be 'A' or 'B'")
-
-
-def spectrum(m):
-    """Eigenvalues of a Hermitian 2x2 or 4x4 matrix, descending.
-
-    Round-off negatives down to -1e-10 are clipped to zero so the values can
-    feed entropies directly.
-    """
-    m = np.asarray(m, dtype=complex)
-    dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > HERM_TOL:
-        raise NotHermitian(f"matrix is not Hermitian (deviation {dev:.3e})", dev)
-    ev = np.linalg.eigvalsh(m)[::-1].copy()
-    ev[(ev < 0) & (ev >= -PSD_TOL)] = 0.0
-    return ev
-
-
-def von_neumann_entropy(m):
-    """S(rho) = -Tr{rho log2 rho} in bits over every positive eigenvalue,
-    with 0 log 0 = 0."""
-    ev = spectrum(m)
-    ev = ev[ev > 0]
-    return float(-np.sum(ev * np.log2(ev)))
 
 
 # kind -> range of p1 (twoparam's b lies in [a - 1, 1 - a]), in FAMILY_KINDS order

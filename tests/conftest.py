@@ -8,7 +8,7 @@ from scipy.optimize import bisect
 from qdiscord import bounds, measures
 from qdiscord.io import CSV_HEADER
 from qdiscord.measures import UnsupportedFamily
-from qdiscord.states import Family, partial_trace, von_neumann_entropy
+from qdiscord.states import HERM_TOL, PSD_TOL, Family, NotHermitian
 
 
 def binary_entropy(x):
@@ -68,6 +68,80 @@ def concurrence_analytic(fam):
     raise UnsupportedFamily(
         f"no closed-form concurrence implemented for family {fam.kind!r}"
     )
+
+
+def partial_trace(rho, keep):
+    """Trace out one qubit; `keep` is 'A' or 'B'.
+
+    The contraction pairs conjugate entries term by term, so the result is
+    Hermitian exactly and the trace is preserved to round-off.
+    """
+    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    if keep == "A":
+        return np.einsum("abcb->ac", r)
+    if keep == "B":
+        return np.einsum("abad->bd", r)
+    raise ValueError("keep must be 'A' or 'B'")
+
+
+def spectrum(m):
+    """Eigenvalues of a Hermitian 2x2 or 4x4 matrix, descending.
+
+    Round-off negatives down to -PSD_TOL are clipped to zero so the values
+    can feed entropies directly.
+    """
+    m = np.asarray(m, dtype=complex)
+    dev = float(np.max(np.abs(m - m.conj().T)))
+    if dev > HERM_TOL:
+        raise NotHermitian(f"matrix is not Hermitian (deviation {dev:.3e})", dev)
+    ev = np.linalg.eigvalsh(m)[::-1].copy()
+    ev[(ev < 0) & (ev >= -PSD_TOL)] = 0.0
+    return ev
+
+
+def von_neumann_entropy(m):
+    """S(rho) = -Tr{rho log2 rho} in bits over every positive eigenvalue,
+    with 0 log 0 = 0."""
+    ev = spectrum(m)
+    ev = ev[ev > 0]
+    return float(-np.sum(ev * np.log2(ev)))
+
+
+def measurement_pair(theta, phi):
+    """Orthogonal rank-1 projector pair on one qubit for angles (theta, phi)."""
+    ph = np.exp(1j * phi)
+    v1 = np.array([np.cos(theta), ph * np.sin(theta)], dtype=complex)
+    v2 = np.array([-np.sin(theta), ph * np.cos(theta)], dtype=complex)
+    return np.outer(v1, v1.conj()), np.outer(v2, v2.conj())
+
+
+def apply_measurement(rho, theta, phi):
+    """Project subsystem B onto the (theta, phi) basis.
+
+    Returns [(p_1, rho_1), (p_2, rho_2)]; an outcome with probability at
+    most P_FLOOR carries None in place of a normalized state.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    outcomes = []
+    for b in measurement_pair(theta, phi):
+        pk = np.kron(np.eye(2, dtype=complex), b)
+        m = pk @ rho @ pk
+        p = float(np.trace(m).real)
+        outcomes.append((p, m / p if p > measures.P_FLOOR else None))
+    return outcomes
+
+
+def composed_conditional_information(rho, theta, phi):
+    """Oracle for measures.conditional_information, composed of the
+    projectors, the partial trace and the von Neumann entropy above:
+    S(rho_A) - sum_k p_k S(rho_k), with S(rho_k) taken on A's marginal of
+    the 4 x 4 post-measurement state rho_k."""
+    s_a = von_neumann_entropy(partial_trace(rho, "A"))
+    acc = 0.0
+    for p, rho_k in apply_measurement(rho, theta, phi):
+        if rho_k is not None:
+            acc += p * von_neumann_entropy(partial_trace(rho_k, "A"))
+    return s_a - acc
 
 
 def mutual_information(rho):

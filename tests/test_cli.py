@@ -568,6 +568,46 @@ class TestRuntimeDependencies:
         assert proc.stdout.strip() == "[]"
 
 
+def test_package_names():
+    # a name that leaves the package, or comes back, shows up in this diff
+    assert sorted(qdiscord.__all__) == [
+        "AnalyticDiscordTrace",
+        "BoundaryCurve",
+        "CorrelationRecord",
+        "Family",
+        "NotHermitian",
+        "NotPositive",
+        "OptimizerDidNotConverge",
+        "ParamOutOfRange",
+        "RegionReport",
+        "SampleBatch",
+        "StateError",
+        "TraceNotOne",
+        "UnsupportedFamily",
+        "bounds",
+        "conditional_information",
+        "discord_analytic",
+        "discord_batch",
+        "discord_numeric",
+        "entropy_upper",
+        "eof_from_concurrence",
+        "horn_crossovers",
+        "horn_lower",
+        "horn_upper",
+        "make_family",
+        "measures",
+        "random_state",
+        "random_states",
+        "sample_near_boundary",
+        "sample_random",
+        "states",
+        "sweep_family",
+        "validate_state",
+        "validate_states",
+        "verify_bounds",
+    ]
+
+
 class TestDigestComparison:
     """scripts/cli_digests.py --against: per command, `same`, `layout
     differs`, or the count of differing numeric fields and the largest

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import (
     PAULI,
+    apply_measurement,
     bell_diagonal_cc_oracle,
     dense_classical_correlation,
     marginal_entropy_a,
@@ -946,6 +947,8 @@ NOT_DENSITY = {
     "negative": np.diag([0.5, 0.5, 0.5, -0.5]),
 }
 WRONG_SHAPES = [(2, 16), (2, 2, 4, 4), (8, 8)]
+# not arrays of numbers: numpy raises ValueError or TypeError converting them
+NOT_NUMBERS = {"ragged": [[1, 2], [3]], "str": "not a state", "dict": {}}
 
 
 def validate_states_error(stack):
@@ -980,6 +983,16 @@ class TestInputContract:
         m = np.zeros(shape)
         assert_raises_like(discord_batch, m, validate_states_error(m))
         assert_raises_like(discord_numeric, m, validate_states_error([m]))
+
+    @pytest.mark.parametrize("engine", [validate_state, validate_states, discord_batch])
+    @pytest.mark.parametrize("name", list(NOT_NUMBERS))
+    def test_not_an_array_of_numbers(self, engine, name):
+        raw = NOT_NUMBERS[name]
+        with pytest.raises(StateError, match="^expected an array of numbers: ") as err:
+            engine(raw)
+        assert type(err.value) is StateError
+        if engine is discord_batch:
+            assert_raises_like(engine, raw, validate_states_error(raw))
 
     @pytest.mark.parametrize("name", list(NOT_DENSITY))
     def test_batch_names_the_invalid_state(self, name):
@@ -1107,7 +1120,7 @@ class TestObjective:
             p
             for i, rho in enumerate(rhos)
             for th, ph in zip(*direction_angles(n[:, i]))
-            for p, _ in measures.apply_measurement(rho, th, ph)
+            for p, _ in apply_measurement(rho, th, ph)
         ]
         assert 0.0 in probs
         assert sum(0 < p < measures.P_FLOOR for p in probs) >= 4

@@ -3,10 +3,13 @@ import numpy as np
 import pytest
 
 from conftest import (
+    apply_measurement,
     bell_diagonal_cc_oracle,
+    composed_conditional_information,
     concurrence,
     concurrence_analytic,
     linear_entropy,
+    measurement_pair,
     mutual_information,
     random_pure_state,
     random_unitary,
@@ -16,17 +19,16 @@ from conftest import (
 )
 from qdiscord.bounds import _derived_seeds, sample_near_boundary, sample_random
 from qdiscord.measures import (
+    P_FLOOR,
     AnalyticDiscordTrace,
     UnsupportedFamily,
     alpha_discord,
-    apply_measurement,
     beta_discord,
     conditional_information,
     discord_analytic,
     discord_batch,
     discord_numeric,
     eof_from_concurrence,
-    measurement_pair,
     two_param_q,
     werner_discord,
 )
@@ -119,7 +121,60 @@ class TestMutualInformation:
         assert mutual_information(rho) == pytest.approx(0.415037, abs=1e-6)
 
 
+def conditional_information_corpus(group):
+    """The states of one group of the conditional_information corpus."""
+    rng = np.random.default_rng(73)
+    if group == "random":
+        return [random_state(s) for s in range(200)]
+    if group == "pure":
+        return [np.outer(v, v.conj()) for v in map(random_pure_state, range(20))]
+    if group == "rank-2":
+        out = []
+        for s in range(20):
+            u, v = random_pure_state(2 * s + 100), random_pure_state(2 * s + 101)
+            w = rng.uniform()
+            out.append(w * np.outer(u, u.conj()) + (1 - w) * np.outer(v, v.conj()))
+        return out
+    if group == "floor":
+        # (1 - d)|00><00| + d I/4: measured along z, B's outcome 1 has p = d/2,
+        # at 0, below, around and above P_FLOOR
+        zero = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        return [(1 - d) * zero + d * MIXED for d in (0.0, 1e-16, 1e-14, 1e-13)]
+    fams = [Family("pure", 5e-13), Family("pure", 0.3), Family("werner", -1 / 3)]
+    fams += [Family(k, p) for k in ("werner", "alpha", "beta") for p in (0.0, 0.4, 1.0)]
+    fams += [Family("twoparam", 1 / 3, 0.0), Family("twoparam", 0.3, -0.7)]
+    return [make_family(f) for f in fams]
+
+
+def conditional_information_angles(rng):
+    """Axis angles, three canonical pairs (theta in [0, pi/2], phi in
+    [0, 2 pi)) and three pairs outside those ranges."""
+    axes = [(0.0, 0.0), (np.pi / 2, 0.0), (np.pi / 4, 0.0), (np.pi / 4, np.pi / 2)]
+    canon = zip(rng.uniform(0, np.pi / 2, 3), rng.uniform(0, 2 * np.pi, 3))
+    out = zip(
+        rng.choice([-1, 1], 3) * rng.uniform(np.pi / 2, 2 * np.pi, 3),
+        rng.choice([-1, 2], 3) * rng.uniform(2 * np.pi, 3 * np.pi, 3),
+    )
+    return axes + list(canon) + list(out)
+
+
 class TestConditionalInformation:
+    @pytest.mark.parametrize("group", ["random", "pure", "rank-2", "floor", "family"])
+    def test_matches_composed_reference(self, group, rng):
+        # the old route: projectors, partial trace and von Neumann entropy
+        probs = []
+        for rho in conditional_information_corpus(group):
+            for th, ph in conditional_information_angles(rng):
+                ref = composed_conditional_information(rho, th, ph)
+                assert conditional_information(rho, th, ph) == pytest.approx(
+                    ref, abs=1e-13
+                )
+                probs += [p for p, _ in apply_measurement(rho, th, ph)]
+        if group == "floor":
+            assert 0.0 in probs
+            assert any(0 < p <= P_FLOOR for p in probs)
+            assert any(P_FLOOR < p <= 10 * P_FLOOR for p in probs)
+
     def test_bell_computational(self):
         assert conditional_information(BELL, 0.0, 0.0) == pytest.approx(1.0)
 

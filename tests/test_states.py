@@ -4,7 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import binary_entropy, linear_entropy, purity, written_out_random_state
+from conftest import (
+    binary_entropy,
+    linear_entropy,
+    partial_trace,
+    purity,
+    spectrum,
+    von_neumann_entropy,
+    written_out_random_state,
+)
 from qdiscord.bounds import _derived_seeds
 from qdiscord.io import state_from_json_obj, state_to_json_obj
 from qdiscord.states import (
@@ -17,15 +25,12 @@ from qdiscord.states import (
     StateError,
     TraceNotOne,
     make_family,
-    partial_trace,
     _pcg_seed_words,
     _SeedWords,
     random_state,
     random_states,
-    spectrum,
     validate_state,
     validate_states,
-    von_neumann_entropy,
 )
 
 BELL = make_family(Family("pure", 0.5))
