@@ -714,7 +714,7 @@ def sample_near_boundary(kind, n, epsilon, seed):
     return SampleBatch(
         records=records,
         seeds=seeds,
-        provenance=f"near:{kind}:eps={epsilon:g}",
+        provenance=f"near:{kind}:eps={float(epsilon)!r}",
         families=families,
     )
 

@@ -842,7 +842,9 @@ def discord_batch(rhos):
     wrong shape, a NaN or Inf entry), NotHermitian, TraceNotOne or
     NotPositive for the first bad state and names its index.
     J = S(rho_A) - S(A|Pi) takes S(A|Pi) from one _classical_correlation
-    call and S(rho_A) from _record_measures.
+    call and S(rho_A) from _record_measures. The discord is I - J as
+    computed, unclipped: a zero-discord state reads Q of round-off size,
+    of either sign.
     """
     try:
         rhos = np.asarray(rhos, dtype=complex)
@@ -865,7 +867,7 @@ def discord_batch(rhos):
     fields = [
         mis,
         ccs,
-        np.minimum(np.maximum(mis - ccs, -1e-9), 2.0),
+        mis - ccs,
         concs,
         eof_from_concurrence(concs),
         sls,

@@ -691,6 +691,9 @@ class TestSampling:
         b = sample_near_boundary("alpha", 3, 1e-3, 0)
         assert b.provenance == "near:alpha:eps=0.001"
         assert len(b.records) == len(b.seeds) == len(b.families) == 3
+        for eps in (0.0012345678, 0.0, 1.0):  # epsilon round-trips
+            prov = sample_near_boundary("alpha", 1, eps, 0).provenance
+            assert float(prov.rpartition("=")[2]) == eps
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -1184,3 +1187,22 @@ def test_pimple_state_measures():
     rho = make_family(Family("twoparam", 1 / 3, 0.0))
     assert linear_entropy(rho) == pytest.approx(8 / 9, abs=1e-15)
     assert discord_numeric(rho).discord == pytest.approx(1 / 3, abs=1e-4)
+
+
+def _x_state(diag, r03=0.0, r12=0.0):
+    rho = np.diag(np.asarray(diag) / sum(diag)).astype(complex)
+    rho[0, 3] = rho[3, 0] = r03
+    rho[1, 2] = rho[2, 1] = r12
+    return rho
+
+
+@pytest.mark.parametrize("rho,plane,excess", [
+    (_x_state((0.2016, 0.3065, 0.477, 0.0149), 0, -(0.3065 * 0.477) ** 0.5), "eof", 8e-3),
+    (_x_state((0.2471, 0.4506, 0.0046, 0.2978), 0.2712), "sl", 2e-3),
+    (make_family(Family("twoparam", 0.7925, -0.1453)), "eof", 1.5e-3),
+], ids=["x-state-eof", "x-state-sl", "twoparam"])
+def test_states_above_the_paper_ceilings(rho, plane, excess):
+    # README, "What the paper's ceilings do not bound"
+    rec = discord_numeric(rho)
+    ceiling = entropy_upper(rec.linear_entropy) if plane == "sl" else horn_upper(rec.eof)
+    assert rec.discord - ceiling > excess

@@ -1,7 +1,6 @@
 import csv
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +11,8 @@ import pytest
 import qdiscord
 from qdiscord import bounds, cli
 from qdiscord.cli import EXIT_NOT_CONVERGED, main
-from qdiscord.io import CSV_HEADER, write_state_file
-from qdiscord.measures import OptimizerDidNotConverge
+from qdiscord.io import CSV_HEADER, read_state_file, write_state_file
+from qdiscord.measures import OptimizerDidNotConverge, conditional_information
 from qdiscord.states import Family, make_family
 
 
@@ -21,6 +20,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     cap = capsys.readouterr()
     return code, cap.out, cap.err
+
+
+@pytest.fixture
+def state_file(tmp_path):
+    path = tmp_path / "state.json"
+    write_state_file(make_family(Family("twoparam", 0.3, 0.2)), path)
+    return str(path)
 
 
 class TestPoint:
@@ -54,12 +60,23 @@ class TestPoint:
 
     def test_state_file_bad_trace_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
-        rho = np.eye(4) * 0.225  # trace 0.9
-        obj = {"rho": [[[rho[i, j].real, 0.0] for j in range(4)] for i in range(4)]}
-        path.write_text(json.dumps(obj))
-        code, _, err = run(capsys, "point", "--in", str(path))
-        assert code == 2
-        assert "trace" in err.lower()
+        for rho in (np.eye(4) * 0.225, 2 * np.eye(4) / 4):  # trace 0.9 and 2
+            write_state_file(rho, path)
+            code, _, err = run(capsys, "point", "--in", str(path))
+            assert code == 2
+            assert "trace" in err.lower()
+
+    def test_record_signs_and_reference(self, capsys, state_file):
+        # the pure state's Schmidt weight lies below the 1e-12 cut on eigh's
+        # eigenvalues, so I and J must read one S(rho_A); classical_corr holds
+        # to the benchmark's CC_TOL of the per-state reference
+        pure = ["--family", "pure", "--param", "5e-13"]
+        for argv, rho in ((["--in", state_file], read_state_file(state_file)),
+                          (pure, make_family(Family("pure", 5e-13)))):
+            r = json.loads(run(capsys, "point", *argv)[1])
+            ref = conditional_information(rho, r["theta_opt"], r["phi_opt"])
+            assert abs(r["classical_corr"] - ref) <= 1e-9
+            assert r["discord"] >= 0 and r["mutual_info"] >= r["classical_corr"]
 
     @pytest.mark.parametrize(
         "i,j,part,value",
@@ -247,6 +264,31 @@ class TestCsvContract:
             assert rec["family"] == "werner"
             assert -1 / 3 <= float(rec["param1"]) <= 1
 
+    # the 300-state batches: sample is ranked in float32 over several scan
+    # chunks; werner's first chunk has windows of more than 1/8 of its
+    # starts, so the rest of its block takes the float64 scan; pure's
+    # windows, 3 251 starts in all, take two float64 chunks of _CHUNK_BYTES
+    @pytest.mark.parametrize("argv", [
+        "sample --n 20 --seed 1", "near --family twoparam --n 20",
+        "sample --n 300 --seed 4", "near --family werner --n 300",
+        "near --family pure --n 300", "point --in STATE --format csv",
+        "point --family alpha --param 0.3 --format csv",
+        "point --family werner --param 0.5 --format csv",
+        *(f"sweep --family {k} --plane sl-q --n 8"
+          for k in ("werner", "alpha", "twoparam")),
+        *(f"sweep --family {k} --plane eof-q --n 8"
+          for k in ("alpha", "beta", "werner", "pure")),
+    ])
+    def test_fourteen_columns_and_rising_x(self, capsys, state_file, argv):
+        code, out, _ = run(capsys, *argv.replace("STATE", state_file).split())
+        rows = list(csv.reader(out.splitlines()))
+        assert code == 0 and len(CSV_HEADER) == 14 and rows[0] == CSV_HEADER
+        assert len(rows) > 1 and all(len(r) == 14 for r in rows)
+        x = {"curve:sl-q": "S_L", "curve:eof-q": "eof"}.get(rows[1][1])
+        if x:  # a curve's x column starts at 0 and rises
+            xs = [float(r[CSV_HEADER.index(x)]) for r in rows[1:]]
+            assert xs[0] == 0 and all(u < v for u, v in zip(xs, xs[1:]))
+
 
 REPORT_KEYS = ["n_checked", "n_violations", "worst_violation", "min_margin", "offenders"]
 
@@ -284,6 +326,16 @@ class TestVerify:
         assert out == ""
         assert err.startswith("validation error: no state of the batch has S_L <= 8/9")
         assert not dest.exists()
+
+    # the last batch has 26 records in entropy_upper's peak band, 7 in its kink band
+    @pytest.mark.parametrize(
+        "argv", ["--plane sl-q --n 20", "--n 20", "--plane sl-q --n 200 --seed 3"]
+    )
+    def test_report_holds_a_finite_positive_margin(self, capsys, argv):
+        code, out, _ = run(capsys, "verify", *argv.split())
+        r = json.loads(out)
+        assert code == 0 and r["n_checked"] >= 1 and r["n_violations"] == 0
+        assert 0 < r["min_margin"] < float("inf")
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "verify", "--n", "10", "--seed", "5")
@@ -553,19 +605,42 @@ class TestNotConverged:
 
 
 class TestRuntimeDependencies:
-    def test_cli_import_loads_no_scipy(self):
-        # the runtime needs numpy only; scipy is a test-only oracle
-        code = (
-            "import sys, qdiscord.cli; "
-            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy'}))"
-        )
+    # a fresh isolated interpreter that sees src/ and site-packages, not
+    # tests/, and cannot import a test-only package: every qdiscord module
+    # imports and every subcommand exits 0
+    SCRIPT = """
+import contextlib, importlib, io, pkgutil, sys
+src, state = sys.argv[1:]
+tried = []  # a guarded import that falls back still counts
+class Block:
+    def find_spec(name, *_):
+        if name.partition(".")[0] in {"scipy", "mpmath", "hypothesis", "pytest",
+                                      "_pytest", "conftest", "tests"}:
+            tried.append(name)
+            raise ImportError(f"{name} is not a runtime dependency")
+sys.meta_path.insert(0, Block)
+sys.path.insert(0, src)
+import qdiscord
+for mod in pkgutil.walk_packages(qdiscord.__path__, "qdiscord."):
+    importlib.import_module(mod.name)
+from qdiscord import cli, io as qio, states
+qio.write_state_file(states.make_family(states.Family("alpha", 0.3)), state)
+for argv in ["point --family alpha --param 0.3", f"point --in {state} --format csv",
+             "sweep --family werner --plane sl-q --n 8", "sample --n 4",
+             "near --family twoparam --n 4", "verify --n 20",
+             "verify --plane sl-q --n 20", "crossover"]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv.split()) == 0, argv
+assert not tried, tried
+"""
+
+    def test_cli_import_loads_no_scipy(self, tmp_path):
         src = str(Path(qdiscord.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, env=env, timeout=60, check=True,
+            [sys.executable, "-I", "-c", self.SCRIPT, src, str(tmp_path / "s.json")],
+            capture_output=True, text=True, cwd=tmp_path, timeout=60,
         )
-        assert proc.stdout.strip() == "[]"
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_package_names():

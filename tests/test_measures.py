@@ -319,6 +319,21 @@ class TestDiscordNumeric:
             assert rec.classical_corr >= -1e-9
             assert rec.discord <= rec.mutual_info + 1e-9
 
+    def test_zero_discord_states_read_round_off(self, rng):
+        # states classical on B, sum_j p_j rho_j (x) |j><j| in a random basis
+        # of B, and product states have Q = 0; Q is reported unclipped
+        def qubit():
+            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            return g @ g.conj().T / np.vdot(g, g).real
+
+        rhos = []
+        for p in rng.random(500):
+            u = random_unitary(rng)
+            rhos.append(sum(w * np.kron(qubit(), np.outer(u[:, j], u[:, j].conj()))
+                            for j, w in enumerate((p, 1 - p))))
+            rhos.append(np.kron(qubit(), qubit()))
+        assert max(abs(rec.discord) for rec in discord_batch(rhos)) <= 1e-13
+
     def test_pure_state_identity_sample(self):
         for s in range(50):
             v = random_pure_state(s)
